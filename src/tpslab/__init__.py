@@ -34,6 +34,7 @@ from .gaussian import (
     InvalidCovarianceError,
     SymplecticMatrix,
     WilliamsonError,
+    apply_symplectic,
     gaussian_entropy_across,
     gaussian_purity,
     is_pure,
@@ -51,7 +52,6 @@ from .gaussian import (
 )
 from .scattering import (
     LatticeConfig,
-    TwoParticleState,
     WavePacket,
     build_hamiltonian,
     build_product_in_state,

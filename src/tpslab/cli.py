@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,23 +30,14 @@ from .serialization import (
     gaussian_state_from_dict,
     load_json,
     pure_state_from_dict,
+    write_text_atomic,
 )
 from .tailor import TargetSpectrum, check_zanardi, subalgebra_generators, tailor_frame
-
-THREADS_ENV = "TPSLAB_THREADS"
 
 
 def _fmt(x: float) -> str:
     """Fixed 12-significant-digit decimal rendering."""
     return f"{float(x):.12g}"
-
-
-def _worker_count(n_items: int) -> int:
-    cap = os.cpu_count() or 1
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        cap = max(1, int(env))
-    return max(1, min(cap, n_items))
 
 
 def _parse_int_pair(text: str) -> tuple[int, int]:
@@ -77,11 +68,12 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(x) for x in row])
+    write_text_atomic(path, buf.getvalue())
 
 
 def _cmd_tailor(args) -> int:
@@ -109,17 +101,6 @@ def _zanardi_lines(report) -> list[str]:
     ]
 
 
-def _report_to_dict(report) -> dict:
-    return {
-        "independence": report.independence,
-        "max_commutator_norm": report.max_commutator_norm,
-        "completeness": report.completeness,
-        "span_dimension": report.span_dimension,
-        "full_dimension": report.full_dimension,
-        "local_accessibility": report.local_accessibility,
-    }
-
-
 def _cmd_zanardi(args) -> int:
     if (args.frame is None) == (args.random_frames is None):
         raise ValueError("give exactly one of --frame or --random-frames")
@@ -129,7 +110,7 @@ def _cmd_zanardi(args) -> int:
             subalgebra_generators(frame, "A"), subalgebra_generators(frame, "B")
         )
         lines = _zanardi_lines(report)
-        payload = _report_to_dict(report)
+        payload = asdict(report)
     else:
         if args.dim is None or args.factors is None:
             raise ValueError("--random-frames requires --dim and --factors")
@@ -154,7 +135,7 @@ def _cmd_zanardi(args) -> int:
         payload = {
             "frames_checked": len(reports),
             "failures": failures,
-            "reports": [_report_to_dict(r) for r in reports],
+            "reports": [asdict(r) for r in reports],
         }
     for line in lines:
         print(line)
@@ -202,18 +183,14 @@ def _cmd_gaussian_entangle(args) -> int:
 
 
 def _cmd_twobody_sweep(args) -> int:
-    kappas = _parse_range(args.kappa)
-
-    def one(kappa: float) -> list[float]:
+    rows = []
+    for kappa in _parse_range(args.kappa):
         params = twobody.TwoBodyParams(args.m1, args.m2, args.omega, kappa)
-        return [
+        rows.append([
             kappa,
             twobody.interparticle_entanglement(params),
             twobody.internal_external_entanglement(params),
-        ]
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(kappas))) as pool:
-        rows = list(pool.map(one, kappas))
+        ])
     _write_csv(args.out, ["kappa", "interparticle_entropy", "internal_external_entropy"], rows)
     return 0
 

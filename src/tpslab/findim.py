@@ -53,6 +53,12 @@ def _frozen_array(a, dtype=complex) -> np.ndarray:
     return out
 
 
+def _require_finite(what: str, values, error=ValueError) -> None:
+    # tolerance checks alone let NaN through: abs(nan - 1) > tol is False
+    if not np.isfinite(values).all():
+        raise error(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector on a ``dim``-dimensional Hilbert space."""
@@ -66,6 +72,7 @@ class PureState:
             raise ValueError(f"dimension must be positive, got {self.dim}")
         if amps.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} amplitudes, got shape {amps.shape}")
+        _require_finite("amplitudes", amps)
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |psi| = {norm!r}")
@@ -89,6 +96,7 @@ class DensityMatrix:
             raise ValueError(f"dimension must be positive, got {self.dim}")
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {mat.shape}")
+        _require_finite("density matrix", mat)
         if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         tr = np.trace(mat)
@@ -141,8 +149,8 @@ class TpsFrame:
         mat = _frozen_array(self.frame)
         if mat.shape != (d, d):
             raise ValueError(f"frame must be {d}x{d}, got {mat.shape}")
-        # exact identity needs no O(d^3) unitarity check; it is the common
-        # frame at the large dimensions the lattice states live in
+        _require_finite("frame", mat)
+        # exact identity needs no O(d^3) unitarity check
         is_identity = np.count_nonzero(mat) == d and bool(np.all(mat.diagonal() == 1.0))
         if not is_identity:
             defect = np.linalg.norm(mat.conj().T @ mat - np.eye(d))
@@ -223,6 +231,11 @@ def _check_dims(state_dim: int, frame: TpsFrame) -> None:
         raise ValueError(f"state dimension {state_dim} != frame dimension {frame.d}")
 
 
+def _conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``U M U^dag``: an operator moved into the basis that ``U`` maps onto."""
+    return u @ m @ u.conj().T
+
+
 def apply_frame(state, frame: TpsFrame):
     """Express a state in the frame's product basis.
 
@@ -235,7 +248,7 @@ def apply_frame(state, frame: TpsFrame):
         return PureState(state.dim, u @ state.amplitudes)
     if isinstance(state, DensityMatrix):
         _check_dims(state.dim, frame)
-        return DensityMatrix(state.dim, u @ state.matrix @ u.conj().T)
+        return DensityMatrix(state.dim, _conjugate(u, state.matrix))
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
@@ -300,9 +313,8 @@ def partial_trace(rho: DensityMatrix, frame: TpsFrame, side: str) -> DensityMatr
         k2-dimensional one.
     """
     _check_dims(rho.dim, frame)
-    u = frame.frame
     k1, k2 = frame.k1, frame.k2
-    conj = (u @ rho.matrix @ u.conj().T).reshape(k1, k2, k1, k2)
+    conj = _conjugate(frame.frame, rho.matrix).reshape(k1, k2, k1, k2)
     if side == "A":
         reduced = np.einsum("abcb->ac", conj)
         return DensityMatrix(k1, 0.5 * (reduced + reduced.conj().T))
@@ -310,6 +322,16 @@ def partial_trace(rho: DensityMatrix, frame: TpsFrame, side: str) -> DensityMatr
         reduced = np.einsum("abac->bc", conj)
         return DensityMatrix(k2, 0.5 * (reduced + reduced.conj().T))
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+
+
+def _schmidt_probabilities(m: np.ndarray) -> np.ndarray:
+    """Schmidt coefficients of the amplitudes ``m[i_A, i_B]``, descending, summing to 1."""
+    # The singular vectors are computed though unused: the values-only LAPACK
+    # path rounds differently, and this way the coefficients are bit-identical
+    # to those of schmidt_decompose.
+    s = np.linalg.svd(m, full_matrices=False)[1]
+    coeffs = s**2
+    return coeffs / coeffs.sum()
 
 
 def _entropy_nats(probs: np.ndarray) -> float:
@@ -322,7 +344,9 @@ def entanglement_entropy(state: PureState, frame: TpsFrame) -> float:
 
     ``0 * ln 0`` is taken as 0.
     """
-    return _entropy_nats(schmidt_decompose(state, frame).coefficients)
+    _check_dims(state.dim, frame)
+    m = (frame.frame @ state.amplitudes).reshape(frame.k1, frame.k2)
+    return _entropy_nats(_schmidt_probabilities(m))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -339,9 +363,8 @@ def negativity(rho: DensityMatrix, frame: TpsFrame) -> float:
     any frame.
     """
     _check_dims(rho.dim, frame)
-    u = frame.frame
     k1, k2 = frame.k1, frame.k2
-    conj = (u @ rho.matrix @ u.conj().T).reshape(k1, k2, k1, k2)
+    conj = _conjugate(frame.frame, rho.matrix).reshape(k1, k2, k1, k2)
     transposed = conj.transpose(0, 3, 2, 1).reshape(rho.dim, rho.dim)
     eigs = np.linalg.eigvalsh(transposed)
     return max(0.0, float((np.abs(eigs).sum() - 1.0) / 2.0))

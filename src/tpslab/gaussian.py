@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur
 
-from .findim import random_unitary
+from .findim import _require_finite, random_unitary
 
 __all__ = [
     "InvalidCovarianceError",
@@ -32,6 +32,7 @@ __all__ = [
     "thermal_entropy",
     "gaussian_entropy_across",
     "log_negativity_two_mode",
+    "apply_symplectic",
     "mode_separating_transform",
     "vacuum_state",
     "two_mode_squeezed",
@@ -87,6 +88,7 @@ class SymplecticMatrix:
         size = 2 * self.n_modes
         if mat.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} matrix, got {mat.shape}")
+        _require_finite("symplectic matrix", mat)
         omega = symplectic_form(self.n_modes)
         defect = np.linalg.norm(mat.T @ omega @ mat - omega)
         if defect > SYMPLECTIC_TOL:
@@ -111,6 +113,7 @@ class CovarianceMatrix:
         size = 2 * self.n_modes
         if mat.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} matrix, got {mat.shape}")
+        _require_finite("covariance matrix", mat, InvalidCovarianceError)
         if np.abs(mat - mat.T).max() > SYMMETRY_TOL:
             raise InvalidCovarianceError("covariance matrix is not symmetric")
         smallest = _spectrum_of(mat)[-1]
@@ -133,6 +136,7 @@ class GaussianState:
         mean = np.array(self.mean, dtype=float)
         if mean.shape != (2 * self.cov.n_modes,):
             raise ValueError(f"mean must have length {2 * self.cov.n_modes}, got {mean.shape}")
+        _require_finite("mean", mean)
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
 
@@ -302,6 +306,22 @@ def log_negativity_two_mode(state: GaussianState) -> float:
     return float(-np.log(nu_minus))
 
 
+def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
+    """The state in the coordinates ``xi' = S xi``.
+
+    The covariance maps to ``S sigma S^T``, symmetrized against roundoff,
+    and the mean to ``S mean``.  ``s`` is a plain array that callers
+    obtain from a validated or closed-form symplectic map; it is not
+    checked again here, but the new covariance is.
+    """
+    size = 2 * state.n_modes
+    if s.shape != (size, size):
+        raise ValueError(f"expected a {size}x{size} matrix, got {s.shape}")
+    sigma = s @ state.cov.sigma @ s.T
+    sigma = 0.5 * (sigma + sigma.T)
+    return GaussianState(CovarianceMatrix(state.n_modes, sigma), s @ state.mean)
+
+
 def mode_separating_transform(state: GaussianState) -> tuple[SymplecticMatrix, GaussianState]:
     """Symplectic transform after which the state is a product of thermal modes.
 
@@ -311,11 +331,7 @@ def mode_separating_transform(state: GaussianState) -> tuple[SymplecticMatrix, G
     for pure and mixed states.
     """
     s, _ = williamson(state.cov)
-    mat = s.matrix
-    sigma = mat @ state.cov.sigma @ mat.T
-    sigma = 0.5 * (sigma + sigma.T)
-    transformed = GaussianState(CovarianceMatrix(state.n_modes, sigma), mat @ state.mean)
-    return s, transformed
+    return s, apply_symplectic(state, s.matrix)
 
 
 def vacuum_state(n_modes: int) -> GaussianState:

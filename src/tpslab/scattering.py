@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .findim import Factorization, PureState, TpsFrame, entanglement_entropy
+from .findim import PureState, _entropy_nats, _require_finite, _schmidt_probabilities
 
 __all__ = [
     "WavePacket",
     "LatticeConfig",
-    "TwoParticleState",
     "single_particle_packet",
     "build_product_in_state",
     "hopping_matrix",
@@ -33,7 +32,6 @@ __all__ = [
 
 MIN_SITES = 8
 MAX_SITES = 48
-STATE_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -45,6 +43,7 @@ class WavePacket:
     momentum: float
 
     def __post_init__(self):
+        _require_finite("packet parameters", (self.center, self.width, self.momentum))
         if self.width <= 0.0:
             raise ValueError(f"packet width must be positive, got {self.width}")
         if not -np.pi < self.momentum <= np.pi:
@@ -60,37 +59,15 @@ class LatticeConfig:
     interaction: float
     packet_a: WavePacket
     packet_b: WavePacket
-    boundary: str = "periodic"
 
     def __post_init__(self):
+        _require_finite("hopping and interaction", (self.hopping, self.interaction))
         if not MIN_SITES <= self.n_sites <= MAX_SITES:
             raise ValueError(
                 f"site count must be in [{MIN_SITES}, {MAX_SITES}], got {self.n_sites}"
             )
         if self.hopping <= 0.0:
             raise ValueError(f"hopping must be positive, got {self.hopping}")
-        if self.boundary != "periodic":
-            raise ValueError(f"only periodic boundaries are supported, got {self.boundary!r}")
-
-
-@dataclass(frozen=True)
-class TwoParticleState:
-    """Normalized two-particle amplitude vector of length n_sites^2."""
-
-    n_sites: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.n_sites**2,):
-            raise ValueError(
-                f"expected {self.n_sites**2} amplitudes, got shape {amps.shape}"
-            )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > STATE_NORM_TOL:
-            raise ValueError(f"state is not normalized: |psi| = {norm!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
 
 def single_particle_packet(n_sites: int, packet: WavePacket) -> np.ndarray:
@@ -104,11 +81,11 @@ def single_particle_packet(n_sites: int, packet: WavePacket) -> np.ndarray:
     return amps / norm
 
 
-def build_product_in_state(config: LatticeConfig) -> TwoParticleState:
+def build_product_in_state(config: LatticeConfig) -> PureState:
     """Unentangled in-state: the tensor product of the two packets."""
     a = single_particle_packet(config.n_sites, config.packet_a)
     b = single_particle_packet(config.n_sites, config.packet_b)
-    return TwoParticleState(config.n_sites, np.kron(a, b))
+    return PureState(config.n_sites**2, np.kron(a, b))
 
 
 def hopping_matrix(n_sites: int, hopping: float) -> np.ndarray:
@@ -135,9 +112,9 @@ def build_hamiltonian(config: LatticeConfig) -> np.ndarray:
     return h
 
 
-def evolve(psi: TwoParticleState, h: np.ndarray, times) -> list[TwoParticleState]:
+def evolve(psi: PureState, h: np.ndarray, times) -> list[PureState]:
     """Evolve through one eigendecomposition, one state per requested time."""
-    dim = psi.n_sites**2
+    dim = psi.dim
     h = np.asarray(h)
     if h.shape != (dim, dim):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match dimension {dim}")
@@ -145,32 +122,27 @@ def evolve(psi: TwoParticleState, h: np.ndarray, times) -> list[TwoParticleState
         raise ValueError("Hamiltonian must be Hermitian")
     energies, modes = np.linalg.eigh(h)
     weights = modes.conj().T @ psi.amplitudes
-    states = []
-    for t in times:
-        amps = modes @ (np.exp(-1j * energies * float(t)) * weights)
-        states.append(TwoParticleState(psi.n_sites, amps))
-    return states
-
-
-def _particle_frame(n_sites: int) -> TpsFrame:
-    return TpsFrame.identity(Factorization(n_sites**2, (n_sites, n_sites)))
+    # converted once here rather than upcast by every product below
+    modes = modes.astype(complex)
+    return [PureState(dim, modes @ (np.exp(-1j * energies * float(t)) * weights)) for t in times]
 
 
 def entanglement_history(config: LatticeConfig, times) -> list[tuple[float, float]]:
     """Interparticle entanglement entropy (nats) along the evolution.
 
     Runs the full pipeline: product in-state, Hamiltonian, evolution, then
-    the entropy across the fixed particle bipartition at each time.
+    the entropy across the fixed particle bipartition at each time.  That
+    bipartition is the native index split, so no frame is applied: the
+    amplitudes reshape directly to the ``n x n`` Schmidt matrix.
     """
+    n = config.n_sites
     psi0 = build_product_in_state(config)
-    h = build_hamiltonian(config)
-    frame = _particle_frame(config.n_sites)
-    states = evolve(psi0, h, times)
+    states = evolve(psi0, build_hamiltonian(config), times)
     history = []
     for t, state in zip(times, states):
+        # the rescaling moves only roundoff, but without it written digits change
         amps = state.amplitudes / np.linalg.norm(state.amplitudes)
-        pure = PureState(config.n_sites**2, amps)
-        history.append((float(t), entanglement_entropy(pure, frame)))
+        history.append((float(t), _entropy_nats(_schmidt_probabilities(amps.reshape(n, n)))))
     return history
 
 

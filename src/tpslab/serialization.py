@@ -2,12 +2,14 @@
 
 Complex numbers are written as ``[re, im]`` pairs and matrices row-major;
 all numbers are plain IEEE-754 doubles in decimal.  Parsing is strict:
-unknown or missing keys are rejected rather than ignored.
+unknown or missing keys, and the non-standard ``NaN``/``Infinity``
+literals, are rejected rather than ignored.  Files are written atomically.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "gaussian_state_from_dict",
     "load_json",
     "dump_json",
+    "write_text_atomic",
 ]
 
 
@@ -120,13 +123,40 @@ def gaussian_state_from_dict(data: dict) -> GaussianState:
     return GaussianState(CovarianceMatrix(n, sigma), mean)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, exactly as given, or not at all.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path`` in one step; on any failure the temporary file is
+    removed and an existing ``path`` is left untouched.  A symbolic link,
+    pipe or device is written through in place instead, since replacing
+    it would remove it.
+    """
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def dump_json(path, data: dict) -> None:
     """Write a JSON document with LF endings and a trailing newline."""
-    text = json.dumps(data) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_text_atomic(path, json.dumps(data) + "\n")

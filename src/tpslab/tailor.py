@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .findim import Factorization, PureState, TpsFrame
+from .findim import Factorization, PureState, TpsFrame, _conjugate, _require_finite
 
 __all__ = [
     "TargetSpectrum",
@@ -49,6 +49,7 @@ class TargetSpectrum:
         probs = np.array(self.probabilities, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("target spectrum must be a nonempty 1d sequence")
+        _require_finite("target probabilities", probs)
         if np.any(probs < 0.0):
             raise ValueError("target probabilities must be nonnegative")
         if np.any(np.diff(probs) > 1e-14):
@@ -231,7 +232,7 @@ def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
         embedded = [np.kron(np.eye(k1), b) for b in hermitian_basis(k2)]
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    native = [u.conj().T @ g @ u for g in embedded]
+    native = [_conjugate(u.conj().T, g) for g in embedded]
     return SubalgebraBasis(frame.d, tuple(native), side, frame)
 
 
@@ -291,6 +292,6 @@ def conjugate_subalgebra(gens: SubalgebraBasis, u: np.ndarray) -> SubalgebraBasi
     defect = np.linalg.norm(u.conj().T @ u - np.eye(d))
     if defect > 1e-8:
         raise ValueError(f"matrix is not unitary: ||U^dag U - I||_F = {defect!r}")
-    conjugated = tuple(u @ g @ u.conj().T for g in gens.generators)
+    conjugated = tuple(_conjugate(u, g) for g in gens.generators)
     new_frame = TpsFrame(gens.frame.factorization, gens.frame.frame @ u.conj().T)
     return SubalgebraBasis(d, conjugated, gens.side, new_frame)

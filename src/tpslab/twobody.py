@@ -20,10 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from .findim import _require_finite
 from .gaussian import (
     CovarianceMatrix,
     GaussianState,
     SymplecticMatrix,
+    apply_symplectic,
     gaussian_entropy_across,
     symplectic_form,
 )
@@ -61,6 +63,7 @@ class TwoBodyParams:
     kappa: float
 
     def __post_init__(self):
+        _require_finite("two-body parameters", (self.m1, self.m2, self.omega_trap, self.kappa))
         if self.m1 <= 0.0 or self.m2 <= 0.0:
             raise ValueError(f"masses must be positive, got {self.m1}, {self.m2}")
         if self.omega_trap < 0.0 or self.kappa < 0.0:
@@ -94,6 +97,7 @@ class QuadraticHamiltonian:
         size = 2 * self.n_modes
         if mat.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} matrix, got {mat.shape}")
+        _require_finite("Hamiltonian matrix", mat)
         if np.abs(mat - mat.T).max() > 1e-12:
             raise ValueError("Hamiltonian matrix must be symmetric")
         mat.setflags(write=False)
@@ -220,12 +224,7 @@ def internal_external_entropy(state: GaussianState, params: TwoBodyParams) -> fl
         raise ValueError(f"expected a two-mode state, got {state.n_modes}")
     unscale = np.linalg.inv(mass_scaling(params).matrix)
     s_cr = com_rel_transform(params.m1, params.m2).matrix
-    to_cr = s_cr @ unscale
-    sigma = to_cr @ state.cov.sigma @ to_cr.T
-    moved = GaussianState(
-        CovarianceMatrix(2, 0.5 * (sigma + sigma.T)), to_cr @ state.mean
-    )
-    return gaussian_entropy_across(moved, (0,))
+    return gaussian_entropy_across(apply_symplectic(state, s_cr @ unscale), (0,))
 
 
 def internal_external_entanglement(params: TwoBodyParams) -> float:
@@ -246,11 +245,7 @@ def evolve_gaussian(state: GaussianState, ham: QuadraticHamiltonian, t: float) -
     """
     if state.n_modes != ham.n_modes:
         raise ValueError(f"mode mismatch: {state.n_modes} != {ham.n_modes}")
-    s_t = expm(t * symplectic_form(ham.n_modes) @ ham.matrix)
-    sigma = s_t @ state.cov.sigma @ s_t.T
-    return GaussianState(
-        CovarianceMatrix(state.n_modes, 0.5 * (sigma + sigma.T)), s_t @ state.mean
-    )
+    return apply_symplectic(state, expm(t * symplectic_form(ham.n_modes) @ ham.matrix))
 
 
 def galilean_boost(state: GaussianState, velocity: float, params: TwoBodyParams) -> GaussianState:

@@ -9,7 +9,7 @@ import pytest
 
 import tpslab as tl
 from tpslab import serialization as ser
-from tpslab.cli import run
+from tpslab.cli import _write_csv, run
 
 
 def write_bell(tmp_path, name="bell.json"):
@@ -175,6 +175,18 @@ class TestTwobodyCommand:
             ["twobody", "sweep", "--m1", "1", "--m2", "1", "--omega", "1", "--kappa", "0:1:0.5", "--out", str(out)]
         ) == 0
         assert len(out.read_text().splitlines()) == 4
+
+
+class TestCsvOutput:
+    def test_failure_partway_leaves_existing_file(self, tmp_path):
+        # the second row cannot be formatted, after the header and the first
+        # row have been rendered
+        path = tmp_path / "rows.csv"
+        path.write_text("old contents\n")
+        with pytest.raises(ValueError):
+            _write_csv(str(path), ["a", "b"], [[1.0, 2.0], ["not a number", 3.0]])
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+        assert path.read_text() == "old contents\n"
 
 
 class TestScatterCommand:

@@ -85,6 +85,23 @@ class TestTypes:
         with pytest.raises(ValueError, match="unitary"):
             tl.TpsFrame(tl.Factorization(4, (2, 2)), 2.0 * np.eye(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pure_state_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tl.PureState(2, np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_matrix_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tl.DensityMatrix(2, np.array([[1.0, 0.0], [0.0, bad]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_frame_rejects_non_finite(self, bad):
+        u = np.eye(4, dtype=complex)
+        u[3, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tl.TpsFrame(tl.Factorization(4, (2, 2)), u)
+
     def test_types_are_immutable(self):
         psi = tl.bell_state("phi+")
         with pytest.raises(ValueError):
@@ -223,6 +240,22 @@ class TestEntropyAndPurity:
     def test_product_entropy_is_zero(self):
         psi = tl.PureState(4, np.array([1, 0, 0, 0], dtype=complex))
         assert tl.entanglement_entropy(psi, FRAME22) < 1e-12
+
+    def test_entropy_matches_schmidt_coefficients_on_random_frames(self):
+        # reference: the entropy of the full Schmidt decomposition, which
+        # entanglement_entropy skips; the two must agree bit for bit
+        for seed, (k1, k2) in enumerate([(2, 2), (2, 3), (3, 4), (4, 4), (5, 2)]):
+            d = k1 * k2
+            psi = tl.random_pure(d, seed)
+            frame = tl.TpsFrame(tl.Factorization(d, (k1, k2)), tl.random_unitary(d, seed + 100))
+            coeffs = tl.schmidt_decompose(psi, frame).coefficients
+            p = coeffs[coeffs > 0.0]
+            expected = max(0.0, float(-(p * np.log(p)).sum()))
+            assert tl.entanglement_entropy(psi, frame) == expected
+
+    def test_entropy_checks_dimensions(self):
+        with pytest.raises(ValueError, match="dimension"):
+            tl.entanglement_entropy(tl.random_pure(6, 0), FRAME22)
 
     def test_purity_totally_mixed(self):
         assert abs(tl.purity(tl.DensityMatrix(4, np.eye(4) / 4)) - 0.25) < 1e-14

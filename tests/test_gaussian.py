@@ -79,6 +79,21 @@ class TestValidation:
         with pytest.raises(InvalidCovarianceError, match="uncertainty"):
             tl.CovarianceMatrix(1, 0.5 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_symplectic_matrix_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tl.SymplecticMatrix(1, np.array([[1.0, bad], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_covariance_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidCovarianceError, match="finite"):
+            tl.CovarianceMatrix(1, np.array([[1.0, 0.0], [0.0, bad]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mean_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tl.GaussianState(tl.CovarianceMatrix(1, np.eye(2)), np.array([0.0, bad]))
+
     def test_random_covariances_always_valid(self):
         for seed in range(10):
             cov = tl.random_covariance(3, seed)
@@ -302,6 +317,34 @@ class TestModeSeparation:
         state = tl.GaussianState(tl.two_mode_squeezed(0.6).cov, np.array([1.0, 0.0, -2.0, 0.5]))
         s, moved = tl.mode_separating_transform(state)
         np.testing.assert_allclose(moved.mean, s.matrix @ state.mean)
+
+
+class TestApplySymplectic:
+    def test_matches_explicit_congruence(self):
+        state = tl.GaussianState(tl.random_covariance(3, 4), np.arange(6.0))
+        s = tl.random_symplectic(3, 5).matrix
+        out = tl.apply_symplectic(state, s)
+        sigma = s @ state.cov.sigma @ s.T
+        np.testing.assert_array_equal(out.cov.sigma, 0.5 * (sigma + sigma.T))
+        np.testing.assert_array_equal(out.mean, s @ state.mean)
+
+    def test_keeps_symplectic_spectrum(self):
+        for seed in range(5):
+            cov = tl.random_covariance(2, seed)
+            s = tl.random_symplectic(2, seed + 50).matrix
+            out = tl.apply_symplectic(tl.GaussianState(cov, np.zeros(4)), s)
+            np.testing.assert_allclose(
+                tl.symplectic_eigenvalues(out.cov), tl.symplectic_eigenvalues(cov), atol=1e-9
+            )
+
+    def test_output_is_symmetric(self):
+        state = tl.GaussianState(tl.random_covariance(2, 1), np.zeros(4))
+        out = tl.apply_symplectic(state, tl.random_symplectic(2, 2).matrix)
+        np.testing.assert_array_equal(out.cov.sigma, out.cov.sigma.T)
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="4x4"):
+            tl.apply_symplectic(tl.two_mode_squeezed(0.3), np.eye(2))
 
 
 class TestDisplacementInvariance:

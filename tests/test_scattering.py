@@ -32,16 +32,38 @@ class TestConfig:
         with pytest.raises(ValueError, match="momentum"):
             tl.WavePacket(3.0, 1.0, 4.0)
 
+    @pytest.mark.parametrize("field", range(3))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_packet_rejects_non_finite(self, field, bad):
+        values = [4.0, 1.0, 0.5]
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tl.WavePacket(*values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_config_rejects_non_finite(self, bad):
+        p, q = tl.WavePacket(4, 1, 0.5), tl.WavePacket(12, 1, -0.5)
+        with pytest.raises(ValueError, match="finite"):
+            tl.LatticeConfig(16, bad, 0.0, p, q)
+        with pytest.raises(ValueError, match="finite"):
+            tl.LatticeConfig(16, 1.0, bad, p, q)
+
     def test_rejects_nonpositive_hopping(self):
         with pytest.raises(ValueError, match="hopping"):
             config(hop=0.0)
 
     def test_rejects_non_periodic_boundary(self):
-        with pytest.raises(ValueError, match="periodic"):
+        # the lattice is always periodic; there is no boundary option to set
+        with pytest.raises(TypeError, match="boundary"):
             tl.LatticeConfig(16, 1.0, 0.0, tl.WavePacket(4, 1, 0.5), tl.WavePacket(12, 1, -0.5), boundary="open")
 
 
 class TestInState:
+    def test_is_a_pure_state(self):
+        psi = tl.build_product_in_state(config())
+        assert isinstance(psi, tl.PureState)
+        assert psi.dim == 16**2
+
     def test_product_state_has_no_entanglement(self):
         psi = tl.build_product_in_state(config())
         frame = tl.TpsFrame.identity(tl.Factorization(16**2, (16, 16)))
@@ -133,6 +155,13 @@ class TestEvolve:
             energy = np.vdot(state.amplitudes, h @ state.amplitudes).real
             assert abs(energy - initial) / scale < 1e-9
 
+    def test_returns_pure_states(self):
+        cfg = config(n=12)
+        psi = tl.build_product_in_state(cfg)
+        states = tl.evolve(psi, tl.build_hamiltonian(cfg), [0.0, 1.0, 2.5])
+        assert len(states) == 3
+        assert all(isinstance(state, tl.PureState) and state.dim == 144 for state in states)
+
     def test_rejects_non_hermitian(self):
         cfg = config(n=8)
         psi = tl.build_product_in_state(cfg)
@@ -144,6 +173,22 @@ class TestEvolve:
 
 
 class TestHistory:
+    @pytest.mark.parametrize("n, g", [(8, 1.0), (12, 2.0), (16, 0.0), (24, 2.0)])
+    def test_matches_identity_frame_entropy(self, n, g):
+        # reference: the general frame path, a PureState measured in the
+        # identity frame on n x n, which the history skips
+        cfg = config(n=n, g=g)
+        times = [i * 2.5 * tl.collision_time(cfg) / 20.0 for i in range(21)]
+        frame = tl.TpsFrame.identity(tl.Factorization(n * n, (n, n)))
+        states = tl.evolve(tl.build_product_in_state(cfg), tl.build_hamiltonian(cfg), times)
+        expected = [
+            (float(t), tl.entanglement_entropy(
+                tl.PureState(n * n, state.amplitudes / np.linalg.norm(state.amplitudes)), frame
+            ))
+            for t, state in zip(times, states)
+        ]
+        assert tl.entanglement_history(cfg, times) == expected
+
     def test_free_history_is_flat_zero(self):
         history = tl.entanglement_history(config(n=12, g=0.0), np.arange(0.0, 6.1, 1.0))
         assert max(s for _, s in history) < 1e-8

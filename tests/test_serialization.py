@@ -78,3 +78,54 @@ class TestFiles:
         assert text.endswith(b"\n") and b"\r" not in text
         again = ser.pure_state_from_dict(ser.load_json(path))
         np.testing.assert_allclose(again.amplitudes, psi.amplitudes, atol=1e-15)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_load_rejects_non_finite_literals(self, tmp_path, literal):
+        path = tmp_path / "state.json"
+        path.write_text('{"dim": 1, "amplitudes": [[%s, 0.0]]}' % literal)
+        with pytest.raises(ValueError, match="non-finite"):
+            ser.load_json(path)
+
+
+def _fail_replace(src, dst):
+    raise OSError("disk full")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_commit_leaves_no_trace(self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "state.json"
+        if existing:
+            path.write_text("old contents\n")
+        monkeypatch.setattr(ser.os, "replace", _fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            ser.dump_json(path, ser.pure_state_to_dict(tl.random_pure(4, 0)))
+        assert [p.name for p in tmp_path.iterdir()] == (["state.json"] if existing else [])
+        if existing:
+            assert path.read_text() == "old contents\n"
+
+    def test_failed_write_leaves_existing_file(self, tmp_path):
+        # a lone surrogate cannot be encoded, so the write fails after the
+        # temporary file exists
+        path = tmp_path / "out.txt"
+        path.write_text("old contents\n")
+        with pytest.raises(UnicodeEncodeError):
+            ser.write_text_atomic(path, "first line\nbad \ud800 line\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_text() == "old contents\n"
+
+    def test_writes_text_verbatim(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("a much longer earlier file\n" * 10)
+        ser.write_text_atomic(path, "a\nb\n")
+        assert path.read_bytes() == b"a\nb\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("old contents\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        ser.write_text_atomic(link, "new\n")
+        assert link.is_symlink()
+        assert target.read_text() == "new\n"

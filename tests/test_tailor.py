@@ -31,6 +31,11 @@ class TestTargetSpectrum:
         with pytest.raises(ValueError, match="nonnegative"):
             tl.TargetSpectrum(np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tl.TargetSpectrum(np.array([bad, 0.0]))
+
 
 class TestTailorFrame:
     def test_product_state_to_maximal(self):

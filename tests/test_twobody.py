@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import tpslab as tl
 from tpslab import twobody
@@ -24,6 +25,18 @@ class TestParams:
     def test_rejects_fully_free_system(self):
         with pytest.raises(ValueError, match="bound"):
             tl.TwoBodyParams(1.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        values = [1.0, 1.0, 1.0, 1.0]
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tl.TwoBodyParams(*values)
+
+    def test_quadratic_hamiltonian_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            tl.QuadraticHamiltonian(1, np.array([[1.0, 0.0], [0.0, np.nan]]))
 
     def test_reduced_mass(self):
         assert abs(tl.TwoBodyParams(2.0, 1.0, 1.0, 0.0).reduced_mass - 2.0 / 3.0) < 1e-15
@@ -164,6 +177,17 @@ class TestInterparticleEntanglement:
 
 
 class TestInternalExternalEntanglement:
+    def test_matches_explicit_transform(self):
+        # reference: unscale, move to COM/relative by hand, cut between the modes
+        params = tl.TwoBodyParams(1.0, 3.0, 1.0, 0.7)
+        state = tl.GaussianState(tl.two_mode_squeezed(0.4).cov, np.zeros(4))
+        to_cr = tl.com_rel_transform(1.0, 3.0).matrix @ np.linalg.inv(tl.mass_scaling(params).matrix)
+        sigma = to_cr @ state.cov.sigma @ to_cr.T
+        moved = tl.GaussianState(tl.CovarianceMatrix(2, 0.5 * (sigma + sigma.T)), np.zeros(4))
+        expected = tl.gaussian_entropy_across(moved, (0,))
+        assert tl.internal_external_entropy(state, params) == expected
+        assert expected > 0.01
+
     def test_equal_masses_zero(self):
         assert tl.internal_external_entanglement(EQUAL) < 1e-10
 
@@ -226,6 +250,16 @@ class TestEvolution:
             for t in np.linspace(0.0, 5.0, 21)
         ]
         assert max(series) - min(series) > 1e-3
+
+    def test_matches_explicit_flow(self):
+        # reference: S_t = exp(t Omega M) applied to covariance and mean by hand
+        state = tl.GaussianState(tl.random_covariance(2, 11), np.array([0.3, -1.0, 2.0, 0.5]))
+        ham = tl.scaled_hamiltonian(EQUAL)
+        s_t = expm(1.3 * tl.symplectic_form(2) @ ham.matrix)
+        sigma = s_t @ state.cov.sigma @ s_t.T
+        out = twobody.evolve_gaussian(state, ham, 1.3)
+        np.testing.assert_array_equal(out.cov.sigma, 0.5 * (sigma + sigma.T))
+        np.testing.assert_array_equal(out.mean, s_t @ state.mean)
 
     def test_mode_mismatch(self):
         with pytest.raises(ValueError, match="mode"):
