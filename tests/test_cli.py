@@ -168,8 +168,7 @@ class TestTwobodyCommand:
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TPSLAB_THREADS", "1")
+    def test_short_range_sweep_row_count(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(
             ["twobody", "sweep", "--m1", "1", "--m2", "1", "--omega", "1", "--kappa", "0:1:0.5", "--out", str(out)]

@@ -1,9 +1,14 @@
 """Tests for frame tailoring and the subsystem-criteria checker."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import tpslab as tl
+from tpslab import tailor
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -194,6 +199,180 @@ class TestCheckZanardi:
             tl.subalgebra_generators(frame, "A"), tl.subalgebra_generators(frame, "B")
         )
         assert "not assessed" in report.local_accessibility
+
+
+def dense_span_oracle(gens_a, gens_b) -> tuple[int, bool]:
+    """Span dimension and completeness from the SVD of the full product matrix.
+
+    This is the d^6 count ``check_zanardi`` made before its certificate:
+    singular values above 1e-8 of the largest.
+    """
+    list_a = [np.asarray(g, dtype=complex) for g in getattr(gens_a, "generators", gens_a)]
+    list_b = [np.asarray(g, dtype=complex) for g in getattr(gens_b, "generators", gens_b)]
+    d = list_a[0].shape[0]
+    products = np.column_stack([(a @ b).reshape(-1) for a in list_a for b in list_b])
+    singular = np.linalg.svd(products, compute_uv=False)
+    span = int(np.count_nonzero(singular > 1e-8 * singular[0])) if singular[0] > 0 else 0
+    return span, span == d * d
+
+
+def frame_sides(frame: tl.TpsFrame):
+    return tl.subalgebra_generators(frame, "A"), tl.subalgebra_generators(frame, "B")
+
+
+def assert_matches_oracle(gens_a, gens_b) -> tl.ZanardiReport:
+    report = tl.check_zanardi(gens_a, gens_b)
+    assert (report.span_dimension, report.completeness) == dense_span_oracle(gens_a, gens_b)
+    return report
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Record each run of the dense product-matrix SVD inside check_zanardi."""
+    calls = []
+    dense = tailor._dense_span_dimension
+
+    def counting(list_a, list_b):
+        calls.append((len(list_a), len(list_b)))
+        return dense(list_a, list_b)
+
+    monkeypatch.setattr(tailor, "_dense_span_dimension", counting)
+    return calls
+
+
+def pauli_sides(scale_z: float = 1.0):
+    """Side A = {I, X, Y, scale_z Z} (x) I and side B = I (x) {I, X, Y, Z} at d = 4."""
+    eye = np.eye(2, dtype=complex)
+    side_a = [np.kron(m, eye) for m in (eye, SX, SY, scale_z * SZ)]
+    side_b = [np.kron(eye, m) for m in (eye, SX, SY, SZ)]
+    return side_a, side_b
+
+
+FACTOR_CASES = [(4, (2, 2)), (6, (2, 3)), (8, (2, 4)), (12, (3, 4))]
+
+
+class TestCertifiedCompleteness:
+    @pytest.mark.parametrize("d, factors", FACTOR_CASES)
+    def test_identity_frames_certified(self, d, factors, dense_calls):
+        frame = tl.TpsFrame.identity(tl.Factorization(d, factors))
+        report = assert_matches_oracle(*frame_sides(frame))
+        assert report.completeness and report.span_dimension == d * d
+        assert dense_calls == []
+
+    @pytest.mark.parametrize("d, factors", FACTOR_CASES)
+    def test_tailored_frames_certified(self, d, factors, dense_calls):
+        rng = np.random.default_rng(d)
+        fac = tl.Factorization(d, factors)
+        frame = tl.tailor_frame(tl.random_pure(d, rng), fac, random_target(rng, min(factors)))
+        assert assert_matches_oracle(*frame_sides(frame)).completeness
+        assert dense_calls == []
+
+    def test_haar_frame_at_d36_certified(self, dense_calls):
+        frame = tl.TpsFrame(tl.Factorization(36, (6, 6)), tl.random_unitary(36, 2024))
+        report = assert_matches_oracle(*frame_sides(frame))
+        assert report.span_dimension == 1296
+        assert dense_calls == []
+
+    def test_same_side_pair_falls_back(self, dense_calls):
+        gens = tl.subalgebra_generators(tl.TpsFrame.identity(FAC22), "A")
+        report = assert_matches_oracle(gens, gens)
+        assert report.span_dimension == 4
+        assert dense_calls == [(4, 4)]
+
+    def test_identity_against_identity(self, dense_calls):
+        report = assert_matches_oracle([np.eye(4)], [np.eye(4)])
+        assert report.span_dimension == 1
+        assert dense_calls == []
+
+    def test_cnot_conjugated_sides(self):
+        gens_a, gens_b = frame_sides(tl.TpsFrame.identity(FAC22))
+        both = assert_matches_oracle(
+            tl.conjugate_subalgebra(gens_a, CNOT), tl.conjugate_subalgebra(gens_b, CNOT)
+        )
+        assert both.completeness
+        assert_matches_oracle(tl.conjugate_subalgebra(gens_a, CNOT), gens_b)
+
+    def test_duplicated_generator(self):
+        gens_a, gens_b = frame_sides(tl.TpsFrame.identity(FAC22))
+        side_a = list(gens_a.generators[:3]) + [gens_a.generators[2]]
+        report = assert_matches_oracle(side_a, gens_b)
+        assert report.span_dimension == 12 and not report.completeness
+
+    def test_too_many_products_fall_back(self, dense_calls):
+        gens_a, gens_b = frame_sides(tl.TpsFrame.identity(FAC22))
+        side_a = list(gens_a.generators) + [gens_a.generators[1]]
+        assert assert_matches_oracle(side_a, gens_b).completeness
+        assert dense_calls == [(5, 4)]
+
+    def test_product_on_rank_threshold_falls_back(self, dense_calls):
+        # the four products with the scaled Z sit at exactly RANK_TOL times
+        # the largest, inside the certificate's band
+        assert_matches_oracle(*pauli_sides(tailor.RANK_TOL))
+        assert dense_calls == [(4, 4)]
+
+    @pytest.mark.parametrize("scale, span", [(1e-6, 16), (1e-10, 12)])
+    def test_products_off_the_threshold_certified(self, scale, span, dense_calls):
+        report = assert_matches_oracle(*pauli_sides(scale))
+        assert report.span_dimension == span
+        assert dense_calls == []
+
+    def test_zero_generators_fall_back(self, dense_calls):
+        report = assert_matches_oracle([np.zeros((4, 4))], [np.eye(4)])
+        assert report.span_dimension == 0
+        assert dense_calls == [(1, 1)]
+
+
+FACTOR_PAIRS = [(k1, k2) for k1 in range(2, 7) for k2 in range(2, 7) if k1 * k2 <= 12]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    factors=st.sampled_from(FACTOR_PAIRS),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e-4, 1e-8, 1e-12, 0.0]),
+    drop=st.integers(0, 3),
+    duplicate=st.booleans(),
+    scramble_b=st.booleans(),
+)
+def test_certified_count_matches_dense_oracle(factors, seed, scale, drop, duplicate, scramble_b):
+    rng = np.random.default_rng(seed)
+    d = factors[0] * factors[1]
+    frame = tl.TpsFrame(tl.Factorization(d, factors), tl.random_unitary(d, rng))
+    gens_a, gens_b = frame_sides(frame)
+    side_a = list(gens_a.generators)
+    i = int(rng.integers(len(side_a)))
+    side_a[i] = scale * side_a[i]
+    if duplicate:
+        side_a.append(side_a[-1])
+    side_b = list(gens_b.generators)[: max(1, len(gens_b.generators) - drop)]
+    if scramble_b:
+        u = tl.random_unitary(d, rng)
+        side_b = [u @ g @ u.conj().T for g in side_b]
+    with mock.patch.object(
+        tailor, "_dense_span_dimension", wraps=tailor._dense_span_dimension
+    ) as dense:
+        assert_matches_oracle(side_a, side_b)
+    # the dense SVD runs exactly when the certificate cannot settle the count
+    certified = tailor._certified_span_dimension(side_a, side_b) is not None
+    assert dense.called != certified
+    event("certified" if certified else "dense fallback")
+
+
+class TestNonFiniteGenerators:
+    def test_subalgebra_basis_rejects_nan(self):
+        frame = tl.TpsFrame.identity(FAC22)
+        gens = list(tl.subalgebra_generators(frame, "A").generators)
+        gens[1] = gens[1].copy()
+        gens[1][0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            tl.SubalgebraBasis(4, tuple(gens), "A", frame)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_check_zanardi_rejects_non_finite_sequence(self, bad):
+        gen = np.eye(4, dtype=complex)
+        gen[2, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tl.check_zanardi([np.eye(4)], [gen])
 
 
 class TestConjugateSubalgebra:
