@@ -114,6 +114,8 @@ def _cmd_zanardi(args) -> int:
     else:
         if args.dim is None or args.factors is None:
             raise ValueError("--random-frames requires --dim and --factors")
+        if args.random_frames < 1:
+            raise ValueError(f"--random-frames must be at least 1, got {args.random_frames}")
         k1, k2 = _parse_int_pair(args.factors)
         factorization = Factorization(args.dim, (k1, k2))
         rng = np.random.default_rng(args.seed)
@@ -186,10 +188,11 @@ def _cmd_twobody_sweep(args) -> int:
     rows = []
     for kappa in _parse_range(args.kappa):
         params = twobody.TwoBodyParams(args.m1, args.m2, args.omega, kappa)
+        state = twobody.ground_state_covariance(params)
         rows.append([
             kappa,
-            twobody.interparticle_entanglement(params),
-            twobody.internal_external_entanglement(params),
+            gaussian_entropy_across(state, (0,)),
+            twobody.internal_external_entropy(state, params),
         ])
     _write_csv(args.out, ["kappa", "interparticle_entropy", "internal_external_entropy"], rows)
     return 0

@@ -29,7 +29,6 @@ __all__ = [
     "conjugate_subalgebra",
 ]
 
-GRAM_SCHMIDT_RESIDUAL = 1e-8
 COMMUTATOR_TOL = 1e-8
 RANK_TOL = 1e-8
 # relative width added to the certified band around the rank threshold; it
@@ -121,39 +120,17 @@ class ZanardiReport:
     local_accessibility: str = field(default=LOCAL_ACCESSIBILITY_NOTE)
 
 
-def _complete_basis(first: np.ndarray) -> np.ndarray:
-    """Orthonormal basis with a given first column.
-
-    Identity columns seed the completion; candidates whose residual after
-    orthogonalization falls below 1e-8 are skipped as near-parallel.  The
-    seed order makes the output deterministic.
-    """
-    d = first.size
-    cols = [first / np.linalg.norm(first)]
-    for j in range(d):
-        if len(cols) == d:
-            break
-        v = np.zeros(d, dtype=complex)
-        v[j] = 1.0
-        # two orthogonalization passes keep the basis orthonormal to ~1e-15
-        for _ in range(2):
-            for b in cols:
-                v = v - b * np.vdot(b, v)
-        norm = np.linalg.norm(v)
-        if norm > GRAM_SCHMIDT_RESIDUAL:
-            cols.append(v / norm)
-    if len(cols) != d:
-        raise RuntimeError("basis completion failed; input too close to degenerate")
-    return np.column_stack(cols)
-
-
 def tailor_frame(psi: PureState, factorization: Factorization, target: TargetSpectrum) -> TpsFrame:
     """Frame in which ``psi`` has exactly the target Schmidt spectrum.
 
     The reference state ``phi = sum_i sqrt(lambda_i) |i i>`` realizes the
     target in the identity frame; the returned frame's unitary maps
-    ``psi`` onto ``phi``, built by completing both vectors to orthonormal
-    bases from a common identity-column seed.
+    ``psi`` onto ``phi``.  Any such unitary gives the target spectrum, so
+    the frame is the closed-form Householder reflector
+    ``U = -conj(alpha) (I - 2 v v^dag / v^dag v)`` with ``v = psi + alpha
+    phi`` and ``alpha = <phi|psi> / |<phi|psi>|`` (1 when they are
+    orthogonal).  The plus sign keeps ``v^dag v = 2 + 2 |<phi|psi>| >= 2``,
+    so the formula never cancels and ``U psi = phi`` to roundoff.
 
     Parameters
     ----------
@@ -179,11 +156,12 @@ def tailor_frame(psi: PureState, factorization: Factorization, target: TargetSpe
             f"target length {target.probabilities.size} != min(k1, k2) = {width}"
         )
     phi = np.zeros(d, dtype=complex)
-    for i, p in enumerate(target.probabilities):
-        phi[i * k2 + i] = np.sqrt(p)
-    basis_psi = _complete_basis(psi.amplitudes)
-    basis_phi = _complete_basis(phi)
-    return TpsFrame(factorization, basis_phi @ basis_psi.conj().T)
+    phi[np.arange(width) * (k2 + 1)] = np.sqrt(target.probabilities)
+    overlap = np.vdot(phi, psi.amplitudes)
+    alpha = overlap / abs(overlap) if overlap != 0 else 1.0
+    v = psi.amplitudes + alpha * phi
+    reflector = np.eye(d) - np.outer(v, v.conj()) * (2.0 / np.vdot(v, v).real)
+    return TpsFrame(factorization, -np.conj(alpha) * reflector)
 
 
 def min_frame(psi: PureState, factorization: Factorization) -> TpsFrame:

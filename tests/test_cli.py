@@ -68,6 +68,17 @@ class TestTailorCommand:
         assert payload["error"] == "ValueError"
         assert not out.exists()  # never a partial output file
 
+    def test_repeated_run_is_byte_identical(self, tmp_path, capsys):
+        state = tmp_path / "psi.json"
+        ser.dump_json(state, ser.pure_state_to_dict(tl.random_pure(12, 7)))
+        outputs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            argv = ["tailor", "--state", str(state), "--factors", "3,4", "--target", "0.6,0.3,0.1"]
+            assert run(argv + ["--out", str(out), "--bits"]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 class TestZanardiCommand:
     def test_frame_report(self, tmp_path, capsys):
@@ -94,6 +105,14 @@ class TestZanardiCommand:
 
     def test_requires_exactly_one_mode(self, capsys):
         assert run(["zanardi"]) == 1
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_random_frame_count_below_one_is_rejected(self, count, capsys):
+        argv = ["zanardi", "--random-frames", count, "--dim", "4", "--factors", "2,2"]
+        assert run(argv) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValueError"
+        assert "--random-frames" in payload["message"]
 
 
 class TestGaussianCommand:

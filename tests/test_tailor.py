@@ -98,6 +98,70 @@ class TestTailorFrame:
             assert tl.negativity(rho, frame) < 1e-10
 
 
+def reference_state(factors, probs) -> np.ndarray:
+    """``sum_i sqrt(p_i) |i i>``, the state a tailored frame maps psi onto."""
+    phi = np.zeros(factors[0] * factors[1], dtype=complex)
+    for i, p in enumerate(probs):
+        phi[i * factors[1] + i] = np.sqrt(p)
+    return phi
+
+
+def assert_reflects_onto_reference(psi, factors, target):
+    d = psi.dim
+    frame = tl.tailor_frame(psi, tl.Factorization(d, factors), target)
+    u = frame.frame
+    phi = reference_state(factors, target.probabilities)
+    assert np.linalg.norm(u @ psi.amplitudes - phi) <= 1e-13
+    assert np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-12
+    coefficients = tl.schmidt_decompose(psi, frame).coefficients
+    assert np.abs(coefficients - target.probabilities).max() <= 1e-12
+
+
+TAILOR_FACTORS = [(k1, k2) for k1 in range(2, 33) for k2 in range(2, 33) if k1 * k2 <= 64]
+PSI_KINDS = ["random", "orthogonal", "phase", "near parallel", "near antiparallel"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    factors=st.sampled_from(TAILOR_FACTORS),
+    target_kind=st.sampled_from(["separable", "uniform", "random"]),
+    psi_kind=st.sampled_from(PSI_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.0, 2 * np.pi),
+)
+def test_tailored_frame_maps_psi_onto_reference(factors, target_kind, psi_kind, seed, theta):
+    rng = np.random.default_rng(seed)
+    d, width = factors[0] * factors[1], min(factors)
+    if target_kind == "separable":
+        target = tl.TargetSpectrum.separable(width)
+    elif target_kind == "uniform":
+        target = tl.TargetSpectrum.uniform(width)
+    else:
+        target = random_target(rng, width)
+    phi = reference_state(factors, target.probabilities)
+    r = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    if psi_kind == "random":
+        amps = r
+    elif psi_kind == "orthogonal":
+        # zero on the support of phi, so the overlap is exactly zero
+        amps = r.copy()
+        amps[np.arange(width) * (factors[1] + 1)] = 0.0
+    elif psi_kind == "phase":
+        amps = np.exp(1j * theta) * phi
+    elif psi_kind == "near parallel":
+        amps = phi + 1e-9 * r
+    else:
+        amps = -phi + 1e-9 * r
+    psi = tl.PureState(d, amps / np.linalg.norm(amps))
+    assert_reflects_onto_reference(psi, factors, target)
+    event(psi_kind)
+
+
+def test_tailored_frame_at_dimension_256():
+    rng = np.random.default_rng(256)
+    assert_reflects_onto_reference(tl.random_pure(256, rng), (16, 16), random_target(rng, 16))
+
+
 class TestMinMaxFrames:
     def test_min_frame_kills_entanglement(self):
         for seed in range(4):
