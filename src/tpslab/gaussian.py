@@ -10,7 +10,8 @@ displacements (Galilean boosts and translations included) change nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import schur
@@ -43,7 +44,6 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
 NU_CONSTRUCTOR_TOL = 1e-8
-NU_OPERATION_TOL = 1e-6
 PURITY_NU_TOL = 1e-8
 WILLIAMSON_RESIDUAL_TOL = 1e-8
 
@@ -102,11 +102,13 @@ class CovarianceMatrix:
     """Symmetric covariance matrix satisfying the uncertainty bound.
 
     Validity means symmetric and all symplectic eigenvalues >= 1 (up to
-    1e-8 of roundoff); the constructor rejects anything else.
+    1e-8 of roundoff); the constructor rejects anything else.  ``nu``
+    keeps the spectrum it checked: n values, descending, read-only.
     """
 
     n_modes: int
     sigma: np.ndarray
+    nu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.array(self.sigma, dtype=float)
@@ -116,13 +118,15 @@ class CovarianceMatrix:
         _require_finite("covariance matrix", mat, InvalidCovarianceError)
         if np.abs(mat - mat.T).max() > SYMMETRY_TOL:
             raise InvalidCovarianceError("covariance matrix is not symmetric")
-        smallest = _spectrum_of(mat)[-1]
-        if smallest < 1.0 - NU_CONSTRUCTOR_TOL:
+        nu = _spectrum_of(mat)
+        if nu[-1] < 1.0 - NU_CONSTRUCTOR_TOL:
             raise InvalidCovarianceError(
-                f"uncertainty bound violated: smallest symplectic eigenvalue {smallest!r} < 1"
+                f"uncertainty bound violated: smallest symplectic eigenvalue {nu[-1]!r} < 1"
             )
         mat.setflags(write=False)
+        nu.setflags(write=False)
         object.__setattr__(self, "sigma", mat)
+        object.__setattr__(self, "nu", nu)
 
 
 @dataclass(frozen=True)
@@ -149,15 +153,10 @@ def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
     """Symplectic spectrum: moduli of the eigenvalues of i*Omega*sigma.
 
     The 2n moduli come in equal pairs and are deduplicated into n values,
-    descending.  All are >= 1 for a physical state; anything below
-    1 - 1e-6 raises.
+    descending.  This is the spectrum validated when ``cov`` was built,
+    returned as a fresh, writable copy of ``cov.nu``.
     """
-    nu = _spectrum_of(cov.sigma)
-    if nu[-1] < 1.0 - NU_OPERATION_TOL:
-        raise InvalidCovarianceError(
-            f"uncertainty bound violated: smallest symplectic eigenvalue {nu[-1]!r} < 1"
-        )
-    return nu
+    return cov.nu.copy()
 
 
 def williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray]:
@@ -185,22 +184,14 @@ def williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray]:
     skew = 0.5 * (skew - skew.T)
     t, k = schur(skew)
     # The Schur form of a real antisymmetric matrix is block diagonal in
-    # [[0, mu], [-mu, 0]]; normalize block signs, then order by descending
-    # symplectic eigenvalue nu = 1/mu.
-    k = k.copy()
-    mu = np.empty(n)
-    for i in range(n):
-        entry = t[2 * i, 2 * i + 1]
-        if entry < 0.0:
-            k[:, [2 * i, 2 * i + 1]] = k[:, [2 * i + 1, 2 * i]]
-        mu[i] = abs(entry)
-    nu = 1.0 / mu
+    # [[0, mu], [-mu, 0]]; a block with mu < 0 takes its two columns
+    # swapped, and blocks are ordered by descending nu = 1/|mu|.
+    entry = np.diagonal(t, 1)[::2]
+    nu = 1.0 / np.abs(entry)
     order = np.argsort(-nu, kind="stable")
+    columns = 2 * order[:, None] + np.where(entry[order, None] < 0.0, [1, 0], [0, 1])
+    k = k[:, columns.ravel()]
     nu = nu[order]
-    column_order = np.empty(2 * n, dtype=int)
-    column_order[0::2] = 2 * order
-    column_order[1::2] = 2 * order + 1
-    k = k[:, column_order]
     scale = np.sqrt(np.repeat(nu, 2))
     s = scale[:, None] * (k.T @ inv_sqrt)
 
@@ -217,7 +208,7 @@ def williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray]:
 
 def is_pure(cov: CovarianceMatrix) -> bool:
     """True when every symplectic eigenvalue equals 1 within 1e-8."""
-    return bool(np.all(np.abs(symplectic_eigenvalues(cov) - 1.0) <= PURITY_NU_TOL))
+    return bool(np.all(np.abs(cov.nu - 1.0) <= PURITY_NU_TOL))
 
 
 def gaussian_purity(cov: CovarianceMatrix) -> float:
@@ -228,13 +219,21 @@ def gaussian_purity(cov: CovarianceMatrix) -> float:
     return float(np.exp(-0.5 * logdet))
 
 
+def _mode_index(i) -> int:
+    """An integer mode index; anything else raises instead of being truncated."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"mode indices must be integers, got {i!r}") from None
+
+
 def reduce_modes(state: GaussianState, keep) -> GaussianState:
     """Marginal Gaussian state on a subset of modes.
 
     The reduced covariance is the principal submatrix on the kept modes,
     the reduced mean the matching subvector.
     """
-    indices = sorted(set(int(i) for i in keep))
+    indices = sorted({_mode_index(i) for i in keep})
     if not indices:
         raise ValueError("must keep at least one mode")
     if indices[0] < 0 or indices[-1] >= state.n_modes:
@@ -276,7 +275,7 @@ def gaussian_entropy_across(state: GaussianState, side_a) -> float:
         Sum of ``thermal_entropy`` over the symplectic spectrum of the
         reduced covariance.
     """
-    indices = sorted(set(int(i) for i in side_a))
+    indices = sorted({_mode_index(i) for i in side_a})
     if not 0 < len(indices) < state.n_modes:
         raise ValueError("bipartition must be a proper nonempty subset of the modes")
     if not is_pure(state.cov):
@@ -285,7 +284,7 @@ def gaussian_entropy_across(state: GaussianState, side_a) -> float:
             "measure; use log_negativity_two_mode for mixed two-mode states"
         )
     reduced = reduce_modes(state, indices)
-    return float(sum(thermal_entropy(nu) for nu in symplectic_eigenvalues(reduced.cov)))
+    return float(sum(thermal_entropy(nu) for nu in reduced.cov.nu))
 
 
 def log_negativity_two_mode(state: GaussianState) -> float:

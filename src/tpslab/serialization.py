@@ -2,8 +2,9 @@
 
 Complex numbers are written as ``[re, im]`` pairs and matrices row-major;
 all numbers are plain IEEE-754 doubles in decimal.  Parsing is strict:
-unknown or missing keys, and the non-standard ``NaN``/``Infinity``
-literals, are rejected rather than ignored.  Files are written atomically.
+unknown or missing keys, sizes that are not JSON integers, and the
+non-standard ``NaN``/``Infinity`` literals are rejected rather than
+ignored or truncated.  Files are written atomically.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ def _check_keys(data: dict, required: set, optional: set = frozenset()) -> None:
         raise ValueError(f"unknown keys: {sorted(unknown)}")
 
 
+def _json_int(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _complex_vector_to_pairs(vec: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in vec]
 
@@ -71,7 +78,7 @@ def pure_state_to_dict(state: PureState) -> dict:
 
 def pure_state_from_dict(data: dict) -> PureState:
     _check_keys(data, {"dim", "amplitudes"})
-    dim = int(data["dim"])
+    dim = _json_int("dim", data["dim"])
     return PureState(dim, _pairs_to_complex_vector(data["amplitudes"], dim))
 
 
@@ -81,7 +88,7 @@ def density_matrix_to_dict(rho: DensityMatrix) -> dict:
 
 def density_matrix_from_dict(data: dict) -> DensityMatrix:
     _check_keys(data, {"dim", "matrix"})
-    dim = int(data["dim"])
+    dim = _json_int("dim", data["dim"])
     return DensityMatrix(dim, _pairs_to_complex_matrix(data["matrix"], dim))
 
 
@@ -95,11 +102,11 @@ def frame_to_dict(frame: TpsFrame) -> dict:
 
 def frame_from_dict(data: dict) -> TpsFrame:
     _check_keys(data, {"d", "factors", "frame"})
-    d = int(data["d"])
+    d = _json_int("d", data["d"])
     factors = data["factors"]
-    if len(factors) != 2:
-        raise ValueError(f"factors must be a pair, got {factors}")
-    factorization = Factorization(d, (int(factors[0]), int(factors[1])))
+    if not isinstance(factors, list) or len(factors) != 2:
+        raise ValueError(f"factors must be a list of two integers, got {factors!r}")
+    factorization = Factorization(d, tuple(_json_int("factors", k) for k in factors))
     if data["frame"] == "identity":
         return TpsFrame.identity(factorization)
     return TpsFrame(factorization, _pairs_to_complex_matrix(data["frame"], d))
@@ -115,7 +122,7 @@ def gaussian_state_to_dict(state: GaussianState) -> dict:
 
 def gaussian_state_from_dict(data: dict) -> GaussianState:
     _check_keys(data, {"n_modes", "sigma"}, optional={"mean"})
-    n = int(data["n_modes"])
+    n = _json_int("n_modes", data["n_modes"])
     sigma = np.asarray(data["sigma"], dtype=float)
     if sigma.shape != (2 * n, 2 * n):
         raise ValueError(f"sigma must be {2 * n}x{2 * n}, got {sigma.shape}")

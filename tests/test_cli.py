@@ -153,6 +153,18 @@ class TestGaussianCommand:
         payload = json.loads(capsys.readouterr().err.strip())
         assert "log_negativity" in payload["message"]
 
+    def test_non_integer_mode_count_gives_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "float_modes.json"
+        data = ser.gaussian_state_to_dict(tl.two_mode_squeezed(0.5))
+        data["n_modes"] = 2.0
+        ser.dump_json(path, data)
+        code = run(["gaussian", "entangle", "--in", str(path), "--partition", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip())
+        assert payload == {"error": "ValueError", "message": "n_modes must be a JSON integer, got 2.0"}
+
     def test_invalid_covariance_gives_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         ser.dump_json(path, {"n_modes": 1, "sigma": [[0.1, 0.0], [0.0, 0.1]], "mean": [0.0, 0.0]})

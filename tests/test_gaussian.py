@@ -6,11 +6,16 @@ truncated number basis and pushing it through the finite-dimensional
 Schmidt machinery, a path that shares no code with the covariance one.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import tpslab as tl
+from tpslab import gaussian, twobody
 from tpslab.gaussian import InvalidCovarianceError
 
 OMEGA4 = np.array(
@@ -231,6 +236,22 @@ class TestReduceModes:
         with pytest.raises(ValueError):
             tl.reduce_modes(tl.vacuum_state(2), [2])
 
+    @pytest.mark.parametrize("bad", [0.7, 1.0, "0", None])
+    def test_non_integer_index_is_rejected(self, bad):
+        # a fractional index used to be truncated, silently keeping mode 0
+        with pytest.raises(ValueError, match="integers"):
+            tl.reduce_modes(tl.two_mode_squeezed(0.5), [bad])
+        with pytest.raises(ValueError, match="integers"):
+            tl.gaussian_entropy_across(tl.two_mode_squeezed(0.5), [bad])
+
+    def test_numpy_integer_index_is_accepted(self):
+        state = tl.two_mode_squeezed(0.5)
+        reduced = tl.reduce_modes(state, np.array([1]))
+        np.testing.assert_array_equal(reduced.cov.sigma, state.cov.sigma[2:, 2:])
+        assert tl.gaussian_entropy_across(state, [np.int64(0)]) == tl.gaussian_entropy_across(
+            state, [0]
+        )
+
 
 class TestEntropyAcross:
     def test_product_vacuum_zero(self):
@@ -357,3 +378,104 @@ class TestDisplacementInvariance:
         )
         assert tl.log_negativity_two_mode(displaced) == tl.log_negativity_two_mode(centered)
         assert tl.gaussian_purity(displaced.cov) == tl.gaussian_purity(centered.cov)
+
+
+def hermitian_spectrum(sigma: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum from the Hermitian matrix i L^T Omega L, sigma = L L^T.
+
+    i Omega sigma is similar to i L^T Omega L, whose eigenvalues come in
+    pairs +-nu; the positive half, descending, is the spectrum.  This route
+    shares nothing with the library's non-Hermitian eigvals.
+    """
+    chol = np.linalg.cholesky(sigma)
+    evals = np.linalg.eigvalsh(1j * chol.T @ tl.symplectic_form(sigma.shape[0] // 2) @ chol)
+    return np.sort(evals[evals > 0.0])[::-1]
+
+
+@pytest.fixture
+def spectrum_calls(monkeypatch):
+    """Counts the symplectic diagonalizations made through gaussian._spectrum_of."""
+    calls = []
+    original = gaussian._spectrum_of
+
+    def counted(sigma):
+        calls.append(sigma.shape[0] // 2)
+        return original(sigma)
+
+    monkeypatch.setattr(gaussian, "_spectrum_of", counted)
+    return calls
+
+
+class TestSpectrumKeptOnce:
+    def test_reading_the_spectrum_diagonalizes_nothing(self, spectrum_calls):
+        cov = tl.random_covariance(3, 9)
+        spectrum_calls.clear()
+        tl.symplectic_eigenvalues(cov)
+        tl.is_pure(cov)
+        assert spectrum_calls == []
+
+    def test_entropy_across_diagonalizes_only_the_marginal(self, spectrum_calls):
+        state = tl.GaussianState(tl.random_covariance(4, 3, pure=True), np.zeros(8))
+        spectrum_calls.clear()
+        tl.gaussian_entropy_across(state, [0, 2])
+        assert spectrum_calls == [2]
+
+    def test_one_sweep_kappa_costs_four_spectra(self, spectrum_calls):
+        params = tl.TwoBodyParams(1.0, 3.0, 1.0, 0.7)
+        state = twobody.ground_state_covariance(params)
+        tl.gaussian_entropy_across(state, (0,))
+        twobody.internal_external_entropy(state, params)
+        assert len(spectrum_calls) == 4
+
+    def test_nu_is_read_only(self):
+        cov = tl.two_mode_squeezed(0.4).cov
+        assert not cov.nu.flags.writeable
+        with pytest.raises(ValueError):
+            cov.nu[0] = 2.0
+
+    def test_returned_spectrum_is_a_fresh_copy(self):
+        cov = tl.random_covariance(2, 5)
+        first = tl.symplectic_eigenvalues(cov)
+        kept = first.copy()
+        first[:] = -1.0
+        np.testing.assert_array_equal(tl.symplectic_eigenvalues(cov), kept)
+        np.testing.assert_array_equal(cov.nu, kept)
+
+    def test_replace_carries_the_new_spectrum(self):
+        cov = tl.random_covariance(2, 6)
+        doubled = dataclasses.replace(cov, sigma=2.0 * cov.sigma)
+        np.testing.assert_array_equal(doubled.nu, gaussian._spectrum_of(doubled.sigma))
+        np.testing.assert_allclose(doubled.nu, 2.0 * cov.nu, rtol=1e-12)
+
+    def test_replace_still_validates(self):
+        cov = tl.random_covariance(2, 6)
+        with pytest.raises(InvalidCovarianceError, match="uncertainty"):
+            dataclasses.replace(cov, sigma=0.25 * cov.sigma)
+
+    def test_two_hundred_modes_match_hermitian_oracle(self):
+        cov = tl.random_covariance(200, 11, max_squeeze=1.5)
+        np.testing.assert_allclose(cov.nu, hermitian_spectrum(cov.sigma), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    kind=st.sampled_from(["pure", "mixed", "near-degenerate", "near-pure"]),
+    max_squeeze=st.floats(min_value=0.0, max_value=1.5),
+    gap_exponent=st.floats(min_value=-9.0, max_value=-3.0),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_kept_spectrum_matches_hermitian_oracle(n, kind, max_squeeze, gap_exponent, seed):
+    """cov.nu agrees with the Hermitian route to 1e-12 relative, degenerate spectra included."""
+    rng = np.random.default_rng(seed)
+    s = tl.random_symplectic(n, rng, max_squeeze).matrix
+    steps = 10.0**gap_exponent * np.arange(n)
+    planted = {
+        "pure": np.ones(n),
+        "mixed": rng.uniform(1.0, 3.0, n),
+        "near-degenerate": rng.uniform(1.0, 3.0) + steps,
+        "near-pure": 1.0 + steps,
+    }[kind]
+    sigma = s @ np.diag(np.repeat(planted, 2)) @ s.T
+    cov = tl.CovarianceMatrix(n, 0.5 * (sigma + sigma.T))
+    np.testing.assert_allclose(cov.nu, hermitian_spectrum(cov.sigma), rtol=1e-12, atol=0)

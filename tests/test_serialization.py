@@ -69,6 +69,46 @@ class TestGaussianState:
             ser.gaussian_state_from_dict({"n_modes": 1, "sigma": [[0.2, 0.0], [0.0, 0.2]]})
 
 
+class TestIntegerFields:
+    """Sizes must be JSON integers: a float, bool or string used to be truncated."""
+
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2", None])
+    def test_pure_state_dim(self, dim):
+        data = {"dim": dim, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(ValueError, match="dim must be a JSON integer"):
+            ser.pure_state_from_dict(data)
+
+    @pytest.mark.parametrize("dim", [1.5, True, "1"])
+    def test_density_matrix_dim(self, dim):
+        with pytest.raises(ValueError, match="dim must be a JSON integer"):
+            ser.density_matrix_from_dict({"dim": dim, "matrix": [[[1.0, 0.0]]]})
+
+    @pytest.mark.parametrize(
+        "d, factors, key",
+        [
+            (4.9, [2, 2], "d"),
+            (4.0, [2, 2], "d"),
+            ("4", [2, 2], "d"),
+            (4, [2.2, 2.9], "factors"),
+            (4, [2, 2.0], "factors"),
+            (4, [True, 2], "factors"),
+            (4, ["2", "2"], "factors"),
+            (4, "22", "factors"),
+            (4, {"2": 0, "3": 1}, "factors"),
+        ],
+    )
+    def test_frame_sizes(self, d, factors, key):
+        data = {"d": d, "factors": factors, "frame": "identity"}
+        with pytest.raises(ValueError, match=f"^{key} must be a"):
+            ser.frame_from_dict(data)
+
+    @pytest.mark.parametrize("n_modes", [1.5, 1.0, True, "1"])
+    def test_gaussian_n_modes(self, n_modes):
+        data = {"n_modes": n_modes, "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+        with pytest.raises(ValueError, match="n_modes must be a JSON integer"):
+            ser.gaussian_state_from_dict(data)
+
+
 class TestFiles:
     def test_dump_and_load(self, tmp_path):
         path = tmp_path / "state.json"
