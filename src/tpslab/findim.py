@@ -16,6 +16,7 @@ Conventions
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,14 @@ def _require_finite(what: str, values, error=ValueError) -> None:
     # tolerance checks alone let NaN through: abs(nan - 1) > tol is False
     if not np.isfinite(values).all():
         raise error(f"{what} must be finite")
+
+
+def _require_integer(what: str, value) -> int:
+    """``value`` as an int; NumPy integers pass, anything else raises instead of truncating."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -116,12 +125,13 @@ class Factorization:
     factors: tuple[int, int]
 
     def __post_init__(self):
-        k1, k2 = self.factors
+        d, k1, k2 = (_require_integer("dimension and factors", v) for v in (self.d, *self.factors))
         if k1 < 2 or k2 < 2:
             raise ValueError(f"both factors must be >= 2, got {self.factors}")
-        if k1 * k2 != self.d:
-            raise ValueError(f"{k1}*{k2} != {self.d}")
-        object.__setattr__(self, "factors", (int(k1), int(k2)))
+        if k1 * k2 != d:
+            raise ValueError(f"{k1}*{k2} != {d}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "factors", (k1, k2))
 
     @property
     def k1(self) -> int:

@@ -48,6 +48,8 @@ __all__ = [
 
 UNBOUND_FREQUENCY_RATIO = 1e-10
 
+_OMEGA = symplectic_form(2)
+
 
 @dataclass(frozen=True)
 class TwoBodyParams:
@@ -104,6 +106,18 @@ class QuadraticHamiltonian:
         object.__setattr__(self, "matrix", mat)
 
 
+def _com_rel_matrix(m1: float, m2: float) -> np.ndarray:
+    total = m1 + m2
+    return np.array(
+        [
+            [m1 / total, 0.0, m2 / total, 0.0],
+            [0.0, 1.0, 0.0, 1.0],
+            [1.0, 0.0, -1.0, 0.0],
+            [0.0, m2 / total, 0.0, -m1 / total],
+        ]
+    )
+
+
 def com_rel_transform(m1: float, m2: float) -> SymplecticMatrix:
     """Canonical map from particle to center-of-mass/relative coordinates.
 
@@ -114,26 +128,22 @@ def com_rel_transform(m1: float, m2: float) -> SymplecticMatrix:
     """
     if m1 <= 0.0 or m2 <= 0.0:
         raise ValueError(f"masses must be positive, got {m1}, {m2}")
-    total = m1 + m2
-    s = np.array(
-        [
-            [m1 / total, 0.0, m2 / total, 0.0],
-            [0.0, 1.0, 0.0, 1.0],
-            [1.0, 0.0, -1.0, 0.0],
-            [0.0, m2 / total, 0.0, -m1 / total],
-        ]
-    )
-    return SymplecticMatrix(2, s)
+    return SymplecticMatrix(2, _com_rel_matrix(m1, m2))
+
+
+def _mass_scaling_diagonal(params: TwoBodyParams) -> np.ndarray:
+    roots = np.sqrt(np.array([params.m1, params.m2]) * params.reference_frequency)
+    return np.stack([roots, 1.0 / roots], axis=1).ravel()
 
 
 def mass_scaling(params: TwoBodyParams) -> SymplecticMatrix:
     """Local symplectic scaling to the module's mass-scaled quadratures."""
-    w = params.reference_frequency
-    diag = []
-    for m in (params.m1, params.m2):
-        root = np.sqrt(m * w)
-        diag.extend([root, 1.0 / root])
-    return SymplecticMatrix(2, np.diag(diag))
+    return SymplecticMatrix(2, np.diag(_mass_scaling_diagonal(params)))
+
+
+def _scaled_to_com_rel(params: TwoBodyParams) -> np.ndarray:
+    """``com_rel_transform`` after undoing ``mass_scaling``, as a plain array."""
+    return _com_rel_matrix(params.m1, params.m2) / _mass_scaling_diagonal(params)
 
 
 def build_hamiltonian_matrix(params: TwoBodyParams) -> QuadraticHamiltonian:
@@ -167,44 +177,28 @@ def scaled_hamiltonian(params: TwoBodyParams) -> QuadraticHamiltonian:
     return transform_quadratic_hamiltonian(build_hamiltonian_matrix(params), mass_scaling(params))
 
 
-def _normal_mode_data(params: TwoBodyParams) -> tuple[SymplecticMatrix, np.ndarray, np.ndarray]:
-    """COM/relative transform with the (a, b) coefficient pairs of each mode.
+def ground_state_covariance(params: TwoBodyParams) -> GaussianState:
+    """Gaussian ground state in mass-scaled particle quadratures, in closed form.
 
-    The common-frequency trap makes the conjugated Hamiltonian block
-    diagonal for every mass pair, so the modes can be read off the
-    diagonal.  Zero-frequency modes (the free center of mass when the trap
-    is off) have no normalizable ground state and raise.
+    The normal modes are the center of mass (mass M, frequency w) and the
+    relative coordinate (mass mu, frequency W = sqrt(w^2 + kappa/mu)); each
+    sits in its vacuum ``diag(1/(m f), m f)``.  The map B to those modes is
+    symplectic, so the state reaches the particles through ``B^-1 = -Omega
+    B^T Omega``, a signed permutation of B^T: nothing is inverted.  The
+    result is pure; with coupling it is entangled across the particles and
+    a product across center of mass and relative motion.  A zero or
+    relatively vanishing mode frequency (no trap) raises ``ValueError``.
     """
-    s_cr = com_rel_transform(params.m1, params.m2)
-    h_cr = transform_quadratic_hamiltonian(build_hamiltonian_matrix(params), s_cr).matrix
-    coeff_x = np.array([h_cr[0, 0], h_cr[2, 2]])
-    coeff_p = np.array([h_cr[1, 1], h_cr[3, 3]])
-    freqs = np.sqrt(np.clip(coeff_x, 0.0, None) * coeff_p)
+    mu = params.reduced_mass
+    freqs = np.array([params.omega_trap, np.sqrt(params.omega_trap**2 + params.kappa / mu)])
     if freqs.max() == 0.0 or freqs.min() < UNBOUND_FREQUENCY_RATIO * freqs.max():
         raise ValueError(
             f"system is unbound: normal-mode frequencies {freqs} include a zero mode"
         )
-    return s_cr, coeff_x, coeff_p
-
-
-def ground_state_covariance(params: TwoBodyParams) -> GaussianState:
-    """Gaussian ground state in mass-scaled particle quadratures.
-
-    Each normal mode (center of mass and relative) is placed in its
-    vacuum, then the state is mapped back to particle coordinates.  The
-    result is pure; with coupling it is entangled across the particles
-    while remaining a product across center of mass and relative motion.
-    """
-    s_cr, coeff_x, coeff_p = _normal_mode_data(params)
-    diag = []
-    for a, b in zip(coeff_x, coeff_p):
-        ratio = np.sqrt(b / a)
-        diag.extend([ratio, 1.0 / ratio])
-    sigma_cr = np.diag(diag)
-    inv = np.linalg.inv(s_cr.matrix)
-    sigma_particle = inv @ sigma_cr @ inv.T
-    scale = mass_scaling(params).matrix
-    sigma = scale @ sigma_particle @ scale.T
+    mass_freq = np.array([params.total_mass, mu]) * freqs
+    vacua = np.stack([1.0 / mass_freq, mass_freq], axis=1).ravel()
+    back = -_OMEGA @ _scaled_to_com_rel(params).T @ _OMEGA
+    sigma = (back * vacua) @ back.T
     return GaussianState(CovarianceMatrix(2, 0.5 * (sigma + sigma.T)), np.zeros(4))
 
 
@@ -217,14 +211,13 @@ def internal_external_entropy(state: GaussianState, params: TwoBodyParams) -> fl
     """Entropy (nats) across the center-of-mass/relative split of a pure state.
 
     The state is expected in mass-scaled particle quadratures; it is
-    unscaled, moved to center-of-mass/relative coordinates and cut between
+    moved to center-of-mass/relative coordinates by one closed-form map
+    (``com_rel_transform`` after undoing ``mass_scaling``) and cut between
     the two modes.
     """
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode state, got {state.n_modes}")
-    unscale = np.linalg.inv(mass_scaling(params).matrix)
-    s_cr = com_rel_transform(params.m1, params.m2).matrix
-    return gaussian_entropy_across(apply_symplectic(state, s_cr @ unscale), (0,))
+    return gaussian_entropy_across(apply_symplectic(state, _scaled_to_com_rel(params)), (0,))
 
 
 def internal_external_entanglement(params: TwoBodyParams) -> float:

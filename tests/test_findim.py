@@ -81,6 +81,26 @@ class TestTypes:
         with pytest.raises(ValueError):
             tl.Factorization(6, (2, 2))
 
+    @pytest.mark.parametrize(
+        "d, factors, shown",
+        [
+            (5, (2.5, 2), "2.5"),
+            (4.0, (2, 2), "4.0"),
+            (4, (2.0, 2), "2.0"),
+            (6, (2, 3.0), "3.0"),
+            (4, ("2", 2), "'2'"),
+            (4, (None, 2), "None"),
+        ],
+    )
+    def test_factorization_rejects_non_integers(self, d, factors, shown):
+        with pytest.raises(ValueError, match=f"must be integers, got {shown}"):
+            tl.Factorization(d, factors)
+
+    def test_factorization_accepts_numpy_integers(self):
+        fac = tl.Factorization(np.int64(6), (np.int32(2), np.int64(3)))
+        assert (fac.d, fac.factors) == (6, (2, 3))
+        assert all(type(v) is int for v in (fac.d, *fac.factors))
+
     def test_frame_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             tl.TpsFrame(tl.Factorization(4, (2, 2)), 2.0 * np.eye(4))

@@ -188,6 +188,18 @@ class TestWilliamson:
             smat.matrix @ cov.sigma @ smat.matrix.T, 1.5 * np.eye(4), atol=1e-8
         )
 
+    @pytest.mark.parametrize(
+        "tol_name, message",
+        [("SYMPLECTIC_TOL", "not symplectic"), ("WILLIAMSON_RESIDUAL_TOL", "residual")],
+    )
+    def test_failed_check_raises_williamson_error(self, monkeypatch, tol_name, message):
+        # with a zero tolerance the roundoff of any real decomposition fails
+        # the check; the symplecticity check is SymplecticMatrix's own
+        cov = tl.random_covariance(3, 12)
+        monkeypatch.setattr(gaussian, tol_name, 0.0)
+        with pytest.raises(tl.WilliamsonError, match=message):
+            tl.williamson(cov)
+
 
 class TestPurity:
     def test_vacuum_is_pure(self):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import tpslab as tl
-from tpslab import twobody
+from tpslab import gaussian, twobody
 from tpslab.gaussian import symplectic_eigenvalues, thermal_entropy
 
 EQUAL = tl.TwoBodyParams(1.0, 1.0, 1.0, 1.0)
@@ -135,6 +137,13 @@ class TestGroundState:
     def test_unbound_trap_raises(self):
         with pytest.raises(ValueError, match="unbound"):
             tl.ground_state_covariance(tl.TwoBodyParams(1.0, 1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.99])
+    def test_relatively_vanishing_trap_raises(self, ratio):
+        # m1 = m2 = 1, kappa = 2: mu = 1/2, so W = sqrt(w^2 + 4) > 2
+        omega = ratio * twobody.UNBOUND_FREQUENCY_RATIO * 2.0
+        with pytest.raises(ValueError, match="unbound"):
+            tl.ground_state_covariance(tl.TwoBodyParams(1.0, 1.0, omega, 2.0))
 
 
 class TestInterparticleEntanglement:
@@ -318,3 +327,120 @@ class TestScaledCoordinates:
         moved_unscaled = twobody.evolve_gaussian(unscaled, tl.build_hamiltonian_matrix(params), t)
         rescaled = scale @ moved_unscaled.cov.sigma @ scale.T
         np.testing.assert_allclose(moved_scaled.cov.sigma, rescaled, atol=1e-10)
+
+
+def normal_mode_sigma(params: tl.TwoBodyParams) -> np.ndarray:
+    """Ground-state covariance the long way: normal modes read off the
+    conjugated Hamiltonian, then two congruences back to scaled particles."""
+    s_cr = tl.com_rel_transform(params.m1, params.m2).matrix
+    inv = np.linalg.inv(s_cr)
+    h_cr = inv.T @ tl.build_hamiltonian_matrix(params).matrix @ inv
+    h_cr = 0.5 * (h_cr + h_cr.T)
+    ratio = np.sqrt(np.diag(h_cr)[1::2] / np.diag(h_cr)[0::2])
+    sigma_cr = np.diag(np.stack([ratio, 1.0 / ratio], axis=1).ravel())
+    sigma_particle = inv @ sigma_cr @ inv.T
+    scale = tl.mass_scaling(params).matrix
+    sigma = scale @ sigma_particle @ scale.T
+    return 0.5 * (sigma + sigma.T)
+
+
+def closed_form_entropy(params: tl.TwoBodyParams) -> float:
+    """f(2 sqrt(<x1^2><p1^2>)) with x1 = X + (m2/M) r and p1 = (m1/M) P + p_r,
+    the center of mass and relative coordinate in independent vacua."""
+    m1, m2, w = params.m1, params.m2, params.omega_trap
+    total, mu = params.total_mass, params.reduced_mass
+    rel = np.sqrt(w**2 + params.kappa / mu)
+    x2 = 1.0 / (2.0 * total * w) + (m2 / total) ** 2 / (2.0 * mu * rel)
+    p2 = (m1 / total) ** 2 * total * w / 2.0 + mu * rel / 2.0
+    return thermal_entropy(2.0 * np.sqrt(x2 * p2))
+
+
+def spread(low: float, high: float):
+    """Floats in [low, high], drawn uniformly or log-uniformly."""
+    logs = st.floats(min_value=np.log10(low), max_value=np.log10(high))
+    return st.floats(min_value=low, max_value=high) | logs.map(lambda e: 10.0**e)
+
+
+bound_params = st.builds(
+    tl.TwoBodyParams,
+    spread(1e-3, 1e3),
+    spread(1e-3, 1e3),
+    spread(1e-2, 10.0),
+    st.just(0.0) | spread(1e-3, 1e3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=bound_params)
+def test_closed_form_matches_normal_mode_route(params):
+    sigma = tl.ground_state_covariance(params).cov.sigma
+    oracle = normal_mode_sigma(params)
+    assert np.abs(sigma - oracle).max() <= 1e-11 * np.abs(oracle).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=bound_params)
+def test_interparticle_entropy_matches_closed_form(params):
+    expected = closed_form_entropy(params)
+    assert abs(tl.interparticle_entanglement(params) - expected) <= 1e-10 * max(expected, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # light, unequal masses in a weak trap with strong coupling: the
+        # normal-mode route was off here by about 2e-9 relative
+        tl.TwoBodyParams(0.00425, 0.00126, 0.012, 454.6),
+        tl.TwoBodyParams(1e-3, 1e3, 1e-2, 1e3),
+        tl.TwoBodyParams(1.0, 3.0, 1.0, 4.0),
+    ],
+)
+def test_interparticle_entropy_at_fixed_extremes(params):
+    expected = closed_form_entropy(params)
+    assert abs(tl.interparticle_entanglement(params) - expected) <= 1e-10 * max(expected, 1e-3)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.7, 400.0])
+def test_entanglement_functions_are_the_sweep_compositions(kappa):
+    # twobody sweep computes both columns from one ground state; the
+    # one-call functions must give the same floats
+    params = tl.TwoBodyParams(1.0, 3.0, 1.0, kappa)
+    state = tl.ground_state_covariance(params)
+    assert tl.interparticle_entanglement(params) == tl.gaussian_entropy_across(state, (0,))
+    assert tl.internal_external_entanglement(params) == tl.internal_external_entropy(state, params)
+
+
+@pytest.fixture
+def construction_calls(monkeypatch):
+    """Counts matrix inversions, validated-map constructions and symplectic spectra."""
+    calls = {"inv": 0, "SymplecticMatrix": 0, "QuadraticHamiltonian": 0, "_spectrum_of": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    for cls in (tl.SymplecticMatrix, tl.QuadraticHamiltonian):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(gaussian, "_spectrum_of", counting("_spectrum_of", gaussian._spectrum_of))
+    return calls
+
+
+def test_one_sweep_kappa_builds_no_map(construction_calls):
+    params = tl.TwoBodyParams(1.0, 3.0, 1.0, 0.7)
+    state = tl.ground_state_covariance(params)
+    tl.gaussian_entropy_across(state, (0,))
+    tl.internal_external_entropy(state, params)
+    assert construction_calls == {
+        "inv": 0, "SymplecticMatrix": 0, "QuadraticHamiltonian": 0, "_spectrum_of": 4
+    }
+
+
+def test_construction_counter_sees_the_public_maps(construction_calls):
+    tl.scaled_hamiltonian(EQUAL)
+    assert construction_calls == {
+        "inv": 1, "SymplecticMatrix": 1, "QuadraticHamiltonian": 2, "_spectrum_of": 0
+    }
