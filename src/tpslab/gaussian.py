@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur
 
 from .findim import _require_finite, _require_integer, random_unitary
 
@@ -67,12 +66,23 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+def _hermitian_core(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor L of sigma and ``i L^T Omega L``, similar to i Omega sigma.
+
+    Its eigenvalues are +-nu; a sigma that is not positive definite has no
+    factor and is rejected here.
+    """
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise InvalidCovarianceError("covariance matrix is not positive definite") from None
+    return chol, 1j * (chol.T @ symplectic_form(sigma.shape[0] // 2) @ chol)
+
+
 def _spectrum_of(sigma: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a symmetric matrix, descending, no validity check."""
+    """Symplectic spectrum of a positive-definite symmetric matrix, descending."""
     n = sigma.shape[0] // 2
-    eigs = np.linalg.eigvals(1j * symplectic_form(n) @ sigma)
-    moduli = np.sort(np.abs(eigs))[::-1]
-    return moduli[::2].copy()
+    return np.linalg.eigvalsh(_hermitian_core(sigma)[1])[n:][::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -100,9 +110,10 @@ class SymplecticMatrix:
 class CovarianceMatrix:
     """Symmetric covariance matrix satisfying the uncertainty bound.
 
-    Validity means symmetric and all symplectic eigenvalues >= 1 (up to
-    1e-8 of roundoff); the constructor rejects anything else.  ``nu``
-    keeps the spectrum it checked: n values, descending, read-only.
+    Validity means symmetric, positive definite and all symplectic
+    eigenvalues >= 1 (up to 1e-8 of roundoff); the constructor rejects
+    anything else.  ``nu`` keeps the spectrum it checked: n values,
+    descending, read-only.
     """
 
     n_modes: int
@@ -149,11 +160,10 @@ class GaussianState:
 
 
 def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
-    """Symplectic spectrum: moduli of the eigenvalues of i*Omega*sigma.
+    """Symplectic spectrum: the n positive eigenvalues of i*Omega*sigma, descending.
 
-    The 2n moduli come in equal pairs and are deduplicated into n values,
-    descending.  This is the spectrum validated when ``cov`` was built,
-    returned as a fresh, writable copy of ``cov.nu``.
+    Read from the Hermitian ``i L^T Omega L`` (sigma = L L^T) when ``cov``
+    was built; returned as a fresh, writable copy of ``cov.nu``.
     """
     return cov.nu.copy()
 
@@ -162,10 +172,11 @@ def williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray]:
     """Symplectic transform to thermal normal form.
 
     Returns ``(S, nu)`` with ``S sigma S^T = diag(nu_1, nu_1, ..., nu_n,
-    nu_n)`` and nu descending.  S is built from the real Schur form of
-    ``sigma^(-1/2) Omega sigma^(-1/2)``; it is not unique when the
-    spectrum is degenerate, so callers should assert the reconstruction
-    rather than S itself.
+    nu_n)`` and nu descending.  With sigma = L L^T, the eigenvector ``u =
+    (a + ib)/sqrt(2)`` of ``i L^T Omega L`` for each nu gives the columns
+    (b, a) of an orthogonal K, and ``S = diag(nu)^(-1/2) K^T L^T Omega``
+    inverts nothing.  S is not unique, so callers should assert the
+    reconstruction rather than S itself.
 
     Raises
     ------
@@ -174,26 +185,13 @@ def williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray]:
         or S fails the ``SymplecticMatrix`` check (defect above
         ``SYMPLECTIC_TOL``); the failure is reported, never silent.
     """
-    sigma = cov.sigma
-    n = cov.n_modes
-    evals, evecs = np.linalg.eigh(sigma)
-    if evals[0] <= 0.0:
-        raise InvalidCovarianceError(f"covariance is not positive definite: {evals[0]!r}")
-    inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
-    skew = inv_sqrt @ symplectic_form(n) @ inv_sqrt
-    skew = 0.5 * (skew - skew.T)
-    t, k = schur(skew)
-    # The Schur form of a real antisymmetric matrix is block diagonal in
-    # [[0, mu], [-mu, 0]]; a block with mu < 0 takes its two columns
-    # swapped, and blocks are ordered by descending nu = 1/|mu|.
-    entry = np.diagonal(t, 1)[::2]
-    nu = 1.0 / np.abs(entry)
-    order = np.argsort(-nu, kind="stable")
-    columns = 2 * order[:, None] + np.where(entry[order, None] < 0.0, [1, 0], [0, 1])
-    k = k[:, columns.ravel()]
-    nu = nu[order]
-    scale = np.sqrt(np.repeat(nu, 2))
-    s = scale[:, None] * (k.T @ inv_sqrt)
+    sigma, n = cov.sigma, cov.n_modes
+    chol, herm = _hermitian_core(sigma)
+    evals, evecs = np.linalg.eigh(herm)
+    nu = evals[n:][::-1]
+    pairs = np.sqrt(2.0) * evecs[:, n:][:, ::-1]
+    k = np.stack([pairs.imag, pairs.real], axis=2).reshape(2 * n, 2 * n)
+    s = (k.T @ chol.T @ symplectic_form(n)) / np.sqrt(np.repeat(nu, 2))[:, None]
 
     normal_form = np.diag(np.repeat(nu, 2))
     residual = np.linalg.norm(s @ sigma @ s.T - normal_form) / np.linalg.norm(sigma)
@@ -283,8 +281,9 @@ def log_negativity_two_mode(state: GaussianState) -> float:
 
     Partial transposition flips the sign of the second mode's momentum;
     the result is ``max(0, -ln nu_minus)`` with nu_minus the smaller
-    symplectic eigenvalue of the transposed covariance.  Valid for pure
-    and mixed states.
+    symplectic eigenvalue of the transposed covariance (still positive
+    definite), read like the constructor's.  Valid for pure and mixed
+    states.
     """
     if state.n_modes != 2:
         raise ValueError(f"defined for exactly two modes, got {state.n_modes}")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 import tpslab as tl
 from tpslab import gaussian, twobody
@@ -396,8 +396,9 @@ def hermitian_spectrum(sigma: np.ndarray) -> np.ndarray:
     """Symplectic spectrum from the Hermitian matrix i L^T Omega L, sigma = L L^T.
 
     i Omega sigma is similar to i L^T Omega L, whose eigenvalues come in
-    pairs +-nu; the positive half, descending, is the spectrum.  This route
-    shares nothing with the library's non-Hermitian eigvals.
+    pairs +-nu; the positive half, descending, is the spectrum.  It is the
+    library's route written out apart from it; ``eigvals_spectrum`` below
+    keeps the independent non-Hermitian one.
     """
     chol = np.linalg.cholesky(sigma)
     evals = np.linalg.eigvalsh(1j * chol.T @ tl.symplectic_form(sigma.shape[0] // 2) @ chol)
@@ -491,3 +492,113 @@ def test_kept_spectrum_matches_hermitian_oracle(n, kind, max_squeeze, gap_expone
     sigma = s @ np.diag(np.repeat(planted, 2)) @ s.T
     cov = tl.CovarianceMatrix(n, 0.5 * (sigma + sigma.T))
     np.testing.assert_allclose(cov.nu, hermitian_spectrum(cov.sigma), rtol=1e-12, atol=0)
+
+
+def eigvals_spectrum(sigma: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum as the moduli of the non-Hermitian eigvals of i Omega sigma.
+
+    The 2n moduli come in equal pairs; every other one, descending, is the
+    spectrum.  No Cholesky factor and no Hermitian solver is involved.
+    """
+    omega = tl.symplectic_form(sigma.shape[0] // 2)
+    return np.sort(np.abs(np.linalg.eigvals(1j * omega @ sigma)))[::-1][::2]
+
+
+def schur_williamson(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Williamson transform from the real Schur form of sigma^(-1/2) Omega sigma^(-1/2).
+
+    The Schur form of that antisymmetric matrix is block diagonal in
+    [[0, mu], [-mu, 0]] with nu = 1/|mu|; a block with mu < 0 takes its two
+    columns swapped, and blocks are ordered by descending nu.
+    """
+    evals, evecs = np.linalg.eigh(sigma)
+    inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
+    skew = inv_sqrt @ tl.symplectic_form(sigma.shape[0] // 2) @ inv_sqrt
+    t, k = schur(0.5 * (skew - skew.T))
+    entry = np.diagonal(t, 1)[::2]
+    nu = 1.0 / np.abs(entry)
+    order = np.argsort(-nu, kind="stable")
+    columns = 2 * order[:, None] + np.where(entry[order, None] < 0.0, [1, 0], [0, 1])
+    k = k[:, columns.ravel()]
+    nu = nu[order]
+    return np.sqrt(np.repeat(nu, 2))[:, None] * (k.T @ inv_sqrt), nu
+
+
+def williamson_errors(s: np.ndarray, sigma: np.ndarray, nu: np.ndarray) -> tuple[float, float]:
+    """Relative reconstruction residual and symplectic defect, as the CLI reports them."""
+    omega = tl.symplectic_form(sigma.shape[0] // 2)
+    residual = np.linalg.norm(s @ sigma @ s.T - np.diag(np.repeat(nu, 2))) / np.linalg.norm(sigma)
+    return residual, np.linalg.norm(s.T @ omega @ s - omega)
+
+
+@st.composite
+def planted_covariances(draw, kinds=("pure", "mixed", "near-degenerate", "near-pure")):
+    """Covariance S diag(nu) S^T with a planted spectrum and squeezing <= 1.5."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(kinds))
+    max_squeeze = draw(st.floats(min_value=0.0, max_value=1.5))
+    steps = 10.0 ** draw(st.floats(min_value=-9.0, max_value=-3.0)) * np.arange(n)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10**6)))
+    s = tl.random_symplectic(n, rng, max_squeeze).matrix
+    planted = {
+        "pure": np.ones(n),
+        "mixed": rng.uniform(1.0, 3.0, n),
+        "near-degenerate": rng.uniform(1.0, 3.0) + steps,
+        "near-pure": 1.0 + steps,
+        # gaps of at least 0.2, so each mode of the normal form is fixed up
+        # to a rotation within it
+        "separated": 1.0 + 0.2 * np.arange(1, n + 1) + rng.uniform(0.0, 0.1, n),
+    }[kind]
+    sigma = s @ np.diag(np.repeat(planted, 2)) @ s.T
+    return tl.CovarianceMatrix(n, 0.5 * (sigma + sigma.T))
+
+
+class TestHermitianCore:
+    """The Cholesky-based spectrum and Williamson transform against the older routes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cov=planted_covariances())
+    def test_spectrum_matches_eigvals_oracle(self, cov):
+        np.testing.assert_allclose(cov.nu, eigvals_spectrum(cov.sigma), rtol=1e-12, atol=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(cov=planted_covariances())
+    def test_williamson_matches_schur_oracle(self, cov):
+        s, nu = tl.williamson(cov)
+        _, nu_schur = schur_williamson(cov.sigma)
+        np.testing.assert_allclose(nu, nu_schur, rtol=1e-12, atol=0)
+        residual, defect = williamson_errors(s.matrix, cov.sigma, nu)
+        assert residual <= 1e-12
+        assert defect <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(cov=planted_covariances(kinds=("separated",)))
+    def test_transform_differs_from_schur_by_mode_rotations(self, cov):
+        # two diagonalizers of a non-degenerate spectrum differ by a
+        # rotation within each mode: S_new S_old^-1 is block-diagonal orthogonal
+        s, _ = tl.williamson(cov)
+        s_old, _ = schur_williamson(cov.sigma)
+        omega = tl.symplectic_form(cov.n_modes)
+        relative = s.matrix @ (-omega @ s_old.T @ omega)
+        blocks = np.kron(np.eye(cov.n_modes), np.ones((2, 2))).astype(bool)
+        assert np.abs(relative[~blocks]).max(initial=0.0) <= 1e-9
+        for i in range(cov.n_modes):
+            block = relative[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
+            np.testing.assert_allclose(block @ block.T, np.eye(2), atol=1e-9)
+
+    def test_two_hundred_modes(self):
+        cov = tl.random_covariance(200, 21, max_squeeze=1.5)
+        np.testing.assert_allclose(cov.nu, eigvals_spectrum(cov.sigma), rtol=1e-12, atol=0)
+        s, nu = tl.williamson(cov)
+        np.testing.assert_allclose(nu, schur_williamson(cov.sigma)[1], rtol=1e-12, atol=0)
+        residual, defect = williamson_errors(s.matrix, cov.sigma, nu)
+        assert residual <= 1e-12
+        assert defect <= 1e-10
+
+    @pytest.mark.parametrize(
+        "diagonal", [[-1.0, -1.0], [1.0, -1.0], [2.0, -3.0, 1.0, 1.0]], ids=str
+    )
+    def test_rejects_matrices_that_are_not_positive_definite(self, diagonal):
+        # the moduli of a non-Hermitian spectrum are blind to these signs
+        with pytest.raises(InvalidCovarianceError, match="not positive definite"):
+            tl.CovarianceMatrix(len(diagonal) // 2, np.diag(diagonal))
