@@ -76,6 +76,7 @@ from .twobody import (
     TwoBodyParams,
     build_hamiltonian_matrix,
     com_rel_transform,
+    coupling_sweep,
     evolve_gaussian,
     galilean_boost,
     ground_state_covariance,

@@ -185,15 +185,9 @@ def _cmd_gaussian_entangle(args) -> int:
 
 
 def _cmd_twobody_sweep(args) -> int:
-    rows = []
-    for kappa in _parse_range(args.kappa):
-        params = twobody.TwoBodyParams(args.m1, args.m2, args.omega, kappa)
-        state = twobody.ground_state_covariance(params)
-        rows.append([
-            kappa,
-            gaussian_entropy_across(state, (0,)),
-            twobody.internal_external_entropy(state, params),
-        ])
+    kappas = _parse_range(args.kappa)
+    interparticle, internal_external = twobody.coupling_sweep(args.m1, args.m2, args.omega, kappas)
+    rows = list(zip(kappas, interparticle, internal_external))
     _write_csv(args.out, ["kappa", "interparticle_entropy", "internal_external_entropy"], rows)
     return 0
 

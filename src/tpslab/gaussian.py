@@ -70,19 +70,61 @@ def _hermitian_core(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factor L of sigma and ``i L^T Omega L``, similar to i Omega sigma.
 
     Its eigenvalues are +-nu; a sigma that is not positive definite has no
-    factor and is rejected here.
+    factor and is rejected here.  ``sigma`` may be a stack (..., 2n, 2n).
     """
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise InvalidCovarianceError("covariance matrix is not positive definite") from None
-    return chol, 1j * (chol.T @ symplectic_form(sigma.shape[0] // 2) @ chol)
+    omega = symplectic_form(sigma.shape[-1] // 2)
+    return chol, 1j * (np.swapaxes(chol, -1, -2) @ omega @ chol)
 
 
 def _spectrum_of(sigma: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite symmetric matrix, descending."""
-    n = sigma.shape[0] // 2
-    return np.linalg.eigvalsh(_hermitian_core(sigma)[1])[n:][::-1].copy()
+    """Symplectic spectra of a stack (..., 2n, 2n) of positive-definite matrices.
+
+    Returns (..., n), each row descending.  Every member goes through the
+    same LAPACK calls it would alone, so a stacked spectrum equals the
+    per-matrix ones bit for bit.
+    """
+    n = sigma.shape[-1] // 2
+    return np.linalg.eigvalsh(_hermitian_core(sigma)[1])[..., n:][..., ::-1].copy()
+
+
+def _validated_spectra(sigma: np.ndarray) -> np.ndarray:
+    """Check a stack (..., 2n, 2n) of covariance matrices; return their spectra.
+
+    Every member must be finite, symmetric within ``SYMMETRY_TOL``,
+    positive definite and have every symplectic eigenvalue at least
+    ``1 - NU_CONSTRUCTOR_TOL``.  The first failing check raises
+    ``InvalidCovarianceError``; with one bad member it is the error
+    ``CovarianceMatrix`` raises on that member alone.
+    """
+    _require_finite("covariance matrix", sigma, InvalidCovarianceError)
+    if np.abs(sigma - np.swapaxes(sigma, -1, -2)).max() > SYMMETRY_TOL:
+        raise InvalidCovarianceError("covariance matrix is not symmetric")
+    nu = _spectrum_of(sigma)
+    smallest = nu[..., -1].min()
+    if smallest < 1.0 - NU_CONSTRUCTOR_TOL:
+        raise InvalidCovarianceError(
+            f"uncertainty bound violated: smallest symplectic eigenvalue {smallest!r} < 1"
+        )
+    return nu
+
+
+def _require_pure(nu: np.ndarray) -> None:
+    """Raise unless every spectrum in ``nu`` (..., n) is 1 within ``PURITY_NU_TOL``."""
+    if not np.all(np.abs(nu - 1.0) <= PURITY_NU_TOL):
+        raise ValueError(
+            "state is not pure, so the reduced entropy is not an entanglement "
+            "measure; use log_negativity_two_mode for mixed two-mode states"
+        )
+
+
+def _congruence(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``S sigma S^T`` for a stack of sigma, symmetrized against roundoff."""
+    out = s @ sigma @ s.T
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -125,14 +167,7 @@ class CovarianceMatrix:
         size = 2 * self.n_modes
         if mat.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} matrix, got {mat.shape}")
-        _require_finite("covariance matrix", mat, InvalidCovarianceError)
-        if np.abs(mat - mat.T).max() > SYMMETRY_TOL:
-            raise InvalidCovarianceError("covariance matrix is not symmetric")
-        nu = _spectrum_of(mat)
-        if nu[-1] < 1.0 - NU_CONSTRUCTOR_TOL:
-            raise InvalidCovarianceError(
-                f"uncertainty bound violated: smallest symplectic eigenvalue {nu[-1]!r} < 1"
-            )
+        nu = _validated_spectra(mat)
         mat.setflags(write=False)
         nu.setflags(write=False)
         object.__setattr__(self, "sigma", mat)
@@ -209,11 +244,13 @@ def is_pure(cov: CovarianceMatrix) -> bool:
 
 
 def gaussian_purity(cov: CovarianceMatrix) -> float:
-    """``Tr(rho^2) = 1/sqrt(det sigma)``."""
-    sign, logdet = np.linalg.slogdet(cov.sigma)
-    if sign <= 0.0:
-        raise InvalidCovarianceError("covariance determinant is not positive")
-    return float(np.exp(-0.5 * logdet))
+    """``Tr(rho^2) = 1/sqrt(det sigma)``.
+
+    A symplectic S with ``S sigma S^T = diag(nu_1, nu_1, ...)`` has unit
+    determinant, so ``det sigma = prod nu^2`` and the purity is
+    ``exp(-sum ln nu)``, read from the kept spectrum ``cov.nu``.
+    """
+    return float(np.exp(-np.sum(np.log(cov.nu))))
 
 
 def reduce_modes(state: GaussianState, keep) -> GaussianState:
@@ -267,11 +304,7 @@ def gaussian_entropy_across(state: GaussianState, side_a) -> float:
     indices = sorted({_require_integer("mode indices", i) for i in side_a})
     if not 0 < len(indices) < state.n_modes:
         raise ValueError("bipartition must be a proper nonempty subset of the modes")
-    if not is_pure(state.cov):
-        raise ValueError(
-            "state is not pure, so the reduced entropy is not an entanglement "
-            "measure; use log_negativity_two_mode for mixed two-mode states"
-        )
+    _require_pure(state.cov.nu)
     reduced = reduce_modes(state, indices)
     return float(sum(thermal_entropy(nu) for nu in reduced.cov.nu))
 
@@ -306,8 +339,7 @@ def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
     size = 2 * state.n_modes
     if s.shape != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix, got {s.shape}")
-    sigma = s @ state.cov.sigma @ s.T
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma = _congruence(s, state.cov.sigma)
     return GaussianState(CovarianceMatrix(state.n_modes, sigma), s @ state.mean)
 
 

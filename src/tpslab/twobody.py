@@ -25,9 +25,13 @@ from .gaussian import (
     CovarianceMatrix,
     GaussianState,
     SymplecticMatrix,
+    _congruence,
+    _require_pure,
+    _validated_spectra,
     apply_symplectic,
     gaussian_entropy_across,
     symplectic_form,
+    thermal_entropy,
 )
 
 __all__ = [
@@ -39,6 +43,7 @@ __all__ = [
     "transform_quadratic_hamiltonian",
     "scaled_hamiltonian",
     "ground_state_covariance",
+    "coupling_sweep",
     "interparticle_entanglement",
     "internal_external_entropy",
     "internal_external_entanglement",
@@ -186,6 +191,30 @@ def scaled_hamiltonian(params: TwoBodyParams) -> QuadraticHamiltonian:
     return transform_quadratic_hamiltonian(build_hamiltonian_matrix(params), mass_scaling(params))
 
 
+def _ground_state_sigmas(params: TwoBodyParams, kappas: np.ndarray) -> np.ndarray:
+    """Closed-form ground-state covariances (N, 4, 4), one per coupling in ``kappas``.
+
+    ``params`` supplies the masses and the trap; its own ``kappa`` is not
+    read.  Each row is checked for a zero or relatively vanishing mode
+    frequency, and the first such row raises ``ValueError``.
+    """
+    mu = params.reduced_mass
+    omega = params.omega_trap
+    freqs = np.stack([np.full(kappas.shape, omega), np.sqrt(omega**2 + kappas / mu)], axis=1)
+    highest = freqs.max(axis=1)
+    unbound = (highest == 0.0) | (freqs.min(axis=1) < UNBOUND_FREQUENCY_RATIO * highest)
+    if unbound.any():
+        raise ValueError(
+            f"system is unbound: normal-mode frequencies {freqs[np.argmax(unbound)]} "
+            "include a zero mode"
+        )
+    mass_freq = np.array([params.total_mass, mu]) * freqs
+    vacua = np.stack([1.0 / mass_freq, mass_freq], axis=2).reshape(-1, 1, 4)
+    back = -_OMEGA @ _scaled_to_com_rel(params).T @ _OMEGA
+    sigma = (back * vacua) @ back.T
+    return 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
+
+
 def ground_state_covariance(params: TwoBodyParams) -> GaussianState:
     """Gaussian ground state in mass-scaled particle quadratures, in closed form.
 
@@ -198,22 +227,71 @@ def ground_state_covariance(params: TwoBodyParams) -> GaussianState:
     a product across center of mass and relative motion.  A zero or
     relatively vanishing mode frequency (no trap) raises ``ValueError``.
     """
-    mu = params.reduced_mass
-    freqs = np.array([params.omega_trap, np.sqrt(params.omega_trap**2 + params.kappa / mu)])
-    if freqs.max() == 0.0 or freqs.min() < UNBOUND_FREQUENCY_RATIO * freqs.max():
-        raise ValueError(
-            f"system is unbound: normal-mode frequencies {freqs} include a zero mode"
-        )
-    mass_freq = np.array([params.total_mass, mu]) * freqs
-    vacua = np.stack([1.0 / mass_freq, mass_freq], axis=1).ravel()
-    back = -_OMEGA @ _scaled_to_com_rel(params).T @ _OMEGA
-    sigma = (back * vacua) @ back.T
-    return GaussianState(CovarianceMatrix(2, 0.5 * (sigma + sigma.T)), np.zeros(4))
+    sigma = _ground_state_sigmas(params, np.array([params.kappa], dtype=float))[0]
+    return GaussianState(CovarianceMatrix(2, sigma), np.zeros(4))
+
+
+def _stacked_sweep(m1, m2, omega_trap, kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``coupling_sweep``'s one pass; a failing check raises for the whole stack."""
+    # the masses and the trap are shared, so checking the first coupling that
+    # TwoBodyParams rejects (or the first one, when it rejects none) checks all
+    bad = ~np.isfinite(kappas) | (kappas < 0.0) | ((kappas == 0.0) & (omega_trap == 0.0))
+    params = TwoBodyParams(m1, m2, omega_trap, float(kappas[np.argmax(bad)]))
+    sigma = _ground_state_sigmas(params, kappas)
+    _require_pure(_validated_spectra(sigma))
+    particle_marginal = _validated_spectra(sigma[:, :2, :2])
+    moved = _congruence(_scaled_to_com_rel(params), sigma)
+    _require_pure(_validated_spectra(moved))
+    com_marginal = _validated_spectra(moved[:, :2, :2])
+    return tuple(
+        np.array([thermal_entropy(nu) for nu in marginal[:, 0]])
+        for marginal in (particle_marginal, com_marginal)
+    )
+
+
+def coupling_sweep(
+    m1: float, m2: float, omega_trap: float, kappas
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-state entropies (nats) along a sweep of the coupling, in one stacked pass.
+
+    Returns ``(interparticle, internal_external)``, one float array each,
+    entry i for ``TwoBodyParams(m1, m2, omega_trap, kappas[i])``: the
+    entropy across the particle split and across the center-of-mass/
+    relative split.  All ground states are built as one (N, 4, 4) stack;
+    the stack, its mode-0 marginals, its image in center-of-mass/relative
+    coordinates and their marginals are each validated and diagonalized
+    in one call, with the checks ``CovarianceMatrix`` and
+    ``gaussian_entropy_across`` make on a single state.  Every entry
+    equals the per-state route (``ground_state_covariance``, then
+    ``gaussian_entropy_across`` and ``internal_external_entropy``) bit for
+    bit.  Memory grows linearly with the number of couplings.
+
+    Raises
+    ------
+    ValueError
+        Whatever the first failing coupling raises on its own, as a loop
+        over the couplings would: its ``TwoBodyParams`` check, an unbound
+        system, or an ``InvalidCovarianceError``.  An empty or
+        multi-dimensional ``kappas`` is rejected.
+    """
+    kappas = np.array(kappas, dtype=float)
+    if kappas.ndim != 1 or kappas.size == 0:
+        raise ValueError(f"kappas must be a nonempty 1-D sequence, got shape {kappas.shape}")
+    try:
+        return _stacked_sweep(m1, m2, omega_trap, kappas)
+    except ValueError:
+        for i in range(kappas.size):  # name the first failing coupling
+            _stacked_sweep(m1, m2, omega_trap, kappas[i : i + 1])
+        raise
 
 
 def interparticle_entanglement(params: TwoBodyParams) -> float:
-    """Ground-state entanglement entropy (nats) across the particle split."""
-    return gaussian_entropy_across(ground_state_covariance(params), (0,))
+    """Ground-state entanglement entropy (nats) across the particle split.
+
+    A one-coupling ``coupling_sweep``; equal to ``gaussian_entropy_across(
+    ground_state_covariance(params), (0,))`` bit for bit.
+    """
+    return float(coupling_sweep(params.m1, params.m2, params.omega_trap, [params.kappa])[0][0])
 
 
 def internal_external_entropy(state: GaussianState, params: TwoBodyParams) -> float:
@@ -233,9 +311,11 @@ def internal_external_entanglement(params: TwoBodyParams) -> float:
     """Ground-state entropy across the center-of-mass/relative split.
 
     Zero for this Hamiltonian family: a common-frequency trap separates in
-    center-of-mass/relative coordinates for every mass pair.
+    center-of-mass/relative coordinates for every mass pair.  A
+    one-coupling ``coupling_sweep``; equal to ``internal_external_entropy(
+    ground_state_covariance(params), params)`` bit for bit.
     """
-    return internal_external_entropy(ground_state_covariance(params), params)
+    return float(coupling_sweep(params.m1, params.m2, params.omega_trap, [params.kappa])[1][0])
 
 
 def evolve_gaussian(state: GaussianState, ham: QuadraticHamiltonian, t: float) -> GaussianState:

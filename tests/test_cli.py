@@ -206,6 +206,33 @@ class TestTwobodyCommand:
         ) == 0
         assert len(out.read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize(
+        "omega, kappa, message",
+        [
+            ("0", "0:1:0.5", "need omega_trap > 0 or kappa > 0 for a bound system"),
+            ("1", "nan", "two-body parameters must be finite"),
+            ("1", "inf", "two-body parameters must be finite"),
+            ("1", "-1:1:0.5", "trap frequency and coupling must be nonnegative"),
+            (
+                "0",
+                "0.5:1:0.5",
+                "system is unbound: normal-mode frequencies [0.         0.81649658] "
+                "include a zero mode",
+            ),
+        ],
+    )
+    def test_sweep_errors_name_the_first_failing_kappa(
+        self, tmp_path, capsys, omega, kappa, message
+    ):
+        # the messages a loop over the couplings gives, with the first failing kappa's values
+        out = tmp_path / "sweep.csv"
+        argv = ["twobody", "sweep", "--m1", "1", "--m2", "3", "--omega", omega]
+        assert run(argv + [f"--kappa={kappa}", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == json.dumps({"error": "ValueError", "message": message}) + "\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCsvOutput:
     def test_failure_partway_leaves_existing_file(self, tmp_path):

@@ -225,6 +225,17 @@ class TestPurity:
             nu = tl.symplectic_eigenvalues(cov)
             assert abs(tl.gaussian_purity(cov) - np.prod(1.0 / nu)) < 1e-9
 
+    @pytest.mark.parametrize("n_modes", [1, 3, 200])
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_slogdet_oracle(self, n_modes, pure, seed):
+        # 1/sqrt(det sigma) through an LU log-determinant, apart from the kept spectrum
+        cov = tl.random_covariance(n_modes, seed, pure=pure)
+        sign, logdet = np.linalg.slogdet(cov.sigma)
+        assert sign > 0.0
+        oracle = np.exp(-0.5 * logdet)
+        assert abs(tl.gaussian_purity(cov) - oracle) <= 1e-12 * oracle
+
 
 class TestReduceModes:
     def test_product_vacuum_marginal(self):
@@ -392,17 +403,15 @@ class TestDisplacementInvariance:
         assert tl.gaussian_purity(displaced.cov) == tl.gaussian_purity(centered.cov)
 
 
-def hermitian_spectrum(sigma: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum from the Hermitian matrix i L^T Omega L, sigma = L L^T.
+def eigvals_spectrum(sigma: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum as the moduli of the non-Hermitian eigvals of i Omega sigma.
 
-    i Omega sigma is similar to i L^T Omega L, whose eigenvalues come in
-    pairs +-nu; the positive half, descending, is the spectrum.  It is the
-    library's route written out apart from it; ``eigvals_spectrum`` below
-    keeps the independent non-Hermitian one.
+    The 2n moduli come in equal pairs; every other one, descending, is the
+    spectrum.  No Cholesky factor and no Hermitian solver is involved, so
+    it shares nothing with the library's route.
     """
-    chol = np.linalg.cholesky(sigma)
-    evals = np.linalg.eigvalsh(1j * chol.T @ tl.symplectic_form(sigma.shape[0] // 2) @ chol)
-    return np.sort(evals[evals > 0.0])[::-1]
+    omega = tl.symplectic_form(sigma.shape[0] // 2)
+    return np.sort(np.abs(np.linalg.eigvals(1j * omega @ sigma)))[::-1][::2]
 
 
 @pytest.fixture
@@ -466,8 +475,9 @@ class TestSpectrumKeptOnce:
             dataclasses.replace(cov, sigma=0.25 * cov.sigma)
 
     def test_two_hundred_modes_match_hermitian_oracle(self):
+        # the kept (Hermitian-route) spectrum against the independent eigvals oracle
         cov = tl.random_covariance(200, 11, max_squeeze=1.5)
-        np.testing.assert_allclose(cov.nu, hermitian_spectrum(cov.sigma), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cov.nu, eigvals_spectrum(cov.sigma), rtol=1e-12, atol=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -479,7 +489,8 @@ class TestSpectrumKeptOnce:
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_kept_spectrum_matches_hermitian_oracle(n, kind, max_squeeze, gap_exponent, seed):
-    """cov.nu agrees with the Hermitian route to 1e-12 relative, degenerate spectra included."""
+    """cov.nu, kept from the Hermitian route, agrees with the independent eigvals oracle
+    to 1e-12 relative, degenerate spectra included."""
     rng = np.random.default_rng(seed)
     s = tl.random_symplectic(n, rng, max_squeeze).matrix
     steps = 10.0**gap_exponent * np.arange(n)
@@ -491,17 +502,7 @@ def test_kept_spectrum_matches_hermitian_oracle(n, kind, max_squeeze, gap_expone
     }[kind]
     sigma = s @ np.diag(np.repeat(planted, 2)) @ s.T
     cov = tl.CovarianceMatrix(n, 0.5 * (sigma + sigma.T))
-    np.testing.assert_allclose(cov.nu, hermitian_spectrum(cov.sigma), rtol=1e-12, atol=0)
-
-
-def eigvals_spectrum(sigma: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum as the moduli of the non-Hermitian eigvals of i Omega sigma.
-
-    The 2n moduli come in equal pairs; every other one, descending, is the
-    spectrum.  No Cholesky factor and no Hermitian solver is involved.
-    """
-    omega = tl.symplectic_form(sigma.shape[0] // 2)
-    return np.sort(np.abs(np.linalg.eigvals(1j * omega @ sigma)))[::-1][::2]
+    np.testing.assert_allclose(cov.nu, eigvals_spectrum(cov.sigma), rtol=1e-12, atol=0)
 
 
 def schur_williamson(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -602,3 +603,46 @@ class TestHermitianCore:
         # the moduli of a non-Hermitian spectrum are blind to these signs
         with pytest.raises(InvalidCovarianceError, match="not positive definite"):
             tl.CovarianceMatrix(len(diagonal) // 2, np.diag(diagonal))
+
+
+class TestStackedValidation:
+    """The constructor's checks and spectrum applied to a stack (..., 2n, 2n) at once."""
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 5])
+    def test_stacked_spectrum_equals_per_matrix_calls(self, n_modes):
+        stack = np.stack(
+            [tl.random_covariance(n_modes, seed, pure=seed % 2 == 0).sigma for seed in range(12)]
+        )
+        stacked = gaussian._spectrum_of(stack)
+        assert stacked.shape == (12, n_modes)
+        for row, sigma in zip(stacked, stack):
+            np.testing.assert_array_equal(row, gaussian._spectrum_of(sigma))
+        nested = gaussian._spectrum_of(stack.reshape((3, 4) + stack.shape[1:]))
+        np.testing.assert_array_equal(nested.reshape(stacked.shape), stacked)
+
+    def test_stacked_validation_keeps_the_constructor_spectra(self):
+        stack = np.stack([tl.random_covariance(2, seed).sigma for seed in range(6)])
+        spectra = gaussian._validated_spectra(stack)
+        for row, sigma in zip(spectra, stack):
+            np.testing.assert_array_equal(row, tl.CovarianceMatrix(2, sigma).nu)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.diag([1.0, np.nan, 1.0, 1.0]),
+            np.eye(4) + 1e-9 * np.eye(4, k=1),
+            np.diag([-1.0, -1.0, 1.0, 1.0]),
+            0.5 * np.eye(4),
+        ],
+        ids=["non-finite", "asymmetric", "not-positive-definite", "below-bound"],
+    )
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_one_bad_member_raises_as_it_would_alone(self, bad, position):
+        members = [tl.random_covariance(2, seed).sigma for seed in range(6)]
+        members.insert(position, bad)
+        with pytest.raises(InvalidCovarianceError) as alone:
+            tl.CovarianceMatrix(2, bad)
+        with pytest.raises(InvalidCovarianceError) as stacked:
+            gaussian._validated_spectra(np.stack(members))
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import tpslab as tl
-from tpslab import gaussian, twobody
+from tpslab import cli, gaussian, twobody
 from tpslab.gaussian import symplectic_eigenvalues, thermal_entropy
 
 EQUAL = tl.TwoBodyParams(1.0, 1.0, 1.0, 1.0)
@@ -435,6 +435,75 @@ def test_entanglement_functions_are_the_sweep_compositions(kappa):
     assert tl.internal_external_entanglement(params) == tl.internal_external_entropy(state, params)
 
 
+# coupling lists with zero, log-spread values and repeats, in any order
+kappa_lists = st.lists(st.just(0.0) | spread(1e-3, 1e3), min_size=1, max_size=10).flatmap(
+    lambda kappas: st.permutations(kappas + kappas[:3])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m1=spread(1e-3, 1e3),
+    m2=spread(1e-3, 1e3),
+    omega=spread(1e-2, 10.0),
+    kappas=kappa_lists,
+)
+def test_coupling_sweep_equals_the_per_kappa_route(m1, m2, omega, kappas):
+    interparticle, internal_external = tl.coupling_sweep(m1, m2, omega, kappas)
+    assert interparticle.shape == internal_external.shape == (len(kappas),)
+    for kappa, inter, internal in zip(kappas, interparticle, internal_external):
+        params = tl.TwoBodyParams(m1, m2, omega, kappa)
+        state = tl.ground_state_covariance(params)
+        assert inter == tl.gaussian_entropy_across(state, (0,))
+        assert internal == tl.internal_external_entropy(state, params)
+        expected = closed_form_entropy(params)
+        assert abs(inter - expected) <= 1e-10 * max(expected, 1e-3)
+
+
+def test_one_coupling_equals_its_place_in_a_long_sweep():
+    kappas = [i * 0.001 for i in range(4001)]
+    interparticle, internal_external = tl.coupling_sweep(1.0, 3.0, 1.0, kappas)
+    for i in (0, 1, 700, 2999, 4000):
+        one = tl.coupling_sweep(1.0, 3.0, 1.0, [kappas[i]])
+        assert one[0][0] == interparticle[i]
+        assert one[1][0] == internal_external[i]
+
+
+@pytest.mark.parametrize(
+    "kappas, message",
+    [
+        # a loop over the couplings stops at the first failing one
+        ([0.5, 1.0, -1.0], "unbound"),
+        ([-1.0, 1.0], "nonnegative"),
+        ([np.nan, -1.0], "finite"),
+    ],
+)
+def test_coupling_sweep_raises_for_the_first_failing_kappa(kappas, message):
+    # m1 = m2 = 1, w = 1.2e-7: w / W is 1.2e-7 at kappa = 0.5 (bound) and
+    # 8.5e-8 at kappa = 1, below UNBOUND_FREQUENCY_RATIO
+    with pytest.raises(ValueError, match=message):
+        tl.coupling_sweep(1.0, 1.0, 1.2e-7, kappas)
+
+
+@pytest.mark.parametrize("tolerance", ["NU_CONSTRUCTOR_TOL", "PURITY_NU_TOL"])
+def test_coupling_sweep_keeps_the_per_state_checks(monkeypatch, tolerance):
+    # with a tolerance no state can meet, the sweep fails as the per-state route does
+    monkeypatch.setattr(gaussian, tolerance, -1.0)
+    params = tl.TwoBodyParams(1.0, 3.0, 1.0, 0.7)
+    with pytest.raises(ValueError) as per_state:
+        tl.gaussian_entropy_across(tl.ground_state_covariance(params), (0,))
+    with pytest.raises(ValueError) as swept:
+        tl.coupling_sweep(1.0, 3.0, 1.0, [0.7, 0.0])
+    assert type(swept.value) is type(per_state.value)
+    assert str(swept.value) == str(per_state.value)
+
+
+@pytest.mark.parametrize("kappas", [[], [[1.0, 2.0]]])
+def test_coupling_sweep_rejects_empty_or_nested_couplings(kappas):
+    with pytest.raises(ValueError, match="1-D"):
+        tl.coupling_sweep(1.0, 1.0, 1.0, kappas)
+
+
 @pytest.fixture
 def construction_calls(monkeypatch):
     """Counts matrix inversions, validated-map constructions and symplectic spectra."""
@@ -469,4 +538,14 @@ def test_construction_counter_sees_the_public_maps(construction_calls):
     tl.scaled_hamiltonian(EQUAL)
     assert construction_calls == {
         "inv": 0, "SymplecticMatrix": 1, "QuadraticHamiltonian": 2, "_spectrum_of": 0
+    }
+
+
+def test_cli_sweep_makes_four_spectra_for_all_kappas(construction_calls, tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["twobody", "sweep", "--m1", "1", "--m2", "3", "--omega", "1", "--kappa", "0:4:0.001"]
+    assert cli.run(argv + ["--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4002
+    assert construction_calls == {
+        "inv": 0, "SymplecticMatrix": 0, "QuadraticHamiltonian": 0, "_spectrum_of": 4
     }
