@@ -21,6 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import scattering, twobody
+from ._checks import RANGE_STEP_SLACK, symplectic_defect, williamson_residual
 from .findim import Factorization, TpsFrame, entanglement_entropy, random_unitary
 from .gaussian import gaussian_entropy_across, symplectic_form, williamson
 from .serialization import (
@@ -63,7 +64,7 @@ def _parse_range(text: str) -> list[float]:
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    count = int(math.floor((stop - start) / step + RANGE_STEP_SLACK)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -149,11 +150,8 @@ def _cmd_zanardi(args) -> int:
 def _cmd_gaussian_williamson(args) -> int:
     state = gaussian_state_from_dict(load_json(args.infile))
     s, nu = williamson(state.cov)
-    normal_form = np.diag(np.repeat(nu, 2))
-    residual = np.linalg.norm(s.matrix @ state.cov.sigma @ s.matrix.T - normal_form)
-    residual /= np.linalg.norm(state.cov.sigma)
-    omega = symplectic_form(state.n_modes)
-    defect = np.linalg.norm(s.matrix.T @ omega @ s.matrix - omega)
+    residual = williamson_residual(s.matrix, state.cov.sigma, nu)
+    defect = symplectic_defect(s.matrix, symplectic_form(state.n_modes))
     print("nu=" + ",".join(_fmt(v) for v in nu))
     for i, row in enumerate(s.matrix):
         print(f"S[{i}]=" + ",".join(_fmt(x) for x in row))

@@ -16,10 +16,13 @@ Conventions
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import EIGENVALUE_FLOOR, HERMITICITY_TOL, NORM_TOL, TRACE_TOL, UNITARITY_TOL
+from ._checks import OPERATOR_RANK_TOL, PHASE_FLOOR, SCHMIDT_SUM_TOL, descending_probabilities
+from ._checks import frozen_array, require_hermitian, require_integer, require_size
 
 __all__ = [
     "PureState",
@@ -41,32 +44,6 @@ __all__ = [
     "random_density",
 ]
 
-NORM_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
-UNITARITY_TOL = 1e-10
-
-
-def _frozen_array(a, dtype=complex) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
-def _require_finite(what: str, values, error=ValueError) -> None:
-    # tolerance checks alone let NaN through: abs(nan - 1) > tol is False
-    if not np.isfinite(values).all():
-        raise error(f"{what} must be finite")
-
-
-def _require_integer(what: str, value) -> int:
-    """``value`` as an int; NumPy integers pass, anything else raises instead of truncating."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be integers, got {value!r}") from None
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -76,13 +53,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _frozen_array(self.amplitudes)
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
-        if amps.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} amplitudes, got shape {amps.shape}")
-        _require_finite("amplitudes", amps)
-        norm = np.linalg.norm(amps)
+        dim = require_size("dimensions", self.dim)
+        amps = frozen_array("amplitudes", self.amplitudes, (dim,), complex)
+        norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |psi| = {norm!r}")
         object.__setattr__(self, "amplitudes", amps)
@@ -100,18 +73,13 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen_array(self.matrix)
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {mat.shape}")
-        _require_finite("density matrix", mat)
-        if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        tr = np.trace(mat)
+        dim = require_size("dimensions", self.dim)
+        mat = frozen_array("density matrix", self.matrix, (dim, dim), complex)
+        require_hermitian("density matrix", mat, HERMITICITY_TOL)
+        tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        lowest = np.linalg.eigvalsh(mat)[0]
+        lowest = float(np.linalg.eigvalsh(mat)[0])
         if lowest < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {lowest!r} below {EIGENVALUE_FLOOR}")
         object.__setattr__(self, "matrix", mat)
@@ -125,9 +93,9 @@ class Factorization:
     factors: tuple[int, int]
 
     def __post_init__(self):
-        d, k1, k2 = (_require_integer("dimension and factors", v) for v in (self.d, *self.factors))
+        d, k1, k2 = (require_integer("dimension and factors", v) for v in (self.d, *self.factors))
         if k1 < 2 or k2 < 2:
-            raise ValueError(f"both factors must be >= 2, got {self.factors}")
+            raise ValueError(f"both factors must be >= 2, got {(k1, k2)}")
         if k1 * k2 != d:
             raise ValueError(f"{k1}*{k2} != {d}")
         object.__setattr__(self, "d", d)
@@ -156,14 +124,11 @@ class TpsFrame:
 
     def __post_init__(self):
         d = self.factorization.d
-        mat = _frozen_array(self.frame)
-        if mat.shape != (d, d):
-            raise ValueError(f"frame must be {d}x{d}, got {mat.shape}")
-        _require_finite("frame", mat)
+        mat = frozen_array("frame", self.frame, (d, d), complex)
         # exact identity needs no O(d^3) unitarity check
         is_identity = np.count_nonzero(mat) == d and bool(np.all(mat.diagonal() == 1.0))
         if not is_identity:
-            defect = np.linalg.norm(mat.conj().T @ mat - np.eye(d))
+            defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(d)))
             if defect > UNITARITY_TOL:
                 raise ValueError(f"frame is not unitary: ||U^dag U - I||_F = {defect!r}")
         object.__setattr__(self, "frame", mat)
@@ -201,14 +166,14 @@ class SchmidtData:
     right_vectors: np.ndarray
 
     def __post_init__(self):
-        coeffs = _frozen_array(self.coefficients, dtype=float)
-        if np.any(np.diff(coeffs) > 1e-14):
-            raise ValueError("Schmidt coefficients must be descending")
-        if abs(coeffs.sum() - 1.0) > 1e-10:
-            raise ValueError(f"Schmidt coefficients sum to {coeffs.sum()!r}, expected 1")
+        coeffs = descending_probabilities(
+            "Schmidt coefficients", self.coefficients, SCHMIDT_SUM_TOL
+        )
+        left = frozen_array("left vectors", self.left_vectors, dtype=complex)
+        right = frozen_array("right vectors", self.right_vectors, dtype=complex)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "left_vectors", _frozen_array(self.left_vectors))
-        object.__setattr__(self, "right_vectors", _frozen_array(self.right_vectors))
+        object.__setattr__(self, "left_vectors", left)
+        object.__setattr__(self, "right_vectors", right)
 
 
 _BELL_VECTORS = {
@@ -263,13 +228,13 @@ def apply_frame(state, frame: TpsFrame):
 
 
 def _fix_phases(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # First component of each left vector above 1e-12 is rotated to the
+    # First component of each left vector above PHASE_FLOOR is rotated to the
     # positive real axis; the compensating phase goes on the right vector.
     left = left.copy()
     right = right.copy()
     for i in range(left.shape[1]):
         col = left[:, i]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
+        nonzero = np.flatnonzero(np.abs(col) > PHASE_FLOOR)
         if nonzero.size == 0:
             continue
         phase = col[nonzero[0]] / abs(col[nonzero[0]])
@@ -380,7 +345,9 @@ def negativity(rho: DensityMatrix, frame: TpsFrame) -> float:
     return max(0.0, float((np.abs(eigs).sum() - 1.0) / 2.0))
 
 
-def operator_schmidt_rank(matrix: np.ndarray, factorization: Factorization, tol: float = 1e-10) -> int:
+def operator_schmidt_rank(
+    matrix: np.ndarray, factorization: Factorization, tol: float = OPERATOR_RANK_TOL
+) -> int:
     """Number of product terms needed to write an operator on ``k1 (x) k2``.
 
     The operator is reshuffled to a ``k1^2 x k2^2`` matrix whose singular
@@ -389,9 +356,7 @@ def operator_schmidt_rank(matrix: np.ndarray, factorization: Factorization, tol:
     factors as ``A (x) B``.
     """
     d = factorization.d
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} matrix, got {m.shape}")
+    m = frozen_array("operator", matrix, (d, d), complex)
     k1, k2 = factorization.k1, factorization.k2
     reshuffled = m.reshape(k1, k2, k1, k2).transpose(0, 2, 1, 3).reshape(k1 * k1, k2 * k2)
     s = np.linalg.svd(reshuffled, compute_uv=False)
@@ -403,20 +368,19 @@ def operator_schmidt_rank(matrix: np.ndarray, factorization: Factorization, tol:
 def spectrum(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues of a density matrix, descending, roundoff clipped to zero.
 
-    Eigenvalues in ``[-1e-10, 0)`` are treated as roundoff and clipped;
+    Eigenvalues in ``[EIGENVALUE_FLOOR, 0)`` are treated as roundoff and clipped;
     anything more negative raises, since it indicates a bug rather than
     noise.
     """
     eigs = np.linalg.eigvalsh(rho.matrix)[::-1]
     if eigs[-1] < EIGENVALUE_FLOOR:
-        raise ValueError(f"eigenvalue {eigs[-1]!r} below clipping floor {EIGENVALUE_FLOOR}")
+        raise ValueError(f"eigenvalue {float(eigs[-1])!r} below clipping floor {EIGENVALUE_FLOOR}")
     return np.clip(eigs, 0.0, None)
 
 
 def random_pure(d: int, seed) -> PureState:
     """Haar-random pure state (normalized complex Gaussian vector)."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
+    d = require_size("dimensions", d)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(d, z / np.linalg.norm(z))
@@ -428,8 +392,7 @@ def random_unitary(d: int, seed) -> np.ndarray:
     The R-diagonal phases are absorbed into Q, which makes the
     distribution exactly Haar and the output reproducible for a seed.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
+    d = require_size("dimensions", d)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -444,8 +407,7 @@ def random_density(d: int, rank: int, seed) -> DensityMatrix:
     ``d * rank``-dimensional space, which forces the requested rank
     almost surely.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
+    d = require_size("dimensions", d)
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in [1, {d}], got {rank}")
     psi = random_pure(d * rank, seed)

@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .findim import _require_finite, _require_integer, random_unitary
+from ._checks import NU_CONSTRUCTOR_TOL, PURITY_NU_TOL, SEPARABLE_NU_GUARD, SYMMETRY_TOL
+from ._checks import SYMPLECTIC_TOL, WILLIAMSON_RESIDUAL_TOL, frozen_array, require_finite
+from ._checks import require_hermitian, require_integer, require_size, symplectic_defect
+from ._checks import williamson_residual
+from .findim import random_unitary
 
 __all__ = [
     "InvalidCovarianceError",
@@ -39,13 +43,6 @@ __all__ = [
     "random_covariance",
 ]
 
-SYMMETRY_TOL = 1e-12
-SYMPLECTIC_TOL = 1e-10
-NU_CONSTRUCTOR_TOL = 1e-8
-PURITY_NU_TOL = 1e-8
-WILLIAMSON_RESIDUAL_TOL = 1e-8
-
-
 class InvalidCovarianceError(ValueError):
     """Covariance matrix violates symmetry or the uncertainty bound."""
 
@@ -56,8 +53,7 @@ class WilliamsonError(RuntimeError):
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """The 2n x 2n form Omega, block diagonal in [[0, 1], [-1, 0]]."""
-    if n_modes < 1:
-        raise ValueError(f"mode count must be positive, got {n_modes}")
+    n_modes = require_size("mode counts", n_modes)
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for i in range(n_modes):
         omega[2 * i, 2 * i + 1] = 1.0
@@ -100,11 +96,10 @@ def _validated_spectra(sigma: np.ndarray) -> np.ndarray:
     ``InvalidCovarianceError``; with one bad member it is the error
     ``CovarianceMatrix`` raises on that member alone.
     """
-    _require_finite("covariance matrix", sigma, InvalidCovarianceError)
-    if np.abs(sigma - np.swapaxes(sigma, -1, -2)).max() > SYMMETRY_TOL:
-        raise InvalidCovarianceError("covariance matrix is not symmetric")
+    require_finite("covariance matrix", sigma, InvalidCovarianceError)
+    require_hermitian("covariance matrix", sigma, SYMMETRY_TOL, InvalidCovarianceError)
     nu = _spectrum_of(sigma)
-    smallest = nu[..., -1].min()
+    smallest = float(nu[..., -1].min())
     if smallest < 1.0 - NU_CONSTRUCTOR_TOL:
         raise InvalidCovarianceError(
             f"uncertainty bound violated: smallest symplectic eigenvalue {smallest!r} < 1"
@@ -112,9 +107,14 @@ def _validated_spectra(sigma: np.ndarray) -> np.ndarray:
     return nu
 
 
+def _all_pure(nu: np.ndarray) -> bool:
+    """True when every spectrum in ``nu`` (..., n) is 1 within ``PURITY_NU_TOL``."""
+    return bool(np.all(np.abs(nu - 1.0) <= PURITY_NU_TOL))
+
+
 def _require_pure(nu: np.ndarray) -> None:
-    """Raise unless every spectrum in ``nu`` (..., n) is 1 within ``PURITY_NU_TOL``."""
-    if not np.all(np.abs(nu - 1.0) <= PURITY_NU_TOL):
+    """Raise unless ``_all_pure(nu)``."""
+    if not _all_pure(nu):
         raise ValueError(
             "state is not pure, so the reduced entropy is not an entanglement "
             "measure; use log_negativity_two_mode for mixed two-mode states"
@@ -135,16 +135,10 @@ class SymplecticMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        size = 2 * self.n_modes
-        if mat.shape != (size, size):
-            raise ValueError(f"expected a {size}x{size} matrix, got {mat.shape}")
-        _require_finite("symplectic matrix", mat)
-        omega = symplectic_form(self.n_modes)
-        defect = np.linalg.norm(mat.T @ omega @ mat - omega)
+        mat = frozen_array("symplectic matrix", self.matrix, (2 * self.n_modes,) * 2)
+        defect = float(symplectic_defect(mat, symplectic_form(self.n_modes)))
         if defect > SYMPLECTIC_TOL:
             raise ValueError(f"matrix is not symplectic: ||S^T Omega S - Omega||_F = {defect!r}")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
 
@@ -152,10 +146,10 @@ class SymplecticMatrix:
 class CovarianceMatrix:
     """Symmetric covariance matrix satisfying the uncertainty bound.
 
-    Validity means symmetric, positive definite and all symplectic
-    eigenvalues >= 1 (up to 1e-8 of roundoff); the constructor rejects
-    anything else.  ``nu`` keeps the spectrum it checked: n values,
-    descending, read-only.
+    Validity means symmetric within ``SYMMETRY_TOL``, positive definite and
+    all symplectic eigenvalues >= 1 - ``NU_CONSTRUCTOR_TOL`` (roundoff); the
+    constructor rejects anything else.  ``nu`` keeps the spectrum it
+    checked: n values, descending, read-only.
     """
 
     n_modes: int
@@ -163,12 +157,9 @@ class CovarianceMatrix:
     nu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.array(self.sigma, dtype=float)
-        size = 2 * self.n_modes
-        if mat.shape != (size, size):
-            raise ValueError(f"expected a {size}x{size} matrix, got {mat.shape}")
+        size = (2 * self.n_modes,) * 2
+        mat = frozen_array("covariance matrix", self.sigma, size, error=InvalidCovarianceError)
         nu = _validated_spectra(mat)
-        mat.setflags(write=False)
         nu.setflags(write=False)
         object.__setattr__(self, "sigma", mat)
         object.__setattr__(self, "nu", nu)
@@ -182,12 +173,7 @@ class GaussianState:
     mean: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        if mean.shape != (2 * self.cov.n_modes,):
-            raise ValueError(f"mean must have length {2 * self.cov.n_modes}, got {mean.shape}")
-        _require_finite("mean", mean)
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "mean", frozen_array("mean", self.mean, (2 * self.cov.n_modes,)))
 
     @property
     def n_modes(self) -> int:
@@ -207,11 +193,11 @@ def williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray]:
     """Symplectic transform to thermal normal form.
 
     Returns ``(S, nu)`` with ``S sigma S^T = diag(nu_1, nu_1, ..., nu_n,
-    nu_n)`` and nu descending.  With sigma = L L^T, the eigenvector ``u =
-    (a + ib)/sqrt(2)`` of ``i L^T Omega L`` for each nu gives the columns
-    (b, a) of an orthogonal K, and ``S = diag(nu)^(-1/2) K^T L^T Omega``
-    inverts nothing.  S is not unique, so callers should assert the
-    reconstruction rather than S itself.
+    nu_n)`` and nu a fresh copy of the kept spectrum ``cov.nu``.  With
+    sigma = L L^T, the eigenvector ``u = (a + ib)/sqrt(2)`` of ``i L^T Omega
+    L`` for each nu gives the columns (b, a) of an orthogonal K, and ``S =
+    diag(nu)^(-1/2) K^T L^T Omega`` inverts nothing.  S is not unique, so
+    callers should assert the reconstruction rather than S itself.
 
     Raises
     ------
@@ -220,27 +206,23 @@ def williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray]:
         or S fails the ``SymplecticMatrix`` check (defect above
         ``SYMPLECTIC_TOL``); the failure is reported, never silent.
     """
-    sigma, n = cov.sigma, cov.n_modes
+    sigma, n, nu = cov.sigma, cov.n_modes, cov.nu
     chol, herm = _hermitian_core(sigma)
-    evals, evecs = np.linalg.eigh(herm)
-    nu = evals[n:][::-1]
-    pairs = np.sqrt(2.0) * evecs[:, n:][:, ::-1]
+    pairs = np.sqrt(2.0) * np.linalg.eigh(herm)[1][:, n:][:, ::-1]
     k = np.stack([pairs.imag, pairs.real], axis=2).reshape(2 * n, 2 * n)
     s = (k.T @ chol.T @ symplectic_form(n)) / np.sqrt(np.repeat(nu, 2))[:, None]
-
-    normal_form = np.diag(np.repeat(nu, 2))
-    residual = np.linalg.norm(s @ sigma @ s.T - normal_form) / np.linalg.norm(sigma)
+    residual = float(williamson_residual(s, sigma, nu))
     if residual > WILLIAMSON_RESIDUAL_TOL:
         raise WilliamsonError(f"reconstruction residual {residual!r} exceeds tolerance")
     try:
-        return SymplecticMatrix(n, s), nu
+        return SymplecticMatrix(n, s), nu.copy()
     except ValueError as err:
         raise WilliamsonError(str(err)) from err
 
 
 def is_pure(cov: CovarianceMatrix) -> bool:
-    """True when every symplectic eigenvalue equals 1 within 1e-8."""
-    return bool(np.all(np.abs(cov.nu - 1.0) <= PURITY_NU_TOL))
+    """True when every symplectic eigenvalue equals 1 within ``PURITY_NU_TOL``."""
+    return _all_pure(cov.nu)
 
 
 def gaussian_purity(cov: CovarianceMatrix) -> float:
@@ -259,7 +241,7 @@ def reduce_modes(state: GaussianState, keep) -> GaussianState:
     The reduced covariance is the principal submatrix on the kept modes,
     the reduced mean the matching subvector.
     """
-    indices = sorted({_require_integer("mode indices", i) for i in keep})
+    indices = sorted({require_integer("mode indices", i) for i in keep})
     if not indices:
         raise ValueError("must keep at least one mode")
     if indices[0] < 0 or indices[-1] >= state.n_modes:
@@ -301,7 +283,7 @@ def gaussian_entropy_across(state: GaussianState, side_a) -> float:
         Sum of ``thermal_entropy`` over the symplectic spectrum of the
         reduced covariance.
     """
-    indices = sorted({_require_integer("mode indices", i) for i in side_a})
+    indices = sorted({require_integer("mode indices", i) for i in side_a})
     if not 0 < len(indices) < state.n_modes:
         raise ValueError("bipartition must be a proper nonempty subset of the modes")
     _require_pure(state.cov.nu)
@@ -323,7 +305,7 @@ def log_negativity_two_mode(state: GaussianState) -> float:
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     transposed = flip @ state.cov.sigma @ flip
     nu_minus = _spectrum_of(transposed)[-1]
-    if nu_minus >= 1.0 - 1e-12:  # roundoff guard: separable states report exactly 0
+    if nu_minus >= 1.0 - SEPARABLE_NU_GUARD:
         return 0.0
     return float(-np.log(nu_minus))
 

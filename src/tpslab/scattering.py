@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .findim import PureState, _entropy_nats, _require_finite, _schmidt_probabilities
+from ._checks import CLOSING_SPEED_FLOOR, HERMITICITY_TOL, PACKET_NORM_FLOOR, require_finite
+from ._checks import require_hermitian, require_integer
+from .findim import PureState, _entropy_nats, _schmidt_probabilities
 
 __all__ = [
     "WavePacket",
@@ -43,7 +45,7 @@ class WavePacket:
     momentum: float
 
     def __post_init__(self):
-        _require_finite("packet parameters", (self.center, self.width, self.momentum))
+        require_finite("packet parameters", (self.center, self.width, self.momentum))
         if self.width <= 0.0:
             raise ValueError(f"packet width must be positive, got {self.width}")
         if not -np.pi < self.momentum <= np.pi:
@@ -61,8 +63,8 @@ class LatticeConfig:
     packet_b: WavePacket
 
     def __post_init__(self):
-        _require_finite("hopping and interaction", (self.hopping, self.interaction))
-        if not MIN_SITES <= self.n_sites <= MAX_SITES:
+        require_finite("hopping and interaction", (self.hopping, self.interaction))
+        if not MIN_SITES <= require_integer("site counts", self.n_sites) <= MAX_SITES:
             raise ValueError(
                 f"site count must be in [{MIN_SITES}, {MAX_SITES}], got {self.n_sites}"
             )
@@ -76,7 +78,7 @@ def single_particle_packet(n_sites: int, packet: WavePacket) -> np.ndarray:
     envelope = np.exp(-((sites - packet.center) ** 2) / (4.0 * packet.width**2))
     amps = envelope * np.exp(1j * packet.momentum * sites)
     norm = np.linalg.norm(amps)
-    if norm < 1e-12:
+    if norm < PACKET_NORM_FLOOR:
         raise ValueError("packet has zero norm on the lattice; move its center onto the chain")
     return amps / norm
 
@@ -118,8 +120,7 @@ def evolve(psi: PureState, h: np.ndarray, times) -> list[PureState]:
     h = np.asarray(h)
     if h.shape != (dim, dim):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match dimension {dim}")
-    if np.abs(h - h.conj().T).max() > 1e-12:
-        raise ValueError("Hamiltonian must be Hermitian")
+    require_hermitian("Hamiltonian", h, HERMITICITY_TOL)
     energies, modes = np.linalg.eigh(h)
     weights = modes.conj().T @ psi.amplitudes
     # converted once here rather than upcast by every product below
@@ -158,6 +159,6 @@ def collision_time(config: LatticeConfig) -> float:
     v_a = 2.0 * config.hopping * np.sin(config.packet_a.momentum)
     v_b = 2.0 * config.hopping * np.sin(config.packet_b.momentum)
     closing = abs(v_a - v_b)
-    if closing < 1e-12:
+    if closing < CLOSING_SPEED_FLOOR:
         raise ValueError("packets do not approach each other; no collision time")
     return float(separation / closing)

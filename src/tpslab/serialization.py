@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 
+from ._checks import frozen_array
 from .findim import DensityMatrix, Factorization, PureState, TpsFrame
 from .gaussian import CovarianceMatrix, GaussianState
 
@@ -54,21 +55,12 @@ def _complex_vector_to_pairs(vec: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def _pairs_to_complex_vector(pairs, length: int) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.shape != (length, 2):
-        raise ValueError(f"expected {length} [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
 def _complex_matrix_to_pairs(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
-def _pairs_to_complex_matrix(rows, dim: int) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape != (dim, dim, 2):
-        raise ValueError(f"expected a {dim}x{dim} matrix of [re, im] pairs, got {arr.shape}")
+def _pairs_to_complex(what: str, pairs, shape: tuple) -> np.ndarray:
+    arr = frozen_array(f"{what} of [re, im] pairs", pairs, (*shape, 2))
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -79,7 +71,7 @@ def pure_state_to_dict(state: PureState) -> dict:
 def pure_state_from_dict(data: dict) -> PureState:
     _check_keys(data, {"dim", "amplitudes"})
     dim = _json_int("dim", data["dim"])
-    return PureState(dim, _pairs_to_complex_vector(data["amplitudes"], dim))
+    return PureState(dim, _pairs_to_complex("amplitudes", data["amplitudes"], (dim,)))
 
 
 def density_matrix_to_dict(rho: DensityMatrix) -> dict:
@@ -89,7 +81,7 @@ def density_matrix_to_dict(rho: DensityMatrix) -> dict:
 def density_matrix_from_dict(data: dict) -> DensityMatrix:
     _check_keys(data, {"dim", "matrix"})
     dim = _json_int("dim", data["dim"])
-    return DensityMatrix(dim, _pairs_to_complex_matrix(data["matrix"], dim))
+    return DensityMatrix(dim, _pairs_to_complex("matrix", data["matrix"], (dim, dim)))
 
 
 def frame_to_dict(frame: TpsFrame) -> dict:
@@ -109,7 +101,7 @@ def frame_from_dict(data: dict) -> TpsFrame:
     factorization = Factorization(d, tuple(_json_int("factors", k) for k in factors))
     if data["frame"] == "identity":
         return TpsFrame.identity(factorization)
-    return TpsFrame(factorization, _pairs_to_complex_matrix(data["frame"], d))
+    return TpsFrame(factorization, _pairs_to_complex("frame", data["frame"], (d, d)))
 
 
 def gaussian_state_to_dict(state: GaussianState) -> dict:
@@ -123,11 +115,7 @@ def gaussian_state_to_dict(state: GaussianState) -> dict:
 def gaussian_state_from_dict(data: dict) -> GaussianState:
     _check_keys(data, {"n_modes", "sigma"}, optional={"mean"})
     n = _json_int("n_modes", data["n_modes"])
-    sigma = np.asarray(data["sigma"], dtype=float)
-    if sigma.shape != (2 * n, 2 * n):
-        raise ValueError(f"sigma must be {2 * n}x{2 * n}, got {sigma.shape}")
-    mean = np.asarray(data.get("mean", np.zeros(2 * n)), dtype=float)
-    return GaussianState(CovarianceMatrix(n, sigma), mean)
+    return GaussianState(CovarianceMatrix(n, data["sigma"]), data.get("mean", np.zeros(2 * n)))
 
 
 def _reject_constant(name: str):

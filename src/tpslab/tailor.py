@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .findim import Factorization, PureState, TpsFrame, _conjugate, _require_finite
+from ._checks import CERTIFICATE_MARGIN, COMMUTATOR_TOL, GENERATOR_HERMITICITY_TOL, RANK_TOL
+from ._checks import TARGET_SUM_TOL, descending_probabilities, frozen_array, require_hermitian
+from .findim import Factorization, PureState, TpsFrame, _conjugate
 
 __all__ = [
     "TargetSpectrum",
@@ -29,13 +31,6 @@ __all__ = [
     "conjugate_subalgebra",
 ]
 
-COMMUTATOR_TOL = 1e-8
-RANK_TOL = 1e-8
-# relative width added to the certified band around the rank threshold; it
-# covers the roundoff of either SVD near the threshold, about m * eps / RANK_TOL
-# for m = |A| |B| products (3e-5 at d = 36)
-CERTIFICATE_MARGIN = 1e-2
-
 LOCAL_ACCESSIBILITY_NOTE = (
     "not assessed: whether each subalgebra corresponds to controllable "
     "observables is a physical question outside this checker"
@@ -49,17 +44,7 @@ class TargetSpectrum:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probabilities, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("target spectrum must be a nonempty 1d sequence")
-        _require_finite("target probabilities", probs)
-        if np.any(probs < 0.0):
-            raise ValueError("target probabilities must be nonnegative")
-        if np.any(np.diff(probs) > 1e-14):
-            raise ValueError("target probabilities must be descending")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"target probabilities sum to {probs.sum()!r}, expected 1")
-        probs.setflags(write=False)
+        probs = descending_probabilities("target probabilities", self.probabilities, TARGET_SUM_TOL)
         object.__setattr__(self, "probabilities", probs)
 
     @classmethod
@@ -90,16 +75,11 @@ class SubalgebraBasis:
         if self.side not in ("A", "B"):
             raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
         k = self.frame.k1 if self.side == "A" else self.frame.k2
-        gens = tuple(np.asarray(g, dtype=complex) for g in self.generators)
+        gens = tuple(frozen_array("generator", g, (self.d,) * 2, complex) for g in self.generators)
         if len(gens) != k * k:
             raise ValueError(f"expected {k * k} generators for factor {k}, got {len(gens)}")
         for g in gens:
-            if g.shape != (self.d, self.d):
-                raise ValueError(f"generator shape {g.shape} does not match d = {self.d}")
-            _require_finite("generators", g)
-            if np.abs(g - g.conj().T).max() > 1e-10:
-                raise ValueError("generators must be Hermitian")
-            g.setflags(write=False)
+            require_hermitian("generator", g, GENERATOR_HERMITICITY_TOL)
         object.__setattr__(self, "generators", gens)
 
 
@@ -222,10 +202,7 @@ def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
 def _generator_list(gens) -> list[np.ndarray]:
     if isinstance(gens, SubalgebraBasis):
         return list(gens.generators)
-    mats = [np.asarray(g, dtype=complex) for g in gens]
-    for g in mats:
-        _require_finite("generators", g)
-    return mats
+    return [frozen_array("generators", g, dtype=complex) for g in gens]
 
 
 def _dense_span_dimension(list_a, list_b) -> int:
@@ -279,10 +256,10 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
     """Check subsystem independence and completeness of two generator sets.
 
     Independence holds when every cross pair commutes (largest commutator
-    Frobenius norm below 1e-8).  Completeness holds when the pairwise
-    products, flattened to d^2-vectors, span the full operator space; the
-    span dimension is the number of singular values of the product matrix
-    above 1e-8 of the largest.
+    Frobenius norm below ``COMMUTATOR_TOL``).  Completeness holds when the
+    pairwise products, flattened to d^2-vectors, span the full operator
+    space; the span dimension is the number of singular values of the
+    product matrix above ``RANK_TOL`` times the largest.
 
     The span dimension is certified without the d^6 SVD of the product
     matrix.  A thin SVD of each side's stacked generators writes the
@@ -335,12 +312,9 @@ def conjugate_subalgebra(gens: SubalgebraBasis, u: np.ndarray) -> SubalgebraBasi
     consistently: if the old generators came from frame V, the new ones
     come from ``V U^dag``.
     """
-    u = np.asarray(u, dtype=complex)
-    d = gens.d
-    if u.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} unitary, got {u.shape}")
+    u = frozen_array("unitary", u, (gens.d, gens.d), complex)
     # the new frame's own unitarity check rejects a bad u before the
     # generators are conjugated
     new_frame = TpsFrame(gens.frame.factorization, gens.frame.frame @ u.conj().T)
     conjugated = tuple(_conjugate(u, g) for g in gens.generators)
-    return SubalgebraBasis(d, conjugated, gens.side, new_frame)
+    return SubalgebraBasis(gens.d, conjugated, gens.side, new_frame)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .findim import _require_finite
+from ._checks import SYMMETRY_TOL, UNBOUND_FREQUENCY_RATIO, frozen_array, require_finite
+from ._checks import require_hermitian
 from .gaussian import (
     CovarianceMatrix,
     GaussianState,
@@ -51,12 +52,6 @@ __all__ = [
     "galilean_boost",
 ]
 
-# Below this ratio of normal-mode frequencies w / W the mass-scaled ground
-# state is squeezed by W / w, and its computed symplectic spectrum drifts by
-# about eps * W / w (up to 9e-10 at 1e-7, 9e-9 at 1e-8): far enough inside
-# the covariance check's 1e-8 to report "unbound" rather than fail it.
-UNBOUND_FREQUENCY_RATIO = 1e-7
-
 _OMEGA = symplectic_form(2)
 
 
@@ -74,7 +69,7 @@ class TwoBodyParams:
     kappa: float
 
     def __post_init__(self):
-        _require_finite("two-body parameters", (self.m1, self.m2, self.omega_trap, self.kappa))
+        require_finite("two-body parameters", (self.m1, self.m2, self.omega_trap, self.kappa))
         if self.m1 <= 0.0 or self.m2 <= 0.0:
             raise ValueError(f"masses must be positive, got {self.m1}, {self.m2}")
         if self.omega_trap < 0.0 or self.kappa < 0.0:
@@ -104,14 +99,8 @@ class QuadraticHamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        size = 2 * self.n_modes
-        if mat.shape != (size, size):
-            raise ValueError(f"expected a {size}x{size} matrix, got {mat.shape}")
-        _require_finite("Hamiltonian matrix", mat)
-        if np.abs(mat - mat.T).max() > 1e-12:
-            raise ValueError("Hamiltonian matrix must be symmetric")
-        mat.setflags(write=False)
+        mat = frozen_array("Hamiltonian matrix", self.matrix, (2 * self.n_modes,) * 2)
+        require_hermitian("Hamiltonian matrix", mat, SYMMETRY_TOL)
         object.__setattr__(self, "matrix", mat)
 
 

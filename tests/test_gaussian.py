@@ -200,6 +200,15 @@ class TestWilliamson:
         with pytest.raises(tl.WilliamsonError, match=message):
             tl.williamson(cov)
 
+    def test_returns_the_kept_spectrum(self):
+        # one state reports one spectrum: the constructor's, bit for bit, as a fresh copy
+        cov = tl.random_covariance(200, 3)
+        s, nu = tl.williamson(cov)
+        np.testing.assert_array_equal(nu, cov.nu)
+        assert nu.flags.writeable and not np.shares_memory(nu, cov.nu)
+        normal = s.matrix @ cov.sigma @ s.matrix.T
+        np.testing.assert_allclose(np.diag(normal), np.repeat(cov.nu, 2), rtol=1e-10)
+
 
 class TestPurity:
     def test_vacuum_is_pure(self):

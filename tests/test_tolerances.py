@@ -1,0 +1,154 @@
+"""Tests for the tolerance table and the checks every validated type shares.
+
+The table test reads the package's source: a tolerance typed as a bare
+literal anywhere but ``_checks.py`` is a second definition of it.
+"""
+
+import ast
+import importlib
+import inspect
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+import tpslab as tl
+from tpslab import _checks, gaussian, serialization
+from tpslab.cli import run
+
+PACKAGE = pathlib.Path(tl.__file__).parent
+
+# every tolerance that had a name before the table, with its module and value
+OLD_TOLERANCES = [
+    ("findim", "NORM_TOL", 1e-12),
+    ("findim", "HERMITICITY_TOL", 1e-12),
+    ("findim", "TRACE_TOL", 1e-12),
+    ("findim", "EIGENVALUE_FLOOR", -1e-10),
+    ("findim", "UNITARITY_TOL", 1e-10),
+    ("gaussian", "SYMMETRY_TOL", 1e-12),
+    ("gaussian", "SYMPLECTIC_TOL", 1e-10),
+    ("gaussian", "NU_CONSTRUCTOR_TOL", 1e-8),
+    ("gaussian", "PURITY_NU_TOL", 1e-8),
+    ("gaussian", "WILLIAMSON_RESIDUAL_TOL", 1e-8),
+    ("tailor", "COMMUTATOR_TOL", 1e-8),
+    ("tailor", "RANK_TOL", 1e-8),
+    ("tailor", "CERTIFICATE_MARGIN", 1e-2),
+    ("twobody", "UNBOUND_FREQUENCY_RATIO", 1e-7),
+]
+
+
+def small_float_literals(path: pathlib.Path) -> list[tuple[int, float]]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0.0 < abs(node.value) < 1e-6
+    ]
+
+
+class TestToleranceTable:
+    def test_no_tolerance_literal_outside_the_table(self):
+        found = {
+            path.name: small_float_literals(path)
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "_checks.py"
+        }
+        assert {name: hits for name, hits in found.items() if hits} == {}
+
+    def test_scan_sees_the_table(self):
+        # guards the test above against a scan that finds nothing anywhere
+        assert len(small_float_literals(PACKAGE / "_checks.py")) >= 13
+
+    @pytest.mark.parametrize("module, name, value", OLD_TOLERANCES)
+    def test_old_names_import_from_their_modules(self, module, name, value):
+        assert getattr(importlib.import_module(f"tpslab.{module}"), name) == value
+        assert getattr(_checks, name) == value
+
+    def test_operator_rank_default_is_unchanged(self):
+        assert inspect.signature(tl.operator_schmidt_rank).parameters["tol"].default == 1e-10
+
+
+SYMPLECTIC_2 = tl.random_symplectic(2, 3).matrix
+FRAME_22 = tl.TpsFrame.identity(tl.Factorization(4, (2, 2)))
+PACKET = tl.WavePacket(4.0, 2.0, 1.0)
+
+NON_INTEGER_SIZES = {
+    "PureState.dim": lambda: tl.PureState(4.0, np.full(4, 0.5)),
+    "DensityMatrix.dim": lambda: tl.DensityMatrix(2.0, np.eye(2) / 2),
+    "SubalgebraBasis.d": lambda: tl.SubalgebraBasis(
+        4.0, tl.subalgebra_generators(FRAME_22, "A").generators, "A", FRAME_22
+    ),
+    "LatticeConfig.n_sites": lambda: tl.LatticeConfig(24.0, 1.0, 2.0, PACKET, PACKET),
+    "symplectic_form": lambda: tl.symplectic_form(2.0),
+    "SymplecticMatrix.n_modes": lambda: tl.SymplecticMatrix(2.0, SYMPLECTIC_2),
+    "CovarianceMatrix.n_modes": lambda: tl.CovarianceMatrix(2.0, np.eye(4)),
+    "QuadraticHamiltonian.n_modes": lambda: tl.QuadraticHamiltonian(2.0, np.eye(4)),
+}
+
+
+class TestIntegerSizes:
+    @pytest.mark.parametrize("build", NON_INTEGER_SIZES.values(), ids=NON_INTEGER_SIZES.keys())
+    def test_float_size_is_rejected(self, build):
+        with pytest.raises(ValueError, match="must be integers, got [0-9.]+$"):
+            build()
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        two = np.int64(2)
+        assert tl.PureState(two, np.array([1.0, 0.0])).dim == 2
+        assert tl.CovarianceMatrix(two, np.eye(4)).nu.tolist() == [1.0, 1.0]
+        assert tl.symplectic_form(two).shape == (4, 4)
+
+
+NUMERIC_MESSAGES = {
+    "PureState": lambda: tl.PureState(2, np.array([1.0, 1.0])),
+    "TpsFrame": lambda: tl.TpsFrame(tl.Factorization(4, (2, 2)), 2.0 * np.eye(4)),
+    "DensityMatrix": lambda: tl.DensityMatrix(2, np.eye(2)),
+    "SchmidtData": lambda: tl.SchmidtData(np.array([0.7, 0.2]), np.eye(2), np.eye(2)),
+    "TargetSpectrum": lambda: tl.TargetSpectrum(np.array([0.7, 0.2])),
+    "CovarianceMatrix": lambda: tl.CovarianceMatrix(2, np.diag([0.5, 0.5, 1.0, 1.0])),
+    "SymplecticMatrix": lambda: tl.SymplecticMatrix(1, np.diag([2.0, 2.0])),
+    "PureState.dim": lambda: tl.PureState(np.float64(2.0), np.array([1.0, 0.0])),
+}
+
+
+class TestMessages:
+    @pytest.mark.parametrize("build", NUMERIC_MESSAGES.values(), ids=NUMERIC_MESSAGES.keys())
+    def test_numbers_print_as_python_numbers(self, build):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert "np." not in str(err.value)
+        assert any(c.isdigit() for c in str(err.value))
+
+    def test_williamson_residual_prints_a_python_float(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "WILLIAMSON_RESIDUAL_TOL", 0.0)
+        with pytest.raises(tl.WilliamsonError, match=r"^reconstruction residual [0-9.e-]+ exceeds"):
+            tl.williamson(tl.random_covariance(3, 12))
+
+    def test_cli_error_line_has_no_numpy_repr(self, tmp_path, capsys):
+        path = tmp_path / "below.json"
+        state = {"n_modes": 2, "sigma": np.diag([0.5, 0.5, 1.0, 1.0]).tolist()}
+        serialization.dump_json(path, state)
+        assert run(["gaussian", "entangle", "--in", str(path), "--partition", "1"]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "InvalidCovarianceError"
+        assert payload["message"].startswith("uncertainty bound violated: smallest symplectic")
+        assert "np." not in payload["message"]
+
+
+class TestProbabilityVectors:
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [([1.5, -0.5], "nonnegative"), ([np.nan, 1.0], "finite"), ([[1.0]], "1d")],
+    )
+    def test_schmidt_data_checks_like_a_target_spectrum(self, coefficients, message):
+        with pytest.raises(ValueError, match=message):
+            tl.SchmidtData(np.array(coefficients), np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match=message):
+            tl.TargetSpectrum(np.array(coefficients))
+
+    def test_schmidt_vectors_must_be_finite(self):
+        with pytest.raises(ValueError, match="left vectors must be finite"):
+            tl.SchmidtData(np.array([1.0, 0.0]), np.full((2, 2), np.nan), np.eye(2))
