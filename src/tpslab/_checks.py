@@ -25,7 +25,7 @@ OPERATOR_RANK_TOL = 1e-10  # operator_schmidt_rank counts singular values above 
 GENERATOR_HERMITICITY_TOL = 1e-10  # generators pulled back through a frame carry its roundoff
 COMMUTATOR_TOL = 1e-8  # largest cross-commutator Frobenius norm that still counts as commuting
 RANK_TOL = 1e-8  # span dimension: singular values above this times the largest
-CERTIFICATE_MARGIN = 1e-2  # widens the certified rank band past SVD roundoff, 3e-5 at d = 36
+CERTIFICATE_MARGIN = 1e-2  # widens the certified rank band past roundoff, 3e-8 near it at d = 36
 # Gaussian states (gaussian, twobody)
 SYMMETRY_TOL = 1e-12  # largest |M - M^T| entry of a covariance or quadratic Hamiltonian
 SYMPLECTIC_TOL = 1e-10  # ||S^T Omega S - Omega||_F of a SymplecticMatrix

@@ -212,6 +212,39 @@ def _dense_span_dimension(list_a, list_b) -> int:
     return int(np.count_nonzero(singular > RANK_TOL * singular[0])) if singular[0] > 0 else 0
 
 
+# rows of the Jordan-product Gram per block: large enough for an efficient
+# matrix product, small enough that the whole Gram is never held
+_GRAM_BLOCK_ROWS = 256
+
+
+def _split_hermitian(m: np.ndarray, triangle) -> tuple[np.ndarray, float]:
+    """Real coordinates of the Hermitian parts of the stack ``m``, and its anti-Hermitian norm.
+
+    The coordinates of ``h = (M + M^dag) / 2`` are its diagonal, then sqrt(2) Re and
+    sqrt(2) Im of its strict upper triangle ``triangle = np.triu_indices(d, 1)``: d^2
+    reals whose dot product is ``Tr(h h')``.  The norm is ``||(M - M^dag) / 2||_F`` over
+    the whole stack.
+    """
+    rows, cols = triangle
+    upper, lower = m[..., rows, cols], m[..., cols, rows].conj()
+    diagonal = np.diagonal(m, axis1=-2, axis2=-1)
+    strict = np.sqrt(0.5) * (upper + lower)
+    coordinates = np.concatenate([diagonal.real, strict.real, strict.imag], axis=-1)
+    anti_sq = np.linalg.norm(diagonal.imag) ** 2 + 0.5 * np.linalg.norm(upper - lower) ** 2
+    return coordinates, float(np.sqrt(anti_sq))
+
+
+def _hermitian_from_coordinates(x: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian d x d matrices whose ``_split_hermitian`` coordinates are the rows of x."""
+    rows, cols = np.triu_indices(d, 1)
+    strict = np.sqrt(0.5) * (x[:, d:d + rows.size] + 1j * x[:, d + rows.size:])
+    h = np.zeros((x.shape[0], d, d), dtype=complex)
+    h[:, np.arange(d), np.arange(d)] = x[:, :d]
+    h[:, rows, cols] = strict
+    h[:, cols, rows] = strict.conj()
+    return h
+
+
 def _certified_span_dimension(list_a, list_b) -> int | None:
     """The span dimension read off the sides' singular values, or None.
 
@@ -222,32 +255,50 @@ def _certified_span_dimension(list_a, list_b) -> int | None:
     m_a, m_b = len(list_a), len(list_b)
     if m_a * m_b > d * d:
         return None
-    u_a, s_a, _ = np.linalg.svd(np.stack(list_a, axis=-1).reshape(d * d, m_a), full_matrices=False)
-    u_b, s_b, _ = np.linalg.svd(np.stack(list_b, axis=-1).reshape(d * d, m_b), full_matrices=False)
+    triangle = np.triu_indices(d, 1)
+    sides = []
+    for gens in (list_a, list_b):
+        stack = np.stack(gens)
+        coordinates, defect = _split_hermitian(stack, triangle)
+        basis, singular, _ = np.linalg.svd(coordinates.T, full_matrices=False)
+        size = np.linalg.norm(stack)
+        sides.append((_hermitian_from_coordinates(basis.T, d), singular, defect, size))
+    (u, s_a, defect_a, size_a), (w, s_b, defect_b, size_b) = sides
     if s_a[0] == 0.0 or s_b[0] == 0.0:
         return None
-    # row (k, l) of ``rows`` is vec(u_k w_l), filled in place one k at a time
-    rows = np.empty((m_a * m_b, d * d), dtype=complex)
-    stacked = rows.reshape(m_a, m_b, d, d)
-    w = u_b.T.reshape(m_b, d, d)
-    for k, u_k in enumerate(u_a.T.reshape(m_a, d, d)):
-        np.matmul(u_k, w, out=stacked[k])
-    # ||d G - I||_F^2 for the Hermitian Gram G = rows^* rows^T, summed over
-    # its upper block rows of m_b rows each; the whole Gram is never held
+    # row (k, l) of ``rows`` holds the coordinates of the Jordan product
+    # (u_k w_l + w_l u_k) / 2, the Hermitian part of u_k w_l; its
+    # anti-Hermitian part [u_k, w_l] / 2 is summed in quadrature
+    rows = np.empty((m_a * m_b, d * d))
+    commutator_sq = 0.0
+    w_wide = w.transpose(1, 0, 2).reshape(d, m_b * d)
+    for k, u_k in enumerate(u):
+        products = (u_k @ w_wide).reshape(d, m_b, d).transpose(1, 0, 2)
+        rows[k * m_b:(k + 1) * m_b], commutator = _split_hermitian(products, triangle)
+        commutator_sq += commutator**2
+    # ||d G - I||_F^2 for the real Gram G = rows rows^T, summed over its
+    # upper block rows; the whole Gram is never held
     defect_sq = 0.0
-    for lo in range(0, m_a * m_b, m_b):
-        block = d * (rows[lo:lo + m_b].conj() @ rows[lo:].T)
-        block[:, :m_b] -= np.eye(m_b)
-        diagonal, upper = block[:, :m_b], block[:, m_b:]
-        defect_sq += np.linalg.norm(diagonal) ** 2 + 2.0 * np.linalg.norm(upper) ** 2
+    for lo in range(0, m_a * m_b, _GRAM_BLOCK_ROWS):
+        hi = min(lo + _GRAM_BLOCK_ROWS, m_a * m_b)
+        block = d * (rows[lo:hi] @ rows[lo:].T)
+        block[:, :hi - lo] -= np.eye(hi - lo)
+        diagonal, off_diagonal = block[:, :hi - lo], block[:, hi - lo:]
+        defect_sq += np.linalg.norm(diagonal) ** 2 + 2.0 * np.linalg.norm(off_diagonal) ** 2
     delta = np.sqrt(defect_sq)
     if not delta < 1.0:
         return None
-    # sigma_k(P) / sigma_1(P) lies within a factor ``spread`` of ratios_k
-    ratios = np.outer(s_a, s_b).reshape(-1) / (s_a[0] * s_b[0])
-    spread = np.sqrt((1.0 + delta) / (1.0 - delta)) * (1.0 + CERTIFICATE_MARGIN)
-    above = ratios > RANK_TOL * spread
-    if not np.all(above | (ratios < RANK_TOL / spread)):
+    # in units of s_A,1 s_B,1 / sqrt(d), sigma_k(P) lies within
+    # [low r_k - eta, high r_k + eta] of the product ratios r_k
+    top = s_a[0] * s_b[0]
+    hermitian_defect = defect_a * size_b + np.linalg.norm(s_a) * defect_b
+    eta = np.sqrt(d) * (np.sqrt(commutator_sq) + hermitian_defect / top)
+    ratios = np.outer(s_a, s_b).reshape(-1) / top
+    low, high = np.sqrt(1.0 - delta), np.sqrt(1.0 + delta)
+    margin = 1.0 + CERTIFICATE_MARGIN
+    above = low * ratios - eta > RANK_TOL * (high + eta) * margin
+    below = (high * ratios + eta) * margin < RANK_TOL * (low - eta)
+    if not np.all(above | below):
         return None
     return int(np.count_nonzero(above))
 
@@ -262,22 +313,35 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
     product matrix above ``RANK_TOL`` times the largest.
 
     The span dimension is certified without the d^6 SVD of the product
-    matrix.  A thin SVD of each side's stacked generators writes the
-    product matrix as ``P_U (S_A V_A^dag (x) S_B V_B^dag)``, with the
-    columns of P_U the products ``vec(u_k w_l)`` of the sides' left
-    singular vectors.  If ``delta = ||d P_U^dag P_U - I||_F < 1``, each
-    singular value of the product matrix lies within ``[sqrt(1 - delta),
-    sqrt(1 + delta)]`` times the matching product ``s_A,i s_B,j / sqrt(d)``
-    of the sides' singular values (Ostrowski), so the count is read off
-    those products.  For a genuine tensor product structure delta is at
-    roundoff level (7.6e-14 for a Haar frame at d = 36).  The dense SVD
-    of the product matrix runs instead when ``|A| |B| > d^2``, when
-    ``delta >= 1``, or when a product falls within the bound's band
-    around the threshold, widened by ``CERTIFICATE_MARGIN`` so that
-    roundoff in either route cannot move a singular value across it.
+    matrix, in real arithmetic.  Each generator's Hermitian part h_i is
+    mapped to real coordinates that preserve the Frobenius norm (the
+    diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper
+    triangle).  A real thin SVD of each side's coordinates gives Hermitian
+    u_k and w_l, orthonormal in the trace inner product, with ``h_i =
+    sum_k u_k s_A,k V_A,ik`` and likewise on side B.  The product matrix
+    is then ``P = P_J (S_A V_A^T (x) S_B V_B^T) + E``: the columns of P_J
+    are the Jordan products ``(u_k w_l + w_l u_k) / 2``, and G is their
+    real Gram.  If ``delta = ||d G - I||_F < 1``, each singular value of
+    the first term lies within ``[sqrt(1 - delta), sqrt(1 + delta)]``
+    times the matching product ``s_A,i s_B,j / sqrt(d)`` of the sides'
+    singular values (Ostrowski).  By Weyl, E moves each singular value by
+    at most ``||E||_F``, which has two parts: the commutators, ``s_A,1
+    s_B,1`` times ``||[u_k, w_l]||_F / 2`` summed in quadrature over all
+    pairs, and the generators' Hermitian defect, ``||e_A|| ||B|| + ||h_A||
+    ||e_B||`` for the stacks of anti-Hermitian parts e, Hermitian parts h
+    and whole generators.  The count is read off the products when none
+    falls within the resulting band around the threshold.  For a genuine
+    tensor product structure both are at roundoff level: for a Haar frame
+    at d = 36, delta is 6.4e-14 and the Weyl term 3.4e-14 times ``s_A,1
+    s_B,1 / sqrt(d)``.  The dense SVD of the product matrix runs instead
+    when ``|A| |B| > d^2``, when ``delta >= 1``, or when a product falls
+    within the band, widened by ``CERTIFICATE_MARGIN`` so that roundoff in
+    either route cannot move a singular value across it.  Generators far
+    from Hermitian, such as ladder operators, and sides far from
+    commuting widen the band past the products and so take the dense SVD.
 
-    Accepts ``SubalgebraBasis`` objects or plain sequences of Hermitian
-    matrices, so degenerate generator sets can be checked too.
+    Accepts ``SubalgebraBasis`` objects or plain sequences of matrices,
+    Hermitian or not, so degenerate generator sets can be checked too.
     """
     list_a = _generator_list(gens_a)
     list_b = _generator_list(gens_b)

@@ -304,6 +304,18 @@ def dense_calls(monkeypatch):
     return calls
 
 
+def random_hermitian(rng, d: int) -> np.ndarray:
+    """A Hermitian d x d matrix of unit Frobenius norm."""
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = m + m.conj().T
+    return h / np.linalg.norm(h)
+
+
+def with_anti_hermitian_defect(gens, size: float, rng) -> list[np.ndarray]:
+    """Each generator plus ``i size H`` for its own random unit Hermitian H."""
+    return [g + 1j * size * random_hermitian(rng, g.shape[0]) for g in gens]
+
+
 def pauli_sides(scale_z: float = 1.0):
     """Side A = {I, X, Y, scale_z Z} (x) I and side B = I (x) {I, X, Y, Z} at d = 4."""
     eye = np.eye(2, dtype=complex)
@@ -335,6 +347,59 @@ class TestCertifiedCompleteness:
         frame = tl.TpsFrame(tl.Factorization(36, (6, 6)), tl.random_unitary(36, 2024))
         report = assert_matches_oracle(*frame_sides(frame))
         assert report.span_dimension == 1296
+        assert dense_calls == []
+
+    @pytest.mark.parametrize("target", ["separable", "uniform", "random"])
+    def test_tailored_frames_at_d36_certified(self, target, dense_calls):
+        rng = np.random.default_rng(36)
+        psi = tl.random_pure(36, rng)
+        if target == "separable":
+            spectrum = tl.TargetSpectrum.separable(6)
+        elif target == "uniform":
+            spectrum = tl.TargetSpectrum.uniform(6)
+        else:
+            spectrum = random_target(rng, 6)
+        frame = tl.tailor_frame(psi, tl.Factorization(36, (6, 6)), spectrum)
+        report = assert_matches_oracle(*frame_sides(frame))
+        assert report.completeness and report.span_dimension == 1296
+        assert dense_calls == []
+
+    @pytest.mark.parametrize("factors", [(4, 9), (9, 4)], ids=["4x9", "9x4"])
+    def test_unequal_haar_split_at_d36_certified(self, factors, dense_calls):
+        frame = tl.TpsFrame(tl.Factorization(36, factors), tl.random_unitary(36, 49))
+        report = assert_matches_oracle(*frame_sides(frame))
+        assert report.completeness and report.span_dimension == 1296
+        assert dense_calls == []
+
+    def test_ladder_operators_take_the_dense_svd(self, dense_calls):
+        # {I, sigma_+, sigma_-, Z} spans M_2 but is not Hermitian: the
+        # Hermitian-defect term widens the certificate's band past the
+        # products, so the dense SVD settles the count
+        eye = np.eye(2, dtype=complex)
+        raising = np.array([[0, 1], [0, 0]], dtype=complex)
+        side_a = [np.kron(m, eye) for m in (eye, raising, raising.T, SZ)]
+        side_b = [np.kron(eye, m) for m in (eye, SX, SY, SZ)]
+        report = assert_matches_oracle(side_a, side_b)
+        assert report.completeness and report.span_dimension == 16
+        assert dense_calls == [(4, 4)]
+
+    def test_parallel_products_of_anticommuting_sides_take_the_dense_svd(self, dense_calls):
+        # X P0 and Y P0 = i X P0 (P0 = I + Z) are parallel, so the span is 1,
+        # while their Jordan products X and Y are orthogonal; only the
+        # commutator term keeps the certificate from counting 2
+        report = assert_matches_oracle([SX, SY], [np.eye(2) + SZ])
+        assert report.span_dimension == 1
+        assert dense_calls == [(2, 1)]
+
+    def test_small_anti_hermitian_defect_certified(self, dense_calls):
+        rng = np.random.default_rng(11)
+        frame = tl.TpsFrame(tl.Factorization(12, (3, 4)), tl.random_unitary(12, rng))
+        gens_a, gens_b = frame_sides(frame)
+        side_a = with_anti_hermitian_defect(gens_a.generators, 1e-11, rng)
+        side_b = with_anti_hermitian_defect(gens_b.generators, 1e-11, rng)
+        assert max(np.abs(g - g.conj().T).max() for g in side_a + side_b) > 1e-13
+        report = assert_matches_oracle(side_a, side_b)
+        assert report.completeness and report.span_dimension == 144
         assert dense_calls == []
 
     def test_same_side_pair_falls_back(self, dense_calls):
@@ -397,8 +462,11 @@ FACTOR_PAIRS = [(k1, k2) for k1 in range(2, 7) for k2 in range(2, 7) if k1 * k2 
     drop=st.integers(0, 3),
     duplicate=st.booleans(),
     scramble_b=st.booleans(),
+    hermitian_defect=st.sampled_from([0.0, 1e-11, 1e-6, 1e-2, 1.0]),
 )
-def test_certified_count_matches_dense_oracle(factors, seed, scale, drop, duplicate, scramble_b):
+def test_certified_count_matches_dense_oracle(
+    factors, seed, scale, drop, duplicate, scramble_b, hermitian_defect
+):
     rng = np.random.default_rng(seed)
     d = factors[0] * factors[1]
     frame = tl.TpsFrame(tl.Factorization(d, factors), tl.random_unitary(d, rng))
@@ -412,6 +480,9 @@ def test_certified_count_matches_dense_oracle(factors, seed, scale, drop, duplic
     if scramble_b:
         u = tl.random_unitary(d, rng)
         side_b = [u @ g @ u.conj().T for g in side_b]
+    if hermitian_defect:
+        side_a = with_anti_hermitian_defect(side_a, hermitian_defect, rng)
+        side_b = with_anti_hermitian_defect(side_b, hermitian_defect, rng)
     with mock.patch.object(
         tailor, "_dense_span_dimension", wraps=tailor._dense_span_dimension
     ) as dense:
