@@ -162,8 +162,8 @@ def _cmd_gaussian_williamson(args) -> int:
             args.out,
             {
                 "n_modes": state.n_modes,
-                "S": [[float(x) for x in row] for row in s.matrix],
-                "nu": [float(v) for v in nu],
+                "S": s.matrix.tolist(),
+                "nu": nu.tolist(),
             },
         )
     return 0

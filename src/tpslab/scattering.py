@@ -115,7 +115,7 @@ def build_hamiltonian(config: LatticeConfig) -> np.ndarray:
 
 
 def evolve(psi: PureState, h: np.ndarray, times) -> list[PureState]:
-    """Evolve through one eigendecomposition, one state per requested time."""
+    """Evolve through one eigendecomposition and one product over all times, one state each."""
     dim = psi.dim
     h = np.asarray(h)
     if h.shape != (dim, dim):
@@ -123,9 +123,12 @@ def evolve(psi: PureState, h: np.ndarray, times) -> list[PureState]:
     require_hermitian("Hamiltonian", h, HERMITICITY_TOL)
     energies, modes = np.linalg.eigh(h)
     weights = modes.conj().T @ psi.amplitudes
-    # converted once here rather than upcast by every product below
-    modes = modes.astype(complex)
-    return [PureState(dim, modes @ (np.exp(-1j * energies * float(t)) * weights)) for t in times]
+    # column t holds the mode coefficients at time t; the real and imaginary
+    # parts are propagated separately, so a real ``modes`` stays real
+    coefficients = np.exp(-1j * np.outer(energies, np.asarray(times, dtype=float)))
+    coefficients *= weights[:, None]
+    amplitudes = modes @ coefficients.real + 1j * (modes @ coefficients.imag)
+    return [PureState(dim, column) for column in amplitudes.T]
 
 
 def entanglement_history(config: LatticeConfig, times) -> list[tuple[float, float]]:

@@ -51,12 +51,9 @@ def _json_int(key: str, value) -> int:
     return value
 
 
-def _complex_vector_to_pairs(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in vec]
-
-
-def _complex_matrix_to_pairs(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+def _complex_to_pairs(a: np.ndarray) -> list:
+    """Nested lists of the entries of ``a`` as ``[re, im]`` pairs of Python floats."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _pairs_to_complex(what: str, pairs, shape: tuple) -> np.ndarray:
@@ -65,7 +62,7 @@ def _pairs_to_complex(what: str, pairs, shape: tuple) -> np.ndarray:
 
 
 def pure_state_to_dict(state: PureState) -> dict:
-    return {"dim": state.dim, "amplitudes": _complex_vector_to_pairs(state.amplitudes)}
+    return {"dim": state.dim, "amplitudes": _complex_to_pairs(state.amplitudes)}
 
 
 def pure_state_from_dict(data: dict) -> PureState:
@@ -75,7 +72,7 @@ def pure_state_from_dict(data: dict) -> PureState:
 
 
 def density_matrix_to_dict(rho: DensityMatrix) -> dict:
-    return {"dim": rho.dim, "matrix": _complex_matrix_to_pairs(rho.matrix)}
+    return {"dim": rho.dim, "matrix": _complex_to_pairs(rho.matrix)}
 
 
 def density_matrix_from_dict(data: dict) -> DensityMatrix:
@@ -88,7 +85,7 @@ def frame_to_dict(frame: TpsFrame) -> dict:
     return {
         "d": frame.d,
         "factors": [frame.k1, frame.k2],
-        "frame": _complex_matrix_to_pairs(frame.frame),
+        "frame": _complex_to_pairs(frame.frame),
     }
 
 
@@ -107,8 +104,8 @@ def frame_from_dict(data: dict) -> TpsFrame:
 def gaussian_state_to_dict(state: GaussianState) -> dict:
     return {
         "n_modes": state.n_modes,
-        "sigma": [[float(x) for x in row] for row in state.cov.sigma],
-        "mean": [float(x) for x in state.mean],
+        "sigma": state.cov.sigma.tolist(),
+        "mean": state.mean.tolist(),
     }
 
 

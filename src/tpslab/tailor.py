@@ -62,12 +62,12 @@ class TargetSpectrum:
 class SubalgebraBasis:
     """Hermitian generators of one virtual subsystem's observable algebra.
 
-    The generators span ``M_k (x) I`` (side A) or ``I (x) M_k`` (side B)
-    of the frame's product basis, written in the native basis.
+    The read-only ``(k^2, d, d)`` generators span ``M_k (x) I`` (side A) or
+    ``I (x) M_k`` (side B) of the frame's product basis, in the native basis.
     """
 
     d: int
-    generators: tuple
+    generators: np.ndarray
     side: str
     frame: TpsFrame
 
@@ -75,11 +75,11 @@ class SubalgebraBasis:
         if self.side not in ("A", "B"):
             raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
         k = self.frame.k1 if self.side == "A" else self.frame.k2
-        gens = tuple(frozen_array("generator", g, (self.d,) * 2, complex) for g in self.generators)
-        if len(gens) != k * k:
-            raise ValueError(f"expected {k * k} generators for factor {k}, got {len(gens)}")
-        for g in gens:
-            require_hermitian("generator", g, GENERATOR_HERMITICITY_TOL)
+        count = len(self.generators)
+        if count != k * k:
+            raise ValueError(f"expected {k * k} generators for factor {k}, got {count}")
+        gens = frozen_array("generator", self.generators, (k * k, self.d, self.d), complex)
+        require_hermitian("generator", gens, GENERATOR_HERMITICITY_TOL)
         object.__setattr__(self, "generators", gens)
 
 
@@ -156,28 +156,22 @@ def max_frame(psi: PureState, factorization: Factorization) -> TpsFrame:
     return tailor_frame(psi, factorization, TargetSpectrum.uniform(width))
 
 
-def hermitian_basis(k: int) -> list[np.ndarray]:
+def hermitian_basis(k: int) -> np.ndarray:
     """Identity plus the generalized Gell-Mann matrices on dimension ``k``.
 
-    k^2 Hermitian matrices spanning all of M_k; for k = 2 they are the
-    identity and the three Pauli matrices.
+    A ``(k^2, k, k)`` Hermitian stack spanning all of M_k; for k = 2 it holds
+    the identity and the three Pauli matrices.
     """
-    mats = [np.eye(k, dtype=complex)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            sym = np.zeros((k, k), dtype=complex)
-            sym[a, b] = sym[b, a] = 1.0
-            mats.append(sym)
-            antisym = np.zeros((k, k), dtype=complex)
-            antisym[a, b] = -1.0j
-            antisym[b, a] = 1.0j
-            mats.append(antisym)
-    for level in range(1, k):
-        diag = np.zeros(k)
-        diag[:level] = 1.0
-        diag[level] = -level
-        mats.append(np.sqrt(2.0 / (level * (level + 1))) * np.diag(diag).astype(complex))
-    return mats
+    basis = np.zeros((k * k, k, k), dtype=complex)
+    basis[0] = np.eye(k)
+    rows, cols = np.triu_indices(k, 1)
+    sym = 1 + 2 * np.arange(rows.size)
+    basis[sym, rows, cols] = basis[sym, cols, rows] = 1.0
+    basis[sym + 1, rows, cols], basis[sym + 1, cols, rows] = -1.0j, 1.0j
+    diag, levels = np.arange(k), np.arange(1, k)[:, None]
+    steps = (diag < levels) - levels * (diag == levels)
+    basis[k * k - k + 1:, diag, diag] = np.sqrt(2.0 / (levels * (levels + 1))) * steps
+    return basis
 
 
 def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
@@ -187,27 +181,19 @@ def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
     identity on the other side and pulled back through the frame, so a
     generator G satisfies ``<psi| G |psi> = <U psi| (A (x) I) |U psi>``.
     """
-    u = frame.frame
     k1, k2 = frame.k1, frame.k2
     if side == "A":
-        embedded = [np.kron(a, np.eye(k2)) for a in hermitian_basis(k1)]
+        embedded = np.kron(hermitian_basis(k1), np.eye(k2))
     elif side == "B":
-        embedded = [np.kron(np.eye(k1), b) for b in hermitian_basis(k2)]
+        embedded = np.kron(np.eye(k1), hermitian_basis(k2))
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    native = [_conjugate(u.conj().T, g) for g in embedded]
-    return SubalgebraBasis(frame.d, tuple(native), side, frame)
+    return SubalgebraBasis(frame.d, _conjugate(frame.frame.conj().T, embedded), side, frame)
 
 
-def _generator_list(gens) -> list[np.ndarray]:
-    if isinstance(gens, SubalgebraBasis):
-        return list(gens.generators)
-    return [frozen_array("generators", g, dtype=complex) for g in gens]
-
-
-def _dense_span_dimension(list_a, list_b) -> int:
+def _dense_span_dimension(stack_a: np.ndarray, stack_b: np.ndarray) -> int:
     """Rank of the d^2 x (|A|.|B|) product matrix from its full spectrum."""
-    products = np.column_stack([(a @ b).reshape(-1) for a in list_a for b in list_b])
+    products = (stack_a[:, None] @ stack_b).reshape(len(stack_a) * len(stack_b), -1).T
     singular = np.linalg.svd(products, compute_uv=False)
     return int(np.count_nonzero(singular > RANK_TOL * singular[0])) if singular[0] > 0 else 0
 
@@ -245,42 +231,46 @@ def _hermitian_from_coordinates(x: np.ndarray, d: int) -> np.ndarray:
     return h
 
 
-def _certified_span_dimension(list_a, list_b) -> int | None:
+def _certified_span_dimension(stack_a, stack_b) -> int | None:
     """The span dimension read off the sides' singular values, or None.
 
     None when the certificate described in ``check_zanardi`` cannot
     settle the count.
     """
-    d = list_a[0].shape[0]
-    m_a, m_b = len(list_a), len(list_b)
+    stack_a, stack_b = np.asarray(stack_a), np.asarray(stack_b)
+    d, m_a, m_b = stack_a.shape[-1], len(stack_a), len(stack_b)
     if m_a * m_b > d * d:
         return None
     triangle = np.triu_indices(d, 1)
     sides = []
-    for gens in (list_a, list_b):
-        stack = np.stack(gens)
-        coordinates, defect = _split_hermitian(stack, triangle)
+    for stack in (stack_a, stack_b):
+        coordinates, anti_hermitian = _split_hermitian(stack, triangle)
         basis, singular, _ = np.linalg.svd(coordinates.T, full_matrices=False)
-        size = np.linalg.norm(stack)
-        sides.append((_hermitian_from_coordinates(basis.T, d), singular, defect, size))
-    (u, s_a, defect_a, size_a), (w, s_b, defect_b, size_b) = sides
+        # a direction at or below NumPy's matrix_rank cutoff leaves the Gram:
+        # its norm joins the side's defect and its products have ratio 0
+        kept = singular > singular[0] * max(coordinates.shape) * np.finfo(float).eps
+        defect = np.hypot(anti_hermitian, np.linalg.norm(singular[~kept]))
+        directions = _hermitian_from_coordinates(basis.T[kept], d)
+        sides.append((directions, singular * kept, defect, np.linalg.norm(stack)))
+    (u, s_a, defect_a, _), (w, s_b, defect_b, size_b) = sides
     if s_a[0] == 0.0 or s_b[0] == 0.0:
         return None
     # row (k, l) of ``rows`` holds the coordinates of the Jordan product
     # (u_k w_l + w_l u_k) / 2, the Hermitian part of u_k w_l; its
     # anti-Hermitian part [u_k, w_l] / 2 is summed in quadrature
-    rows = np.empty((m_a * m_b, d * d))
+    n_w = len(w)
+    rows = np.empty((len(u) * n_w, d * d))
     commutator_sq = 0.0
-    w_wide = w.transpose(1, 0, 2).reshape(d, m_b * d)
+    w_wide = w.transpose(1, 0, 2).reshape(d, n_w * d)
     for k, u_k in enumerate(u):
-        products = (u_k @ w_wide).reshape(d, m_b, d).transpose(1, 0, 2)
-        rows[k * m_b:(k + 1) * m_b], commutator = _split_hermitian(products, triangle)
+        products = (u_k @ w_wide).reshape(d, n_w, d).transpose(1, 0, 2)
+        rows[k * n_w:(k + 1) * n_w], commutator = _split_hermitian(products, triangle)
         commutator_sq += commutator**2
     # ||d G - I||_F^2 for the real Gram G = rows rows^T, summed over its
     # upper block rows; the whole Gram is never held
     defect_sq = 0.0
-    for lo in range(0, m_a * m_b, _GRAM_BLOCK_ROWS):
-        hi = min(lo + _GRAM_BLOCK_ROWS, m_a * m_b)
+    for lo in range(0, len(rows), _GRAM_BLOCK_ROWS):
+        hi = min(lo + _GRAM_BLOCK_ROWS, len(rows))
         block = d * (rows[lo:hi] @ rows[lo:].T)
         block[:, :hi - lo] -= np.eye(hi - lo)
         diagonal, off_diagonal = block[:, :hi - lo], block[:, hi - lo:]
@@ -318,7 +308,10 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
     diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper
     triangle).  A real thin SVD of each side's coordinates gives Hermitian
     u_k and w_l, orthonormal in the trace inner product, with ``h_i =
-    sum_k u_k s_A,k V_A,ik`` and likewise on side B.  The product matrix
+    sum_k u_k s_A,k V_A,ik`` and likewise on side B.  A direction whose
+    singular value is at or below NumPy's ``matrix_rank`` cutoff (``s_1
+    max(shape) eps``) is dropped: its norm joins the side's Hermitian
+    defect below, and its products count with ratio 0.  The product matrix
     is then ``P = P_J (S_A V_A^T (x) S_B V_B^T) + E``: the columns of P_J
     are the Jordan products ``(u_k w_l + w_l u_k) / 2``, and G is their
     real Gram.  If ``delta = ||d G - I||_F < 1``, each singular value of
@@ -340,25 +333,27 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
     from Hermitian, such as ladder operators, and sides far from
     commuting widen the band past the products and so take the dense SVD.
 
-    Accepts ``SubalgebraBasis`` objects or plain sequences of matrices,
-    Hermitian or not, so degenerate generator sets can be checked too.
+    Accepts ``SubalgebraBasis`` objects, sequences of matrices or 3-D
+    arrays, Hermitian or not, so degenerate generator sets can be checked
+    too.  Each side becomes one ``(m, d, d)`` stack.
     """
-    list_a = _generator_list(gens_a)
-    list_b = _generator_list(gens_b)
-    if not list_a or not list_b:
+    stack_a, stack_b = (
+        frozen_array("generators", getattr(g, "generators", g), dtype=complex)
+        for g in (gens_a, gens_b)
+    )
+    if stack_a.size == 0 or stack_b.size == 0:
         raise ValueError("generator sets must be nonempty")
-    d = list_a[0].shape[0]
-    for g in list_a + list_b:
-        if g.shape != (d, d):
-            raise ValueError(f"generator shape {g.shape} does not match d = {d}")
-    max_comm = 0.0
-    for a in list_a:
-        for b in list_b:
-            comm = a @ b - b @ a
-            max_comm = max(max_comm, float(np.linalg.norm(comm)))
-    span_dim = _certified_span_dimension(list_a, list_b)
+    d = stack_a.shape[-1]
+    for stack in (stack_a, stack_b):
+        if stack.ndim != 3 or stack.shape[1:] != (d, d):
+            raise ValueError(f"generator stack shape {stack.shape} does not match (m, {d}, {d})")
+    # one A generator against the whole B stack bounds the memory at |B| d^2
+    max_comm = float(
+        max(np.linalg.norm(a @ stack_b - stack_b @ a, axis=(1, 2)).max() for a in stack_a)
+    )
+    span_dim = _certified_span_dimension(stack_a, stack_b)
     if span_dim is None:
-        span_dim = _dense_span_dimension(list_a, list_b)
+        span_dim = _dense_span_dimension(stack_a, stack_b)
     return ZanardiReport(
         independence=max_comm < COMMUTATOR_TOL,
         max_commutator_norm=max_comm,
@@ -380,5 +375,4 @@ def conjugate_subalgebra(gens: SubalgebraBasis, u: np.ndarray) -> SubalgebraBasi
     # the new frame's own unitarity check rejects a bad u before the
     # generators are conjugated
     new_frame = TpsFrame(gens.frame.factorization, gens.frame.frame @ u.conj().T)
-    conjugated = tuple(_conjugate(u, g) for g in gens.generators)
-    return SubalgebraBasis(gens.d, conjugated, gens.side, new_frame)
+    return SubalgebraBasis(gens.d, _conjugate(u, gens.generators), gens.side, new_frame)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._checks import SYMMETRY_TOL, UNBOUND_FREQUENCY_RATIO, frozen_array, require_finite
 from ._checks import require_hermitian
@@ -314,6 +313,8 @@ def evolve_gaussian(state: GaussianState, ham: QuadraticHamiltonian, t: float) -
     and mean transform as ``S_t sigma S_t^T`` and ``S_t mean``.
     Symplectic eigenvalues, and with them purity, are preserved.
     """
+    # imported here: SciPy is the library's slowest import and nothing else uses it
+    from scipy.linalg import expm
     if state.n_modes != ham.n_modes:
         raise ValueError(f"mode mismatch: {state.n_modes} != {ham.n_modes}")
     return apply_symplectic(state, expm(t * symplectic_form(ham.n_modes) @ ham.matrix))

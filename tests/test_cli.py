@@ -300,3 +300,17 @@ class TestConsoleEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_import_loads_no_scipy(self):
+        # SciPy is imported only inside evolve_gaussian, which no command reaches
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, tpslab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

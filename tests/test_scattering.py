@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import tpslab as tl
 from tpslab import scattering
@@ -170,6 +171,22 @@ class TestEvolve:
         h[0, 1] += 1e-3j
         with pytest.raises(ValueError, match="Hermitian"):
             tl.evolve(psi, h, [1.0])
+
+    def test_complex_hamiltonian_matches_expm(self):
+        # a complex Hermitian h has complex modes; the real/imaginary split of
+        # the coefficients must still give exp(-i h t) psi
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+        h = (m + m.conj().T) / 2
+        psi = tl.random_pure(20, rng)
+        times = [0.0, 0.3, 1.7, 4.0]
+        for t, state in zip(times, tl.evolve(psi, h, times)):
+            want = expm(-1j * t * h) @ psi.amplitudes
+            assert np.abs(state.amplitudes - want).max() <= 1e-12
+
+    def test_no_times_give_no_states(self):
+        cfg = config(n=8)
+        assert tl.evolve(tl.build_product_in_state(cfg), tl.build_hamiltonian(cfg), []) == []
 
 
 class TestHistory:

@@ -1,5 +1,7 @@
 """Round-trip and strictness tests for the JSON formats."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,39 @@ class TestGaussianState:
     def test_invalid_covariance_rejected(self):
         with pytest.raises(tl.InvalidCovarianceError):
             ser.gaussian_state_from_dict({"n_modes": 1, "sigma": [[0.2, 0.0], [0.0, 0.2]]})
+
+
+def pairs(z) -> list:
+    return [float(z.real), float(z.imag)]
+
+
+class TestRendering:
+    """The documents equal those of the per-entry Python-float construction, byte for byte."""
+
+    def test_complex_pairs(self):
+        rho = tl.random_density(6, 3, 2)
+        frame = tl.TpsFrame(tl.Factorization(6, (2, 3)), tl.random_unitary(6, 4))
+        psi = tl.random_pure(6, 5)
+        # a negative zero must keep its sign
+        amplitudes = np.array([*psi.amplitudes[:5], complex(-0.0, 0.0)], dtype=complex)
+        psi = tl.PureState(6, amplitudes / np.linalg.norm(amplitudes))
+        assert json.dumps(ser.pure_state_to_dict(psi)) == json.dumps(
+            {"dim": 6, "amplitudes": [pairs(z) for z in psi.amplitudes]}
+        )
+        assert json.dumps(ser.density_matrix_to_dict(rho)) == json.dumps(
+            {"dim": 6, "matrix": [[pairs(z) for z in row] for row in rho.matrix]}
+        )
+        assert json.dumps(ser.frame_to_dict(frame)) == json.dumps(
+            {"d": 6, "factors": [2, 3], "frame": [[pairs(z) for z in row] for row in frame.frame]}
+        )
+
+    def test_gaussian_state(self):
+        state = tl.GaussianState(tl.two_mode_squeezed(0.7).cov, [0.5, -0.0, 1e-300, 3.0])
+        assert json.dumps(ser.gaussian_state_to_dict(state)) == json.dumps({
+            "n_modes": 2,
+            "sigma": [[float(x) for x in row] for row in state.cov.sigma],
+            "mean": [float(x) for x in state.mean],
+        })
 
 
 class TestIntegerFields:

@@ -185,6 +185,30 @@ class TestMinMaxFrames:
         assert abs(entropy - np.log(2)) < 1e-10
 
 
+def loop_hermitian_basis(k: int) -> list[np.ndarray]:
+    """The generalized Gell-Mann basis built one matrix at a time."""
+    mats = [np.eye(k, dtype=complex)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            sym = np.zeros((k, k), dtype=complex)
+            sym[a, b] = sym[b, a] = 1.0
+            antisym = np.zeros((k, k), dtype=complex)
+            antisym[a, b], antisym[b, a] = -1.0j, 1.0j
+            mats += [sym, antisym]
+    for level in range(1, k):
+        diag = np.zeros(k)
+        diag[:level], diag[level] = 1.0, -level
+        mats.append(np.sqrt(2.0 / (level * (level + 1))) * np.diag(diag).astype(complex))
+    return mats
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_hermitian_basis_matches_loop(k):
+    basis = tl.hermitian_basis(k)
+    assert basis.shape == (k * k, k, k)
+    assert np.array_equal(basis, np.array(loop_hermitian_basis(k)))
+
+
 class TestSubalgebraGenerators:
     def test_identity_frame_side_a_is_pauli_basis(self):
         gens = tl.subalgebra_generators(tl.TpsFrame.identity(FAC22), "A")
@@ -211,6 +235,23 @@ class TestSubalgebraGenerators:
         frame = tl.TpsFrame.identity(tl.Factorization(6, (2, 3)))
         assert len(tl.subalgebra_generators(frame, "A").generators) == 4
         assert len(tl.subalgebra_generators(frame, "B").generators) == 9
+
+    @pytest.mark.parametrize("d, factors", [(4, (2, 2)), (6, (2, 3)), (12, (4, 3))])
+    def test_generators_are_one_read_only_stack(self, d, factors):
+        frame = tl.TpsFrame(tl.Factorization(d, factors), tl.random_unitary(d, 3))
+        for side, k in zip("AB", factors):
+            gens = tl.subalgebra_generators(frame, side).generators
+            assert isinstance(gens, np.ndarray) and gens.dtype == complex
+            assert gens.shape == (k * k, d, d)
+            assert not gens.flags.writeable
+            with pytest.raises(ValueError):
+                gens[0, 0, 0] = 2.0
+
+    def test_generator_count_keeps_its_message(self):
+        frame = tl.TpsFrame.identity(FAC22)
+        gens = tl.subalgebra_generators(frame, "A").generators
+        with pytest.raises(ValueError, match="expected 4 generators for factor 2, got 3"):
+            tl.SubalgebraBasis(4, gens[:3], "A", frame)
 
     def test_expectation_values_match_product_basis(self):
         # <psi| G |psi> = <U psi| A (x) I |U psi> is the defining property
@@ -427,6 +468,17 @@ class TestCertifiedCompleteness:
         report = assert_matches_oracle(side_a, gens_b)
         assert report.span_dimension == 12 and not report.completeness
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_duplicated_generator_of_haar_frame_certified(self, seed, dense_calls):
+        # the duplicate leaves a side direction at roundoff: it drops out of
+        # the Gram instead of sending the check to the dense SVD
+        frame = tl.TpsFrame(tl.Factorization(12, (3, 4)), tl.random_unitary(12, seed))
+        gens_a, gens_b = frame_sides(frame)
+        side_a = np.concatenate([gens_a.generators[:5], gens_a.generators[4:5]])
+        report = assert_matches_oracle(side_a, gens_b)
+        assert report.span_dimension == 80 and not report.completeness
+        assert dense_calls == []
+
     def test_too_many_products_fall_back(self, dense_calls):
         gens_a, gens_b = frame_sides(tl.TpsFrame.identity(FAC22))
         side_a = list(gens_a.generators) + [gens_a.generators[1]]
@@ -491,6 +543,49 @@ def test_certified_count_matches_dense_oracle(
     certified = tailor._certified_span_dimension(side_a, side_b) is not None
     assert dense.called != certified
     event("certified" if certified else "dense fallback")
+
+
+class TestGeneratorStacks:
+    def test_three_dimensional_array_equals_list(self):
+        frame = tl.TpsFrame(tl.Factorization(12, (3, 4)), tl.random_unitary(12, 21))
+        gens_a, gens_b = frame_sides(frame)
+        stacked = tl.check_zanardi(np.array(gens_a.generators), np.array(gens_b.generators))
+        listed = tl.check_zanardi(list(gens_a.generators), list(gens_b.generators))
+        assert stacked == listed == tl.check_zanardi(gens_a, gens_b)
+
+    def test_empty_set_is_rejected(self):
+        for side_a, side_b in (([], [np.eye(4)]), ([np.eye(4)], np.zeros((0, 4, 4)))):
+            with pytest.raises(ValueError, match="nonempty"):
+                tl.check_zanardi(side_a, side_b)
+
+    @pytest.mark.parametrize(
+        "side_a, side_b",
+        [
+            ([np.ones((4, 3))], [np.ones((4, 3))]),
+            ([np.eye(4)], [np.eye(3)]),
+            (np.eye(4), [np.eye(4)]),
+        ],
+        ids=["non-square", "mismatched-d", "single-matrix"],
+    )
+    def test_bad_shapes_are_rejected(self, side_a, side_b):
+        with pytest.raises(ValueError, match="does not match"):
+            tl.check_zanardi(side_a, side_b)
+
+    def test_commutator_norm_matches_pair_loop(self):
+        # the stacked norms sum in another order: equal to a few ulps of the largest
+        rng = np.random.default_rng(6)
+        side_a = [random_hermitian(rng, 6) for _ in range(5)]
+        side_b = [random_hermitian(rng, 6) for _ in range(7)]
+        want = max(np.linalg.norm(a @ b - b @ a) for a in side_a for b in side_b)
+        got = tl.check_zanardi(side_a, side_b).max_commutator_norm
+        assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stack_is_rejected(self, bad):
+        stack = np.array([np.eye(4), np.eye(4)], dtype=complex)
+        stack[1, 0, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tl.check_zanardi(stack, [np.eye(4)])
 
 
 class TestNonFiniteGenerators:
