@@ -183,12 +183,14 @@ def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
     """
     k1, k2 = frame.k1, frame.k2
     if side == "A":
-        embedded = np.kron(hermitian_basis(k1), np.eye(k2))
+        factors = hermitian_basis(k1), np.eye(k2)
     elif side == "B":
-        embedded = np.kron(np.eye(k1), hermitian_basis(k2))
+        factors = np.eye(k1), hermitian_basis(k2)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return SubalgebraBasis(frame.d, _conjugate(frame.frame.conj().T, embedded), side, frame)
+    # the embedded stack is built inside the call, so it is freed before validation
+    native = _conjugate(frame.frame.conj().T, np.kron(*factors))
+    return SubalgebraBasis(frame.d, native, side, frame)
 
 
 def _dense_span_dimension(stack_a: np.ndarray, stack_b: np.ndarray) -> int:
