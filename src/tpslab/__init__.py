@@ -52,6 +52,7 @@ from .gaussian import (
 )
 from .scattering import (
     LatticeConfig,
+    LatticeHamiltonian,
     WavePacket,
     build_hamiltonian,
     build_product_in_state,

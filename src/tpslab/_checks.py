@@ -74,10 +74,20 @@ def frozen_array(what: str, value, shape=None, dtype=float, error=ValueError) ->
     return out
 
 
+# require_hermitian walks a stack in pieces of at most this many bytes, so its two
+# temporaries stay small beside a large stack; small stacks, such as the (4001, 4, 4)
+# covariances of a 4001-point sweep or lattice blocks up to 80 sites, are one piece
+HERMITIAN_CHUNK_BYTES = 1 << 23
+
+
 def require_hermitian(what: str, mat: np.ndarray, tol: float, error=ValueError) -> None:
     """Raise unless each matrix of the stack ``mat`` is Hermitian (symmetric if real) within tol."""
-    if np.abs(mat - np.swapaxes(mat, -1, -2).conj()).max() > tol:
-        raise error(f"{what} is not {'Hermitian' if np.iscomplexobj(mat) else 'symmetric'}")
+    stack = mat.reshape(-1, *mat.shape[-2:])
+    step = max(1, HERMITIAN_CHUNK_BYTES // stack[0].nbytes)
+    for start in range(0, len(stack), step):
+        part = stack[start : start + step]
+        if np.abs(part - np.swapaxes(part, -1, -2).conj()).max() > tol:
+            raise error(f"{what} is not {'Hermitian' if np.iscomplexobj(mat) else 'symmetric'}")
 
 
 def descending_probabilities(what: str, values, sum_tol: float) -> np.ndarray:

@@ -188,8 +188,11 @@ def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
         factors = np.eye(k1), hermitian_basis(k2)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    # the embedded stack is built inside the call, so it is freed before validation
-    native = _conjugate(frame.frame.conj().T, np.kron(*factors))
+    # _conjugate's two products, one at a time: each frees its input stack, so no
+    # more than two stacks are held before validation
+    u = frame.frame.conj().T
+    native = u @ np.kron(*factors)
+    native = native @ u.conj().T
     return SubalgebraBasis(frame.d, native, side, frame)
 
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 import tpslab as tl
 from tpslab import scattering
@@ -20,12 +22,32 @@ def config(n=16, g=2.0, width=1.5, hop=1.0):
     )
 
 
+def dense_hamiltonian(cfg) -> np.ndarray:
+    """Oracle: the n^2 x n^2 Kronecker sum of the hopping plus the contact term, n <= 24."""
+    n = cfg.n_sites
+    assert n <= 24, "the dense oracle is for small lattices"
+    single = scattering.hopping_matrix(n, cfg.hopping)
+    eye = np.eye(n)
+    h = np.kron(single, eye) + np.kron(eye, single)
+    coincidence = np.arange(n) * n + np.arange(n)
+    h[coincidence, coincidence] += cfg.interaction
+    return h
+
+
+def propagator(cfg, t: float) -> np.ndarray:
+    """exp(-i H t) from the sector engine, one evolved basis state per column."""
+    dim = cfg.n_sites**2
+    h = tl.build_hamiltonian(cfg)
+    columns = [tl.evolve(tl.PureState(dim, np.eye(dim)[j]), h, [t])[0].amplitudes for j in range(dim)]
+    return np.stack(columns, axis=1)
+
+
 class TestConfig:
     def test_rejects_out_of_range_sites(self):
         with pytest.raises(ValueError, match="site count"):
             config(n=4)
         with pytest.raises(ValueError, match="site count"):
-            config(n=64)
+            config(n=scattering.MAX_SITES + 1)
 
     def test_rejects_bad_packet(self):
         with pytest.raises(ValueError, match="width"):
@@ -100,35 +122,62 @@ class TestHamiltonian:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_hermitian(self):
-        h = tl.build_hamiltonian(config(n=10))
+        blocks = tl.build_hamiltonian(config(n=10)).blocks
+        assert np.abs(blocks - blocks.conj().swapaxes(1, 2)).max() < 1e-14
+        h = dense_hamiltonian(config(n=10))
         assert np.abs(h - h.conj().T).max() < 1e-14
 
     def test_interaction_support_is_coincidence_diagonal(self):
         n = 10
-        h0 = tl.build_hamiltonian(config(n=n, g=0.0))
-        h2 = tl.build_hamiltonian(config(n=n, g=2.0))
-        diff = h2 - h0
+        diff = dense_hamiltonian(config(n=n, g=2.0)) - dense_hamiltonian(config(n=n, g=0.0))
         coincidence = np.arange(n) * n + np.arange(n)
         expected = np.zeros((n * n, n * n))
         expected[coincidence, coincidence] = 2.0
         np.testing.assert_array_equal(diff, expected)
+        # in every sector the contact term sits at r = 0 alone
+        h0 = tl.build_hamiltonian(config(n=n, g=0.0))
+        h2 = tl.build_hamiltonian(config(n=n, g=2.0))
+        expected = np.zeros((n, n, n))
+        expected[:, 0, 0] = 2.0
+        np.testing.assert_array_equal(h2.blocks - h0.blocks, expected)
 
     def test_free_propagator_is_local(self):
         # with g = 0 the evolution operator factors over the particles
         n = 8
-        h = tl.build_hamiltonian(config(n=n, g=0.0))
-        energies, modes = np.linalg.eigh(h)
-        u_t = (modes * np.exp(-1j * energies * 0.7)) @ modes.conj().T
+        u_t = propagator(config(n=n, g=0.0), 0.7)
         fac = tl.Factorization(n * n, (n, n))
         assert tl.operator_schmidt_rank(u_t, fac, tol=1e-9) == 1
 
     def test_interacting_propagator_is_not_local(self):
         n = 8
-        h = tl.build_hamiltonian(config(n=n, g=2.0))
-        energies, modes = np.linalg.eigh(h)
-        u_t = (modes * np.exp(-1j * energies * 0.7)) @ modes.conj().T
+        u_t = propagator(config(n=n, g=2.0), 0.7)
         fac = tl.Factorization(n * n, (n, n))
         assert tl.operator_schmidt_rank(u_t, fac, tol=1e-9) > 1
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_sector_spectra_match_dense_oracle(self, n):
+        cfg = config(n=n, g=2.0)
+        sectors = np.sort(np.linalg.eigvalsh(tl.build_hamiltonian(cfg).blocks).ravel())
+        np.testing.assert_allclose(sectors, np.linalg.eigvalsh(dense_hamiltonian(cfg)), rtol=0.0, atol=1e-12)
+
+    def test_blocks_are_one_read_only_cube(self):
+        h = tl.build_hamiltonian(config(n=12))
+        assert h.blocks.shape == (12, 12, 12) and h.blocks.dtype == complex
+        assert h.nbytes == h.blocks.nbytes
+        with pytest.raises(ValueError):
+            h.blocks[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 8, 9), (8, 9, 9)])
+    def test_rejects_non_cube_blocks(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            tl.LatticeHamiltonian(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_blocks(self, bad):
+        blocks = np.zeros((8, 8, 8))
+        blocks[2, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tl.LatticeHamiltonian(blocks)
 
 
 class TestEvolve:
@@ -149,10 +198,10 @@ class TestEvolve:
     def test_energy_conserved(self):
         cfg = config(n=12)
         psi = tl.build_product_in_state(cfg)
-        h = tl.build_hamiltonian(cfg)
+        h = dense_hamiltonian(cfg)
         initial = np.vdot(psi.amplitudes, h @ psi.amplitudes).real
         scale = max(abs(initial), 1.0)
-        for state in tl.evolve(psi, h, [1.0, 3.0, 6.0]):
+        for state in tl.evolve(psi, tl.build_hamiltonian(cfg), [1.0, 3.0, 6.0]):
             energy = np.vdot(state.amplitudes, h @ state.amplitudes).real
             assert abs(energy - initial) / scale < 1e-9
 
@@ -164,25 +213,31 @@ class TestEvolve:
         assert all(isinstance(state, tl.PureState) and state.dim == 144 for state in states)
 
     def test_rejects_non_hermitian(self):
-        cfg = config(n=8)
-        psi = tl.build_product_in_state(cfg)
-        h = tl.build_hamiltonian(cfg).astype(complex)
-        h = h.copy()
-        h[0, 1] += 1e-3j
+        blocks = tl.build_hamiltonian(config(n=8)).blocks.copy()
+        blocks[3, 0, 1] += 1e-3j
         with pytest.raises(ValueError, match="Hermitian"):
-            tl.evolve(psi, h, [1.0])
+            tl.LatticeHamiltonian(blocks)
+
+    def test_rejects_state_of_another_lattice(self):
+        psi = tl.build_product_in_state(config(n=8))
+        with pytest.raises(ValueError, match="does not match"):
+            tl.evolve(psi, tl.build_hamiltonian(config(n=9)), [1.0])
 
     def test_complex_hamiltonian_matches_expm(self):
-        # a complex Hermitian h has complex modes; the real/imaginary split of
-        # the coefficients must still give exp(-i h t) psi
-        rng = np.random.default_rng(13)
-        m = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-        h = (m + m.conj().T) / 2
-        psi = tl.random_pure(20, rng)
+        # the sector blocks are complex; every lattice parity and sign of g must
+        # still give exp(-i H t) psi of the dense Kronecker sum
         times = [0.0, 0.3, 1.7, 4.0]
-        for t, state in zip(times, tl.evolve(psi, h, times)):
-            want = expm(-1j * t * h) @ psi.amplitudes
-            assert np.abs(state.amplitudes - want).max() <= 1e-12
+        for n in (8, 9, 13):
+            for g in (0.0, 2.0, -1.5):
+                cfg = tl.LatticeConfig(
+                    n, 1.0, g, tl.WavePacket(n / 4.0 + 0.37, 1.3, HALF_PI), tl.WavePacket(0.7 * n, 1.1, -1.0)
+                )
+                psi = tl.build_product_in_state(cfg)
+                h = dense_hamiltonian(cfg)
+                for t, state in zip(times, tl.evolve(psi, tl.build_hamiltonian(cfg), times)):
+                    want = expm(-1j * t * h) @ psi.amplitudes
+                    error = np.abs(state.amplitudes - want).max()
+                    assert error <= 1e-12, (n, g, t, error)
 
     def test_no_times_give_no_states(self):
         cfg = config(n=8)
@@ -228,6 +283,45 @@ class TestHistory:
         t_post = 1.5 * tl.collision_time(cfg)
         history = tl.entanglement_history(cfg, [0.0, t_post])
         assert history[1][1] > history[0][1]
+
+    def test_above_old_cap_matches_sparse_propagation(self):
+        # oracle: the sparse Kronecker sum propagated by expm_multiply on the
+        # default 61-time grid, at 64 sites (the old cap was 48)
+        n = 64
+        cfg = config(n=n, g=2.0, width=2.0)
+        horizon = 2.5 * tl.collision_time(cfg)
+        times = [i * horizon / 60.0 for i in range(61)]
+        idx = np.arange(n)
+        rows = np.concatenate([idx, (idx + 1) % n])
+        cols = np.concatenate([(idx + 1) % n, idx])
+        single = sp.csr_matrix((np.full(2 * n, -1.0), (rows, cols)), shape=(n, n))
+        eye = sp.identity(n, format="csr")
+        contact = np.zeros(n * n)
+        contact[idx * n + idx] = 2.0
+        h = (sp.kron(single, eye) + sp.kron(eye, single) + sp.diags(contact)).tocsr()
+        psi0 = tl.build_product_in_state(cfg).amplitudes
+        states = expm_multiply(-1j * h, psi0, start=0.0, stop=horizon, num=61, endpoint=True)
+        expected = []
+        for amps in states:
+            s = np.linalg.svd(amps.reshape(n, n), compute_uv=False) ** 2
+            p = s[s > 0.0] / s.sum()
+            expected.append(float(-(p * np.log(p)).sum()))
+        got = [entropy for _, entropy in tl.entanglement_history(cfg, times)]
+        assert np.abs(np.array(got) - np.array(expected)).max() <= 1e-9
+
+    def test_one_stacked_eigh_of_the_sectors(self, monkeypatch):
+        # structure guard: 48 sites diagonalize as 48 blocks of 48 x 48, never
+        # as one 2304 x 2304 Kronecker sum
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        tl.entanglement_history(config(n=48), [0.0, 1.0, 2.0])
+        assert shapes == [(48, 48, 48)]
 
     def test_exchange_symmetry(self):
         # swapping the two packets mirrors the state; for the symmetric

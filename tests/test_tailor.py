@@ -1,5 +1,6 @@
 """Tests for frame tailoring and the subsystem-criteria checker."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -252,6 +253,19 @@ class TestSubalgebraGenerators:
         gens = tl.subalgebra_generators(frame, "A").generators
         with pytest.raises(ValueError, match="expected 4 generators for factor 2, got 3"):
             tl.SubalgebraBasis(4, gens[:3], "A", frame)
+
+    def test_peak_memory_at_d144_stays_below_two_and_a_half_stacks(self):
+        # the conjugation holds at most two stacks and the Hermitian check walks
+        # the copy in bounded pieces; four stacks were held before (192 MB)
+        frame = tl.TpsFrame.identity(tl.Factorization(144, (12, 12)))
+        tracemalloc.start()
+        try:
+            gens = tl.subalgebra_generators(frame, "A").generators
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gens.shape == (144, 144, 144)
+        assert peak <= 2.5 * gens.nbytes, peak / gens.nbytes
 
     def test_expectation_values_match_product_basis(self):
         # <psi| G |psi> = <U psi| A (x) I |U psi> is the defining property

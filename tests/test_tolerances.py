@@ -152,3 +152,25 @@ class TestProbabilityVectors:
     def test_schmidt_vectors_must_be_finite(self):
         with pytest.raises(ValueError, match="left vectors must be finite"):
             tl.SchmidtData(np.array([1.0, 0.0]), np.full((2, 2), np.nan), np.eye(2))
+
+
+class TestChunkedHermitianCheck:
+    @pytest.mark.parametrize("bad", range(7))
+    def test_defect_found_in_every_piece(self, monkeypatch, bad):
+        # pieces of two matrices: the seven-matrix stack is walked in four pieces
+        rng = np.random.default_rng(bad)
+        m = rng.standard_normal((7, 5, 5)) + 1j * rng.standard_normal((7, 5, 5))
+        stack = m + m.conj().swapaxes(1, 2)
+        monkeypatch.setattr(_checks, "HERMITIAN_CHUNK_BYTES", 2 * stack[0].nbytes)
+        _checks.require_hermitian("stack", stack, 1e-12)
+        stack[bad, 1, 3] += 1e-9
+        with pytest.raises(ValueError, match="stack is not Hermitian"):
+            _checks.require_hermitian("stack", stack, 1e-12)
+
+    def test_matrix_larger_than_a_piece_is_checked_whole(self, monkeypatch):
+        monkeypatch.setattr(_checks, "HERMITIAN_CHUNK_BYTES", 8)
+        sym = np.eye(6)
+        _checks.require_hermitian("matrix", sym, 1e-12)
+        sym[5, 0] = 1.0
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            _checks.require_hermitian("matrix", sym, 1e-12)
