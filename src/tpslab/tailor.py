@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import CERTIFICATE_MARGIN, COMMUTATOR_TOL, GENERATOR_HERMITICITY_TOL, RANK_TOL
+from ._checks import PRODUCT_ROUNDOFF_PER_TERM
 from ._checks import TARGET_SUM_TOL, descending_probabilities, frozen_array, require_hermitian
 from .findim import Factorization, PureState, TpsFrame, _conjugate
 
@@ -196,6 +197,75 @@ def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
     return SubalgebraBasis(frame.d, native, side, frame)
 
 
+def _read_count(lower: np.ndarray, upper: np.ndarray) -> int | None:
+    """The number of singular values above ``RANK_TOL`` times the largest, or None.
+
+    The k-th singular value, in descending order, lies in ``[lower_k, upper_k]``.
+    None when one of them may lie within the band around the threshold, widened
+    by ``CERTIFICATE_MARGIN``.
+    """
+    margin = 1.0 + CERTIFICATE_MARGIN
+    above = lower > RANK_TOL * upper[0] * margin
+    below = upper * margin < RANK_TOL * lower[0]
+    if not np.all(above | below):
+        return None
+    return int(np.count_nonzero(above))
+
+
+def _local_part(pulled: np.ndarray) -> tuple[np.ndarray, float]:
+    """Split a ``(m, k, j, k, j)`` stack into ``a (x) I_j`` plus a residual.
+
+    Returns the ``(m, k, k)`` partial traces ``a = Tr_j / j`` and the residual's
+    Frobenius norm over the stack; ``pulled`` is overwritten with the residual.
+    """
+    j = pulled.shape[2]
+    local = np.einsum("mpsqs->mpq", pulled) / j
+    for s in range(j):
+        pulled[:, :, s, :, s] -= local
+    return local, float(np.linalg.norm(pulled))
+
+
+def _frame_span_dimension(gens_a, gens_b) -> int | None:
+    """The span dimension read through the sides' common frame, or None.
+
+    None unless ``gens_a`` and ``gens_b`` are side A and side B of one frame,
+    and when the bound described in ``check_zanardi`` cannot settle the count.
+    """
+    if not (isinstance(gens_a, SubalgebraBasis) and isinstance(gens_b, SubalgebraBasis)):
+        return None
+    frame, other = gens_a.frame, gens_b.frame
+    same = frame is other or (
+        frame.factorization == other.factorization and np.array_equal(frame.frame, other.frame)
+    )
+    if not same or (gens_a.side, gens_b.side) != ("A", "B") or gens_a.d != frame.d:
+        return None
+    f, d, k1, k2 = frame.frame, frame.d, frame.k1, frame.k2
+    f_dag = f.conj().T
+    gamma = PRODUCT_ROUNDOFF_PER_TERM * d * np.finfo(float).eps
+    # ||F^dag F - I||_F, raised by the roundoff of F^dag F (at most gamma ||F||_F^2)
+    u = (float(np.linalg.norm(f_dag @ f - np.eye(d))) + gamma * d) / (1.0 - gamma * d)
+    if not u < 1.0:
+        return None
+    # pull each stack back to the product basis, one product at a time
+    pa = f @ gens_a.generators
+    pa = (pa @ f_dag).reshape(-1, k1, k2, k1, k2)
+    pb = f @ gens_b.generators
+    pb = (pb @ f_dag).reshape(-1, k1, k2, k1, k2)
+    size_a, size_b = np.linalg.norm(gens_a.generators), np.linalg.norm(gens_b.generators)
+    size_pb = np.linalg.norm(pb)
+    a, e = _local_part(pa)
+    b, f_norm = _local_part(pb.transpose(0, 2, 1, 4, 3))
+    s_a = np.linalg.svd(a.reshape(len(a), -1), compute_uv=False)
+    s_b = np.linalg.svd(b.reshape(len(b), -1), compute_uv=False)
+    ratios = np.sort(np.outer(s_a, s_b), axis=None)[::-1]
+    # Weyl: the pulled-back products against the model products a_i (x) b_j
+    eta = np.sqrt(k2) * np.linalg.norm(a) * f_norm + e * size_pb
+    # the frame's defect and the pullback's roundoff, per unit of generator norm
+    pullback = gamma * np.sqrt(d) * (1.0 + u) * (2.0 + gamma * np.sqrt(d))
+    eta += size_a * (size_b * (1.0 + u) * (u + pullback) + pullback * size_pb)
+    return _read_count((ratios - eta) / (1.0 + u), (ratios + eta) / (1.0 - u))
+
+
 def _dense_span_dimension(stack_a: np.ndarray, stack_b: np.ndarray) -> int:
     """Rank of the d^2 x (|A|.|B|) product matrix from its full spectrum."""
     products = (stack_a[:, None] @ stack_b).reshape(len(stack_a) * len(stack_b), -1).T
@@ -290,12 +360,7 @@ def _certified_span_dimension(stack_a, stack_b) -> int | None:
     eta = np.sqrt(d) * (np.sqrt(commutator_sq) + hermitian_defect / top)
     ratios = np.outer(s_a, s_b).reshape(-1) / top
     low, high = np.sqrt(1.0 - delta), np.sqrt(1.0 + delta)
-    margin = 1.0 + CERTIFICATE_MARGIN
-    above = low * ratios - eta > RANK_TOL * (high + eta) * margin
-    below = (high * ratios + eta) * margin < RANK_TOL * (low - eta)
-    if not np.all(above | below):
-        return None
-    return int(np.count_nonzero(above))
+    return _read_count(low * ratios - eta, high * ratios + eta)
 
 
 def check_zanardi(gens_a, gens_b) -> ZanardiReport:
@@ -307,36 +372,69 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
     space; the span dimension is the number of singular values of the
     product matrix above ``RANK_TOL`` times the largest.
 
-    The span dimension is certified without the d^6 SVD of the product
-    matrix, in real arithmetic.  Each generator's Hermitian part h_i is
-    mapped to real coordinates that preserve the Frobenius norm (the
-    diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper
-    triangle).  A real thin SVD of each side's coordinates gives Hermitian
-    u_k and w_l, orthonormal in the trace inner product, with ``h_i =
-    sum_k u_k s_A,k V_A,ik`` and likewise on side B.  A direction whose
-    singular value is at or below NumPy's ``matrix_rank`` cutoff (``s_1
-    max(shape) eps``) is dropped: its norm joins the side's Hermitian
-    defect below, and its products count with ratio 0.  The product matrix
-    is then ``P = P_J (S_A V_A^T (x) S_B V_B^T) + E``: the columns of P_J
-    are the Jordan products ``(u_k w_l + w_l u_k) / 2``, and G is their
-    real Gram.  If ``delta = ||d G - I||_F < 1``, each singular value of
-    the first term lies within ``[sqrt(1 - delta), sqrt(1 + delta)]``
-    times the matching product ``s_A,i s_B,j / sqrt(d)`` of the sides'
-    singular values (Ostrowski).  By Weyl, E moves each singular value by
-    at most ``||E||_F``, which has two parts: the commutators, ``s_A,1
-    s_B,1`` times ``||[u_k, w_l]||_F / 2`` summed in quadrature over all
-    pairs, and the generators' Hermitian defect, ``||e_A|| ||B|| + ||h_A||
-    ||e_B||`` for the stacks of anti-Hermitian parts e, Hermitian parts h
-    and whole generators.  The count is read off the products when none
-    falls within the resulting band around the threshold.  For a genuine
-    tensor product structure both are at roundoff level: for a Haar frame
-    at d = 36, delta is 6.4e-14 and the Weyl term 3.4e-14 times ``s_A,1
-    s_B,1 / sqrt(d)``.  The dense SVD of the product matrix runs instead
-    when ``|A| |B| > d^2``, when ``delta >= 1``, or when a product falls
-    within the band, widened by ``CERTIFICATE_MARGIN`` so that roundoff in
-    either route cannot move a singular value across it.  Generators far
-    from Hermitian, such as ladder operators, and sides far from
-    commuting widen the band past the products and so take the dense SVD.
+    The span dimension takes the first of three routes that settles it.
+    The first two read it off a model whose singular values are known and
+    bound the distance to the product matrix P: each singular value of P
+    then lies in an interval, and the count is read when no interval meets
+    the band around ``RANK_TOL`` times the largest, widened by
+    ``CERTIFICATE_MARGIN`` so that roundoff in either route cannot move a
+    singular value across it.
+
+    1. **Frame witness**, O(k^2 d^3).  Taken when ``gens_a`` and ``gens_b``
+       are the side-A and side-B ``SubalgebraBasis`` of one frame F (the
+       same object, or equal factorizations and equal arrays), as in every
+       CLI call.  Each stack is pulled back to the product basis, ``PA =
+       F G_A F^dag`` and ``PB = F G_B F^dag``, and split into ``a_i (x) I +
+       e_i`` and ``I (x) b_j + f_j`` with ``a_i = Tr_B(PA_i) / k2`` and
+       ``b_j = Tr_A(PB_j) / k1``.  The model products ``a_i (x) b_j`` have
+       the singular values ``s_A,i s_B,j``, the products of the singular
+       values of the two small coefficient matrices, whose columns are
+       ``vec(a_i)`` (k1^2 x |A|) and ``vec(b_j)`` (k2^2 x |B|).  Model and P
+       are in the same units, the Frobenius norm of a generator product, so
+       no sqrt(d) enters.  By Weyl the pulled-back products lie within
+       ``eta = sqrt(k2) ||a|| ||f|| + ||e|| ||PB||`` of the model (stack
+       Frobenius norms; ``sqrt(k2) ||a||`` is ``||a (x) I||``).  The frame's
+       unitarity defect ``u = ||F^dag F - I||_F`` adds ``(1 + u) u ||G_A||
+       ||G_B||``; the roundoff of the two pullback products adds about ``2
+       gamma_d sqrt(d) ||G||`` to each pulled-back stack, where ``gamma_d =
+       PRODUCT_ROUNDOFF_PER_TERM d eps`` bounds a complex length-d dot
+       product; and conjugation by F scales every singular value by a
+       factor within ``[1 - u, 1 + u]``.  Roundoff in the small SVDs and
+       the norms, relative ``k^2 eps``, is left to the margin.  For a Haar
+       frame at d = 36 the residuals are at roundoff and the interval's
+       half-width is 7e-11 of the largest product.  The witness trusts nothing it is handed: a frame that
+       does not match its generators leaves residuals of the generators'
+       own size, and the band then covers the products.
+    2. **Jordan certificate**, O(d^6) in real arithmetic.  Taken by plain
+       sequences and 3-D arrays, by sides of two different frames (such as
+       ``conjugate_subalgebra`` applied to one side only), and when the
+       witness cannot settle the count.  Each generator's Hermitian part
+       h_i is mapped to real coordinates that preserve the Frobenius norm
+       (the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper
+       triangle).  A real thin SVD of each side's coordinates gives
+       Hermitian u_k and w_l, orthonormal in the trace inner product, with
+       ``h_i = sum_k u_k s_A,k V_A,ik`` and likewise on side B.  A
+       direction whose singular value is at or below NumPy's
+       ``matrix_rank`` cutoff (``s_1 max(shape) eps``) is dropped: its norm
+       joins the side's Hermitian defect below, and its products count
+       with ratio 0.  The product matrix is then ``P = P_J (S_A V_A^T (x)
+       S_B V_B^T) + E``: the columns of P_J are the Jordan products ``(u_k
+       w_l + w_l u_k) / 2``, and G is their real Gram.  If ``delta = ||d G
+       - I||_F < 1``, each singular value of the first term lies within
+       ``[sqrt(1 - delta), sqrt(1 + delta)]`` times the matching product
+       ``s_A,i s_B,j / sqrt(d)`` of the sides' singular values
+       (Ostrowski).  By Weyl, E moves each singular value by at most
+       ``||E||_F``, which has two parts: the commutators, ``s_A,1 s_B,1``
+       times ``||[u_k, w_l]||_F / 2`` summed in quadrature over all pairs,
+       and the generators' Hermitian defect, ``||e_A|| ||B|| + ||h_A||
+       ||e_B||`` for the stacks of anti-Hermitian parts e, Hermitian parts
+       h and whole generators.  For a Haar frame at d = 36, delta is
+       6.4e-14 and the Weyl term 3.4e-14 times ``s_A,1 s_B,1 / sqrt(d)``.
+    3. **Dense SVD** of the d^2 x |A| |B| product matrix, O(d^6): when ``|A|
+       |B| > d^2``, when ``delta >= 1``, or when a product falls within the
+       certificate's band.  Generators far from Hermitian, such as ladder
+       operators, and sides far from commuting widen the band past the
+       products and so take it.
 
     Accepts ``SubalgebraBasis`` objects, sequences of matrices or 3-D
     arrays, Hermitian or not, so degenerate generator sets can be checked
@@ -356,7 +454,9 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
     max_comm = float(
         max(np.linalg.norm(a @ stack_b - stack_b @ a, axis=(1, 2)).max() for a in stack_a)
     )
-    span_dim = _certified_span_dimension(stack_a, stack_b)
+    span_dim = _frame_span_dimension(gens_a, gens_b)
+    if span_dim is None:
+        span_dim = _certified_span_dimension(stack_a, stack_b)
     if span_dim is None:
         span_dim = _dense_span_dimension(stack_a, stack_b)
     return ZanardiReport(

@@ -9,6 +9,7 @@ import pytest
 
 import tpslab as tl
 from tpslab import serialization as ser
+from tpslab import tailor
 from tpslab.cli import _write_csv, run
 
 
@@ -102,6 +103,31 @@ class TestZanardiCommand:
         assert first.read_bytes() == second.read_bytes()
         out = capsys.readouterr().out
         assert "failures=0" in out
+
+    def test_both_modes_count_through_the_frame(self, tmp_path, capsys, monkeypatch):
+        # route guard: the CLI's sides share one frame, so at d = 36 the frame
+        # witness settles completeness without the Jordan certificate or the dense SVD
+        def refuse(*args):
+            raise AssertionError("check_zanardi left the frame witness")
+
+        monkeypatch.setattr(tailor, "_certified_span_dimension", refuse)
+        monkeypatch.setattr(tailor, "_dense_span_dimension", refuse)
+        rng = np.random.default_rng(36)
+        state = tmp_path / "psi.json"
+        ser.dump_json(state, ser.pure_state_to_dict(tl.random_pure(36, rng)))
+        frame_path = tmp_path / "frame.json"
+        target = "0.5,0.2,0.1,0.1,0.05,0.05"
+        argv = ["tailor", "--state", str(state), "--factors", "6,6", "--target", target]
+        assert run(argv + ["--out", str(frame_path)]) == 0
+        capsys.readouterr()
+        assert run(["zanardi", "--frame", str(frame_path)]) == 0
+        assert "span_dimension=1296" in capsys.readouterr().out.splitlines()
+        report = tmp_path / "random.json"
+        argv = ["zanardi", "--random-frames", "2", "--dim", "36", "--factors", "6,6"]
+        assert run(argv + ["--out", str(report)]) == 0
+        assert "failures=0" in capsys.readouterr().out.splitlines()
+        spans = [r["span_dimension"] for r in json.loads(report.read_text())["reports"]]
+        assert spans == [1296, 1296]
 
     def test_requires_exactly_one_mode(self, capsys):
         assert run(["zanardi"]) == 1

@@ -339,6 +339,11 @@ def frame_sides(frame: tl.TpsFrame):
     return tl.subalgebra_generators(frame, "A"), tl.subalgebra_generators(frame, "B")
 
 
+def frame_stacks(frame: tl.TpsFrame):
+    """The two sides as plain arrays, which skip the frame witness for the certificate."""
+    return tuple(side.generators for side in frame_sides(frame))
+
+
 def assert_matches_oracle(gens_a, gens_b) -> tl.ZanardiReport:
     report = tl.check_zanardi(gens_a, gens_b)
     assert (report.span_dimension, report.completeness) == dense_span_oracle(gens_a, gens_b)
@@ -386,7 +391,7 @@ class TestCertifiedCompleteness:
     @pytest.mark.parametrize("d, factors", FACTOR_CASES)
     def test_identity_frames_certified(self, d, factors, dense_calls):
         frame = tl.TpsFrame.identity(tl.Factorization(d, factors))
-        report = assert_matches_oracle(*frame_sides(frame))
+        report = assert_matches_oracle(*frame_stacks(frame))
         assert report.completeness and report.span_dimension == d * d
         assert dense_calls == []
 
@@ -395,12 +400,12 @@ class TestCertifiedCompleteness:
         rng = np.random.default_rng(d)
         fac = tl.Factorization(d, factors)
         frame = tl.tailor_frame(tl.random_pure(d, rng), fac, random_target(rng, min(factors)))
-        assert assert_matches_oracle(*frame_sides(frame)).completeness
+        assert assert_matches_oracle(*frame_stacks(frame)).completeness
         assert dense_calls == []
 
     def test_haar_frame_at_d36_certified(self, dense_calls):
         frame = tl.TpsFrame(tl.Factorization(36, (6, 6)), tl.random_unitary(36, 2024))
-        report = assert_matches_oracle(*frame_sides(frame))
+        report = assert_matches_oracle(*frame_stacks(frame))
         assert report.span_dimension == 1296
         assert dense_calls == []
 
@@ -415,14 +420,14 @@ class TestCertifiedCompleteness:
         else:
             spectrum = random_target(rng, 6)
         frame = tl.tailor_frame(psi, tl.Factorization(36, (6, 6)), spectrum)
-        report = assert_matches_oracle(*frame_sides(frame))
+        report = assert_matches_oracle(*frame_stacks(frame))
         assert report.completeness and report.span_dimension == 1296
         assert dense_calls == []
 
     @pytest.mark.parametrize("factors", [(4, 9), (9, 4)], ids=["4x9", "9x4"])
     def test_unequal_haar_split_at_d36_certified(self, factors, dense_calls):
         frame = tl.TpsFrame(tl.Factorization(36, factors), tl.random_unitary(36, 49))
-        report = assert_matches_oracle(*frame_sides(frame))
+        report = assert_matches_oracle(*frame_stacks(frame))
         assert report.completeness and report.span_dimension == 1296
         assert dense_calls == []
 
@@ -557,6 +562,172 @@ def test_certified_count_matches_dense_oracle(
     certified = tailor._certified_span_dimension(side_a, side_b) is not None
     assert dense.called != certified
     event("certified" if certified else "dense fallback")
+
+
+def witness_matches_oracle(gens_a, gens_b) -> int | None:
+    """The frame witness's count, after checking it and the report against the oracle."""
+    span, _ = dense_span_oracle(gens_a, gens_b)
+    witnessed = tailor._frame_span_dimension(gens_a, gens_b)
+    assert witnessed is None or witnessed == span
+    assert tl.check_zanardi(gens_a, gens_b).span_dimension == span
+    return witnessed
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Record each run of the Jordan certificate or the dense SVD inside check_zanardi."""
+    calls = []
+    for name in ("_certified_span_dimension", "_dense_span_dimension"):
+        route = getattr(tailor, name)
+
+        def counting(stack_a, stack_b, route=route, name=name):
+            calls.append(name)
+            return route(stack_a, stack_b)
+
+        monkeypatch.setattr(tailor, name, counting)
+    return calls
+
+
+def embedded(frame: tl.TpsFrame, product_operator: np.ndarray) -> np.ndarray:
+    """A product-basis operator moved to the native basis, ``U^dag M U``."""
+    u = frame.frame
+    return u.conj().T @ product_operator @ u
+
+
+def with_duplicate(gens: tl.SubalgebraBasis, replaced: int, kept: int, extra=None):
+    """The basis with generator ``replaced`` swapped for a copy of ``kept``, plus ``extra``."""
+    stack = np.array(gens.generators)
+    stack[replaced] = stack[kept] if extra is None else stack[kept] + extra
+    return tl.SubalgebraBasis(gens.d, stack, gens.side, gens.frame)
+
+
+WITNESS_FRAMES = [
+    ("identity", 4, (2, 2)),
+    ("identity", 12, (3, 4)),
+    ("haar", 6, (2, 3)),
+    ("haar", 12, (4, 3)),
+    ("haar", 36, (4, 9)),
+    ("haar", 36, (6, 6)),
+    ("tailored", 8, (2, 4)),
+    ("tailored", 36, (6, 6)),
+]
+SMALL_WITNESS_FRAMES = [case for case in WITNESS_FRAMES if case[1] <= 12]
+
+
+def witness_frame(kind: str, d: int, factors) -> tl.TpsFrame:
+    fac = tl.Factorization(d, factors)
+    if kind == "identity":
+        return tl.TpsFrame.identity(fac)
+    if kind == "haar":
+        return tl.TpsFrame(fac, tl.random_unitary(d, d + factors[0]))
+    rng = np.random.default_rng(d)
+    return tl.tailor_frame(tl.random_pure(d, rng), fac, random_target(rng, min(factors)))
+
+
+class TestFrameWitness:
+    @pytest.mark.parametrize("kind, d, factors", WITNESS_FRAMES)
+    def test_counts_the_full_span_through_the_frame(self, kind, d, factors, fallback_calls):
+        frame = witness_frame(kind, d, factors)
+        assert witness_matches_oracle(*frame_sides(frame)) == d * d
+        assert fallback_calls == []
+
+    @pytest.mark.parametrize("kind, d, factors", SMALL_WITNESS_FRAMES)
+    def test_duplicated_generator(self, kind, d, factors, fallback_calls):
+        gens_a, gens_b = frame_sides(witness_frame(kind, d, factors))
+        side_a = with_duplicate(gens_a, replaced=1, kept=2)
+        k2 = factors[1]
+        assert witness_matches_oracle(side_a, gens_b) == d * d - k2 * k2
+        assert fallback_calls == []
+
+    def test_sides_of_two_frames_skip_it(self):
+        fac = tl.Factorization(12, (3, 4))
+        gens_a = tl.subalgebra_generators(tl.TpsFrame(fac, tl.random_unitary(12, 1)), "A")
+        gens_b = tl.subalgebra_generators(tl.TpsFrame(fac, tl.random_unitary(12, 2)), "B")
+        assert witness_matches_oracle(gens_a, gens_b) is None
+
+    def test_one_conjugated_side_skips_it(self):
+        frame = tl.TpsFrame(tl.Factorization(12, (3, 4)), tl.random_unitary(12, 3))
+        gens_a, gens_b = frame_sides(frame)
+        u = tl.random_unitary(12, 4)
+        assert witness_matches_oracle(tl.conjugate_subalgebra(gens_a, u), gens_b) is None
+        assert witness_matches_oracle(gens_a, tl.conjugate_subalgebra(gens_b, u)) is None
+
+    def test_same_side_twice_skips_it(self):
+        gens_a, gens_b = frame_sides(tl.TpsFrame.identity(FAC22))
+        assert witness_matches_oracle(gens_a, gens_a) is None
+        assert witness_matches_oracle(gens_b, gens_a) is None
+
+    def test_basis_of_another_dimension_skips_it(self):
+        # the frame factors d = 4, while the generators act on dimension 6
+        frame = tl.TpsFrame.identity(FAC22)
+        rng = np.random.default_rng(7)
+        side_a, side_b = (
+            tl.SubalgebraBasis(6, [random_hermitian(rng, 6) for _ in range(4)], side, frame)
+            for side in "AB"
+        )
+        assert witness_matches_oracle(side_a, side_b) is None
+
+    @pytest.mark.parametrize("d, factors", [(4, (2, 2)), (12, (3, 4)), (36, (6, 6))])
+    def test_frame_its_generators_do_not_match_falls_back(self, d, factors):
+        # both sides carry one frame, but their generators come from another:
+        # the residuals are of the generators' own size and the band fails
+        fac = tl.Factorization(d, factors)
+        gens_a, gens_b = frame_sides(tl.TpsFrame(fac, tl.random_unitary(d, 5)))
+        wrong = tl.TpsFrame(fac, tl.random_unitary(d, 6))
+        side_a, side_b = (
+            tl.SubalgebraBasis(d, g.generators, g.side, wrong) for g in (gens_a, gens_b)
+        )
+        assert witness_matches_oracle(side_a, side_b) is None
+
+    @pytest.mark.parametrize("kind, d, factors", SMALL_WITNESS_FRAMES)
+    def test_non_product_perturbation_moves_the_count_or_falls_back(self, kind, d, factors):
+        # generator 1 is replaced by a copy of generator 2 plus 1e-6 (lambda_1 (x) Y)
+        # for the traceless, invertible Y = diag(1, ..., 1, 1 - k2): the partial
+        # trace leaves the duplicate's model unchanged, while the products regain
+        # the lost lambda_1 (x) M_k2 directions at about 1e-6 of the largest
+        frame = witness_frame(kind, d, factors)
+        gens_a, gens_b = frame_sides(frame)
+        k1, k2 = factors
+        y = np.diag(np.append(np.ones(k2 - 1), 1 - k2))
+        extra = 1e-6 * embedded(frame, np.kron(tl.hermitian_basis(k1)[1], y))
+        before = witness_matches_oracle(with_duplicate(gens_a, replaced=1, kept=2), gens_b)
+        assert before == d * d - k2 * k2
+        perturbed = with_duplicate(gens_a, replaced=1, kept=2, extra=extra)
+        after = witness_matches_oracle(perturbed, gens_b)
+        assert after is None or after != before
+        assert tl.check_zanardi(perturbed, gens_b).completeness
+
+    def test_generator_scaled_onto_the_threshold_falls_back(self):
+        gens_a, gens_b = frame_sides(tl.TpsFrame.identity(FAC22))
+        stack = np.array(gens_a.generators)
+        stack[3] *= tailor.RANK_TOL
+        side_a = tl.SubalgebraBasis(4, stack, "A", gens_a.frame)
+        assert witness_matches_oracle(side_a, gens_b) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    factors=st.sampled_from(FACTOR_PAIRS),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e-4, 1e-8, 1e-12, 0.0]),
+    duplicate=st.booleans(),
+    perturbation=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
+)
+def test_witness_count_matches_dense_oracle(factors, seed, scale, duplicate, perturbation):
+    rng = np.random.default_rng(seed)
+    d = factors[0] * factors[1]
+    frame = tl.TpsFrame(tl.Factorization(d, factors), tl.random_unitary(d, rng))
+    gens_a, gens_b = frame_sides(frame)
+    stack = np.array(gens_a.generators)
+    i, j = rng.choice(len(stack), 2, replace=False)
+    stack[i] *= scale
+    if duplicate:
+        stack[j] = stack[i]
+    if perturbation:
+        stack[j] += perturbation * random_hermitian(rng, d)
+    side_a = tl.SubalgebraBasis(d, stack, "A", frame)
+    witnessed = witness_matches_oracle(side_a, gens_b)
+    event("witnessed" if witnessed is not None else "fallback")
 
 
 class TestGeneratorStacks:
