@@ -65,7 +65,16 @@ def require_size(what: str, value) -> int:
 
 
 def frozen_array(what: str, value, shape=None, dtype=float, error=ValueError) -> np.ndarray:
-    """A read-only, finite copy of ``value`` as ``dtype``, of ``shape`` (integer sizes) if given."""
+    """A read-only, finite copy of ``value`` as ``dtype``, of ``shape`` (integer sizes) if given.
+
+    A real ``dtype`` rejects input with a nonzero imaginary part instead of dropping it.
+    """
+    if np.dtype(dtype).kind != "c":
+        value = np.asarray(value)
+        if value.dtype.kind == "c":
+            if np.any(value.imag != 0.0):
+                raise error(f"{what} must be real")
+            value = value.real
     out = np.array(value, dtype=dtype)
     shape = shape if shape is None else tuple(require_integer(f"{what} sizes", n) for n in shape)
     if shape is not None and out.shape != shape:

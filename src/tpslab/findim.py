@@ -300,13 +300,14 @@ def partial_trace(rho: DensityMatrix, frame: TpsFrame, side: str) -> DensityMatr
 
 
 def _schmidt_probabilities(m: np.ndarray) -> np.ndarray:
-    """Schmidt coefficients of the amplitudes ``m[i_A, i_B]``, descending, summing to 1."""
-    # The singular vectors are computed though unused: the values-only LAPACK
-    # path rounds differently, and this way the coefficients are bit-identical
-    # to those of schmidt_decompose.
-    s = np.linalg.svd(m, full_matrices=False)[1]
-    coeffs = s**2
-    return coeffs / coeffs.sum()
+    """Schmidt coefficients of the amplitudes ``m[..., i_A, i_B]``, descending, summing to 1.
+
+    A stack of matrices gives one row of coefficients per matrix, each bit-identical to
+    those of the matrix alone.  Only singular values are computed, so the coefficients
+    agree with those of ``schmidt_decompose`` to roundoff, not bit for bit.
+    """
+    coeffs = np.linalg.svd(m, compute_uv=False) ** 2
+    return coeffs / coeffs.sum(axis=-1, keepdims=True)
 
 
 def _entropy_nats(probs: np.ndarray) -> float:

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -164,10 +166,27 @@ class TestHamiltonian:
 
     def test_blocks_are_one_read_only_cube(self):
         h = tl.build_hamiltonian(config(n=12))
-        assert h.blocks.shape == (12, 12, 12) and h.blocks.dtype == complex
+        assert h.blocks.shape == (12, 12, 12) and h.blocks.dtype == np.float64
         assert h.nbytes == h.blocks.nbytes
         with pytest.raises(ValueError):
             h.blocks[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_blocks_are_the_gauged_sectors(self, n):
+        # oracle: the complex ring of sector K, hopping -J (1 + e^{-iK}) from r + 1
+        # to r and g at r = 0, conjugated by D_K = diag(e^{iKr/2})
+        cfg = config(n=n, g=2.0, hop=0.7)
+        r = np.arange(n)
+        expected = []
+        for k in range(n):
+            big_k = 2.0 * np.pi * k / n
+            ring = np.zeros((n, n), dtype=complex)
+            ring[r, (r + 1) % n] = -cfg.hopping * (1.0 + np.exp(-1j * big_k))
+            ring += ring.conj().T
+            ring[0, 0] = cfg.interaction
+            gauge = np.diag(np.exp(0.5j * big_k * r))
+            expected.append(gauge.conj().T @ ring @ gauge)
+        np.testing.assert_allclose(tl.build_hamiltonian(cfg).blocks, np.array(expected), rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("shape", [(8, 8), (8, 8, 9), (8, 9, 9)])
     def test_rejects_non_cube_blocks(self, shape):
@@ -216,8 +235,8 @@ class TestEvolve:
 
     def test_rejects_non_hermitian(self):
         blocks = tl.build_hamiltonian(config(n=8)).blocks.copy()
-        blocks[3, 0, 1] += 1e-3j
-        with pytest.raises(ValueError, match="Hermitian"):
+        blocks[3, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
             tl.LatticeHamiltonian(blocks)
 
     def test_rejects_state_of_another_lattice(self):
@@ -226,8 +245,8 @@ class TestEvolve:
             tl.evolve(psi, tl.build_hamiltonian(config(n=9)), [1.0])
 
     def test_complex_hamiltonian_matches_expm(self):
-        # the sector blocks are complex; every lattice parity and sign of g must
-        # still give exp(-i H t) psi of the dense Kronecker sum
+        # the sector blocks are real only in the gauged basis; every lattice parity
+        # and sign of g must still give exp(-i H t) psi of the dense Kronecker sum
         times = [0.0, 0.3, 1.7, 4.0]
         for n in (8, 9, 13):
             for g in (0.0, 2.0, -1.5):
@@ -312,23 +331,41 @@ class TestHistory:
         assert np.abs(np.array(got) - np.array(expected)).max() <= 1e-9
 
     def test_one_stacked_eigh_of_the_sectors(self, monkeypatch):
-        # structure guard: 48 sites diagonalize as 48 blocks of 48 x 48, never
-        # as one 2304 x 2304 Kronecker sum
-        shapes = []
-        eigh = np.linalg.eigh
+        # structure guard: 48 sites diagonalize as 48 real blocks of 48 x 48,
+        # never as one 2304 x 2304 Kronecker sum or as complex blocks, and the
+        # Schmidt step is one values-only SVD of all times at once
+        eighs, svds = [], []
+        eigh, svd = np.linalg.eigh, np.linalg.svd
 
         def recording_eigh(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            eighs.append((np.shape(a), np.asarray(a).dtype))
             return eigh(a, *args, **kwargs)
 
+        def recording_svd(a, *args, **kwargs):
+            svds.append((np.shape(a), kwargs.get("compute_uv")))
+            return svd(a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
         tl.entanglement_history(config(n=48), [0.0, 1.0, 2.0])
-        assert shapes == [(48, 48, 48)]
+        assert eighs == [((48, 48, 48), np.float64)]
+        assert svds == [((3, 48, 48), False)]
+
+    def test_rejects_unnormalized_evolution(self, monkeypatch):
+        # each time passes the checks of PureState, which the history does not build
+        monkeypatch.setattr(scattering, "NORM_TOL", -1.0)
+        with pytest.raises(ValueError, match="not normalized"):
+            tl.entanglement_history(config(n=8), [0.0, 1.0])
+
+    def test_rejects_non_finite_evolution(self, monkeypatch):
+        monkeypatch.setattr(scattering, "_propagate", lambda *args: np.full((2, 8, 8), np.nan + 0j))
+        with pytest.raises(ValueError, match="finite"):
+            tl.entanglement_history(config(n=8), [0.0, 1.0])
 
     def test_peak_memory_at_the_site_cap(self):
-        # evolve frees its eigenvectors, coefficients and sectors before the
-        # states are built: a 61-time history at 128 sites peaks near 116 MB,
-        # where holding them all read 132 MB
+        # real blocks and eigenvectors, and no PureState per time: a 61-time
+        # history at 128 sites peaks near 67 MB, where complex blocks and 61
+        # states read 116 MB
         n = scattering.MAX_SITES
         cfg = config(n=n, g=2.0, width=2.0)
         horizon = 2.5 * tl.collision_time(cfg)
@@ -339,7 +376,7 @@ class TestHistory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 120e6
+        assert peak <= 70e6
 
     def test_exchange_symmetry(self):
         # swapping the two packets mirrors the state; for the symmetric
@@ -352,6 +389,46 @@ class TestHistory:
         second = tl.entanglement_history(tl.LatticeConfig(n, 1.0, 2.0, q, p), times)
         for (_, s1), (_, s2) in zip(first, second):
             assert abs(s1 - s2) < 1e-10
+
+
+@st.composite
+def lattice_collisions(draw):
+    """A lattice of 8 to 24 sites, either parity, with fractional packet centres."""
+    n = draw(st.integers(8, 24))
+    packets = [
+        tl.WavePacket(
+            draw(st.floats(0.0, n - 1.0)),
+            draw(st.floats(0.8, 3.0)),
+            draw(st.floats(-np.pi, np.pi, exclude_min=True)),
+        )
+        for _ in range(2)
+    ]
+    g = draw(st.floats(-3.0, 3.0))
+    times = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3))
+    return tl.LatticeConfig(n, 1.0, g, *packets), times
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=lattice_collisions())
+def test_sector_engine_matches_dense_expm(case):
+    # oracle: exp(-i H t) of the dense Kronecker sum; the history must then be the
+    # identity-frame entropy of those same states, bit for bit
+    cfg, times = case
+    n = cfg.n_sites
+    psi = tl.build_product_in_state(cfg)
+    h = dense_hamiltonian(cfg)
+    states = tl.evolve(psi, tl.build_hamiltonian(cfg), times)
+    for t, state in zip(times, states):
+        error = np.abs(state.amplitudes - expm(-1j * t * h) @ psi.amplitudes).max()
+        assert error <= 1e-12, (t, error)
+    frame = tl.TpsFrame.identity(tl.Factorization(n * n, (n, n)))
+    expected = [
+        (float(t), tl.entanglement_entropy(
+            tl.PureState(n * n, state.amplitudes / np.linalg.norm(state.amplitudes)), frame
+        ))
+        for t, state in zip(times, states)
+    ]
+    assert tl.entanglement_history(cfg, times) == expected
 
 
 class TestCollisionTime:

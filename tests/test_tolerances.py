@@ -9,6 +9,7 @@ import importlib
 import inspect
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import tpslab as tl
 from tpslab import _checks, gaussian, serialization
 from tpslab.cli import run
+from tpslab.gaussian import InvalidCovarianceError
 
 PACKAGE = pathlib.Path(tl.__file__).parent
 
@@ -100,6 +102,36 @@ class TestIntegerSizes:
         assert tl.PureState(two, np.array([1.0, 0.0])).dim == 2
         assert tl.CovarianceMatrix(two, np.eye(4)).nu.tolist() == [1.0, 1.0]
         assert tl.symplectic_form(two).shape == (4, 4)
+
+
+# a real constructor, a valid real input, the error it raises and the attribute that keeps it
+REAL_INPUTS = {
+    "CovarianceMatrix": (lambda m: tl.CovarianceMatrix(1, m), np.eye(2), InvalidCovarianceError, "sigma"),
+    "SymplecticMatrix": (lambda m: tl.SymplecticMatrix(1, m), np.eye(2), ValueError, "matrix"),
+    "QuadraticHamiltonian": (lambda m: tl.QuadraticHamiltonian(1, m), np.eye(2), ValueError, "matrix"),
+    "LatticeHamiltonian": (tl.LatticeHamiltonian, np.zeros((8, 8, 8)), ValueError, "blocks"),
+}
+
+
+class TestRealInput:
+    @pytest.mark.parametrize("build, real, error, attribute", REAL_INPUTS.values(), ids=REAL_INPUTS.keys())
+    def test_imaginary_part_is_rejected(self, build, real, error, attribute):
+        # the imaginary part was dropped with a ComplexWarning, or a nested list raised TypeError
+        value = real.astype(complex)
+        value.flat[0] += 5j
+        with pytest.raises(error, match="must be real"):
+            build(value)
+        with pytest.raises(error, match="must be real"):
+            build(value.tolist())
+
+    @pytest.mark.parametrize("build, real, error, attribute", REAL_INPUTS.values(), ids=REAL_INPUTS.keys())
+    def test_zero_imaginary_part_is_accepted(self, build, real, error, attribute):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (real.astype(complex), real.astype(complex).tolist()):
+                kept = getattr(build(value), attribute)
+                assert kept.dtype == np.float64
+                np.testing.assert_array_equal(kept, real)
 
 
 NUMERIC_MESSAGES = {
