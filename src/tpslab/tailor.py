@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import CERTIFICATE_MARGIN, COMMUTATOR_TOL, GENERATOR_HERMITICITY_TOL, RANK_TOL
-from ._checks import PRODUCT_ROUNDOFF_PER_TERM
-from ._checks import TARGET_SUM_TOL, descending_probabilities, frozen_array, require_hermitian
+from ._checks import PRODUCT_ROUNDOFF_PER_TERM, TARGET_SUM_TOL, descending_probabilities
+from ._checks import frozen_array, require_hermitian, require_integer
 from .findim import Factorization, PureState, TpsFrame, _conjugate
 
 __all__ = [
@@ -75,11 +75,16 @@ class SubalgebraBasis:
     def __post_init__(self):
         if self.side not in ("A", "B"):
             raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
+        d = require_integer("generator sizes", self.d)
+        if d != self.frame.d:
+            raise ValueError(f"generators of dimension {d} for a frame of dimension {self.frame.d}")
         k = self.frame.k1 if self.side == "A" else self.frame.k2
-        count = len(self.generators)
+        gens = frozen_array("generator", self.generators, dtype=complex)
+        count = len(gens) if gens.ndim else 0
         if count != k * k:
             raise ValueError(f"expected {k * k} generators for factor {k}, got {count}")
-        gens = frozen_array("generator", self.generators, (k * k, self.d, self.d), complex)
+        if gens.shape != (count, d, d):
+            raise ValueError(f"expected generator of shape {(count, d, d)}, got {gens.shape}")
         require_hermitian("generator", gens, GENERATOR_HERMITICITY_TOL)
         object.__setattr__(self, "generators", gens)
 
@@ -237,7 +242,7 @@ def _frame_span_dimension(gens_a, gens_b) -> int | None:
     same = frame is other or (
         frame.factorization == other.factorization and np.array_equal(frame.frame, other.frame)
     )
-    if not same or (gens_a.side, gens_b.side) != ("A", "B") or gens_a.d != frame.d:
+    if not same or (gens_a.side, gens_b.side) != ("A", "B"):
         return None
     f, d, k1, k2 = frame.frame, frame.d, frame.k1, frame.k2
     f_dag = f.conj().T
@@ -273,96 +278,6 @@ def _dense_span_dimension(stack_a: np.ndarray, stack_b: np.ndarray) -> int:
     return int(np.count_nonzero(singular > RANK_TOL * singular[0])) if singular[0] > 0 else 0
 
 
-# rows of the Jordan-product Gram per block: large enough for an efficient
-# matrix product, small enough that the whole Gram is never held
-_GRAM_BLOCK_ROWS = 256
-
-
-def _split_hermitian(m: np.ndarray, triangle) -> tuple[np.ndarray, float]:
-    """Real coordinates of the Hermitian parts of the stack ``m``, and its anti-Hermitian norm.
-
-    The coordinates of ``h = (M + M^dag) / 2`` are its diagonal, then sqrt(2) Re and
-    sqrt(2) Im of its strict upper triangle ``triangle = np.triu_indices(d, 1)``: d^2
-    reals whose dot product is ``Tr(h h')``.  The norm is ``||(M - M^dag) / 2||_F`` over
-    the whole stack.
-    """
-    rows, cols = triangle
-    upper, lower = m[..., rows, cols], m[..., cols, rows].conj()
-    diagonal = np.diagonal(m, axis1=-2, axis2=-1)
-    strict = np.sqrt(0.5) * (upper + lower)
-    coordinates = np.concatenate([diagonal.real, strict.real, strict.imag], axis=-1)
-    anti_sq = np.linalg.norm(diagonal.imag) ** 2 + 0.5 * np.linalg.norm(upper - lower) ** 2
-    return coordinates, float(np.sqrt(anti_sq))
-
-
-def _hermitian_from_coordinates(x: np.ndarray, d: int) -> np.ndarray:
-    """The Hermitian d x d matrices whose ``_split_hermitian`` coordinates are the rows of x."""
-    rows, cols = np.triu_indices(d, 1)
-    strict = np.sqrt(0.5) * (x[:, d:d + rows.size] + 1j * x[:, d + rows.size:])
-    h = np.zeros((x.shape[0], d, d), dtype=complex)
-    h[:, np.arange(d), np.arange(d)] = x[:, :d]
-    h[:, rows, cols] = strict
-    h[:, cols, rows] = strict.conj()
-    return h
-
-
-def _certified_span_dimension(stack_a, stack_b) -> int | None:
-    """The span dimension read off the sides' singular values, or None.
-
-    None when the certificate described in ``check_zanardi`` cannot
-    settle the count.
-    """
-    stack_a, stack_b = np.asarray(stack_a), np.asarray(stack_b)
-    d, m_a, m_b = stack_a.shape[-1], len(stack_a), len(stack_b)
-    if m_a * m_b > d * d:
-        return None
-    triangle = np.triu_indices(d, 1)
-    sides = []
-    for stack in (stack_a, stack_b):
-        coordinates, anti_hermitian = _split_hermitian(stack, triangle)
-        basis, singular, _ = np.linalg.svd(coordinates.T, full_matrices=False)
-        # a direction at or below NumPy's matrix_rank cutoff leaves the Gram:
-        # its norm joins the side's defect and its products have ratio 0
-        kept = singular > singular[0] * max(coordinates.shape) * np.finfo(float).eps
-        defect = np.hypot(anti_hermitian, np.linalg.norm(singular[~kept]))
-        directions = _hermitian_from_coordinates(basis.T[kept], d)
-        sides.append((directions, singular * kept, defect, np.linalg.norm(stack)))
-    (u, s_a, defect_a, _), (w, s_b, defect_b, size_b) = sides
-    if s_a[0] == 0.0 or s_b[0] == 0.0:
-        return None
-    # row (k, l) of ``rows`` holds the coordinates of the Jordan product
-    # (u_k w_l + w_l u_k) / 2, the Hermitian part of u_k w_l; its
-    # anti-Hermitian part [u_k, w_l] / 2 is summed in quadrature
-    n_w = len(w)
-    rows = np.empty((len(u) * n_w, d * d))
-    commutator_sq = 0.0
-    w_wide = w.transpose(1, 0, 2).reshape(d, n_w * d)
-    for k, u_k in enumerate(u):
-        products = (u_k @ w_wide).reshape(d, n_w, d).transpose(1, 0, 2)
-        rows[k * n_w:(k + 1) * n_w], commutator = _split_hermitian(products, triangle)
-        commutator_sq += commutator**2
-    # ||d G - I||_F^2 for the real Gram G = rows rows^T, summed over its
-    # upper block rows; the whole Gram is never held
-    defect_sq = 0.0
-    for lo in range(0, len(rows), _GRAM_BLOCK_ROWS):
-        hi = min(lo + _GRAM_BLOCK_ROWS, len(rows))
-        block = d * (rows[lo:hi] @ rows[lo:].T)
-        block[:, :hi - lo] -= np.eye(hi - lo)
-        diagonal, off_diagonal = block[:, :hi - lo], block[:, hi - lo:]
-        defect_sq += np.linalg.norm(diagonal) ** 2 + 2.0 * np.linalg.norm(off_diagonal) ** 2
-    delta = np.sqrt(defect_sq)
-    if not delta < 1.0:
-        return None
-    # in units of s_A,1 s_B,1 / sqrt(d), sigma_k(P) lies within
-    # [low r_k - eta, high r_k + eta] of the product ratios r_k
-    top = s_a[0] * s_b[0]
-    hermitian_defect = defect_a * size_b + np.linalg.norm(s_a) * defect_b
-    eta = np.sqrt(d) * (np.sqrt(commutator_sq) + hermitian_defect / top)
-    ratios = np.outer(s_a, s_b).reshape(-1) / top
-    low, high = np.sqrt(1.0 - delta), np.sqrt(1.0 + delta)
-    return _read_count(low * ratios - eta, high * ratios + eta)
-
-
 def check_zanardi(gens_a, gens_b) -> ZanardiReport:
     """Check subsystem independence and completeness of two generator sets.
 
@@ -372,69 +287,43 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
     space; the span dimension is the number of singular values of the
     product matrix above ``RANK_TOL`` times the largest.
 
-    The span dimension takes the first of three routes that settles it.
-    The first two read it off a model whose singular values are known and
-    bound the distance to the product matrix P: each singular value of P
-    then lies in an interval, and the count is read when no interval meets
-    the band around ``RANK_TOL`` times the largest, widened by
-    ``CERTIFICATE_MARGIN`` so that roundoff in either route cannot move a
-    singular value across it.
+    The span dimension takes one of two routes.
 
-    1. **Frame witness**, O(k^2 d^3).  Taken when ``gens_a`` and ``gens_b``
+    1. **Frame witness**, O(k^2 d^3).  Tried when ``gens_a`` and ``gens_b``
        are the side-A and side-B ``SubalgebraBasis`` of one frame F (the
        same object, or equal factorizations and equal arrays), as in every
-       CLI call.  Each stack is pulled back to the product basis, ``PA =
-       F G_A F^dag`` and ``PB = F G_B F^dag``, and split into ``a_i (x) I +
-       e_i`` and ``I (x) b_j + f_j`` with ``a_i = Tr_B(PA_i) / k2`` and
-       ``b_j = Tr_A(PB_j) / k1``.  The model products ``a_i (x) b_j`` have
-       the singular values ``s_A,i s_B,j``, the products of the singular
-       values of the two small coefficient matrices, whose columns are
-       ``vec(a_i)`` (k1^2 x |A|) and ``vec(b_j)`` (k2^2 x |B|).  Model and P
-       are in the same units, the Frobenius norm of a generator product, so
-       no sqrt(d) enters.  By Weyl the pulled-back products lie within
-       ``eta = sqrt(k2) ||a|| ||f|| + ||e|| ||PB||`` of the model (stack
-       Frobenius norms; ``sqrt(k2) ||a||`` is ``||a (x) I||``).  The frame's
-       unitarity defect ``u = ||F^dag F - I||_F`` adds ``(1 + u) u ||G_A||
-       ||G_B||``; the roundoff of the two pullback products adds about ``2
-       gamma_d sqrt(d) ||G||`` to each pulled-back stack, where ``gamma_d =
-       PRODUCT_ROUNDOFF_PER_TERM d eps`` bounds a complex length-d dot
-       product; and conjugation by F scales every singular value by a
-       factor within ``[1 - u, 1 + u]``.  Roundoff in the small SVDs and
-       the norms, relative ``k^2 eps``, is left to the margin.  For a Haar
-       frame at d = 36 the residuals are at roundoff and the interval's
-       half-width is 7e-11 of the largest product.  The witness trusts nothing it is handed: a frame that
-       does not match its generators leaves residuals of the generators'
-       own size, and the band then covers the products.
-    2. **Jordan certificate**, O(d^6) in real arithmetic.  Taken by plain
-       sequences and 3-D arrays, by sides of two different frames (such as
-       ``conjugate_subalgebra`` applied to one side only), and when the
-       witness cannot settle the count.  Each generator's Hermitian part
-       h_i is mapped to real coordinates that preserve the Frobenius norm
-       (the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper
-       triangle).  A real thin SVD of each side's coordinates gives
-       Hermitian u_k and w_l, orthonormal in the trace inner product, with
-       ``h_i = sum_k u_k s_A,k V_A,ik`` and likewise on side B.  A
-       direction whose singular value is at or below NumPy's
-       ``matrix_rank`` cutoff (``s_1 max(shape) eps``) is dropped: its norm
-       joins the side's Hermitian defect below, and its products count
-       with ratio 0.  The product matrix is then ``P = P_J (S_A V_A^T (x)
-       S_B V_B^T) + E``: the columns of P_J are the Jordan products ``(u_k
-       w_l + w_l u_k) / 2``, and G is their real Gram.  If ``delta = ||d G
-       - I||_F < 1``, each singular value of the first term lies within
-       ``[sqrt(1 - delta), sqrt(1 + delta)]`` times the matching product
-       ``s_A,i s_B,j / sqrt(d)`` of the sides' singular values
-       (Ostrowski).  By Weyl, E moves each singular value by at most
-       ``||E||_F``, which has two parts: the commutators, ``s_A,1 s_B,1``
-       times ``||[u_k, w_l]||_F / 2`` summed in quadrature over all pairs,
-       and the generators' Hermitian defect, ``||e_A|| ||B|| + ||h_A||
-       ||e_B||`` for the stacks of anti-Hermitian parts e, Hermitian parts
-       h and whole generators.  For a Haar frame at d = 36, delta is
-       6.4e-14 and the Weyl term 3.4e-14 times ``s_A,1 s_B,1 / sqrt(d)``.
-    3. **Dense SVD** of the d^2 x |A| |B| product matrix, O(d^6): when ``|A|
-       |B| > d^2``, when ``delta >= 1``, or when a product falls within the
-       certificate's band.  Generators far from Hermitian, such as ladder
-       operators, and sides far from commuting widen the band past the
-       products and so take it.
+       CLI call.  It reads the count off a model whose singular values are
+       known and bounds the distance to the product matrix P: each singular
+       value of P then lies in an interval, and the count is read when no
+       interval meets the band around ``RANK_TOL`` times the largest,
+       widened by ``CERTIFICATE_MARGIN`` so that roundoff the bound leaves
+       out cannot move a singular value across it.  Each stack is pulled
+       back to the product basis, ``PA = F G_A F^dag`` and ``PB = F G_B
+       F^dag``, and split into ``a_i (x) I + e_i`` and ``I (x) b_j + f_j``
+       with ``a_i = Tr_B(PA_i) / k2`` and ``b_j = Tr_A(PB_j) / k1``.  The
+       model products ``a_i (x) b_j`` have the singular values ``s_A,i
+       s_B,j``, the products of the singular values of the two small
+       coefficient matrices, whose columns are ``vec(a_i)`` (k1^2 x |A|) and
+       ``vec(b_j)`` (k2^2 x |B|).  Model and P are in the same units, the
+       Frobenius norm of a generator product, so no sqrt(d) enters.  By Weyl
+       the pulled-back products lie within ``eta = sqrt(k2) ||a|| ||f|| +
+       ||e|| ||PB||`` of the model (stack Frobenius norms; ``sqrt(k2) ||a||``
+       is ``||a (x) I||``).  The frame's unitarity defect ``u = ||F^dag F -
+       I||_F`` adds ``(1 + u) u ||G_A|| ||G_B||``; the roundoff of the two
+       pullback products adds about ``2 gamma_d sqrt(d) ||G||`` to each
+       pulled-back stack, where ``gamma_d = PRODUCT_ROUNDOFF_PER_TERM d eps``
+       bounds a complex length-d dot product; and conjugation by F scales
+       every singular value by a factor within ``[1 - u, 1 + u]``.  Roundoff
+       in the small SVDs and the norms, relative ``k^2 eps``, is left to the
+       margin.  For a Haar frame at d = 36 the residuals are at roundoff and
+       the interval's half-width is 7e-11 of the largest product.  The
+       witness trusts nothing it is handed: a frame that does not match its
+       generators leaves residuals of the generators' own size, and the band
+       then covers the products.
+    2. **Dense SVD** of the d^2 x |A| |B| product matrix, O(d^6), for every
+       other input: plain sequences and 3-D arrays, sides of two different
+       frames (such as ``conjugate_subalgebra`` applied to one side only),
+       and sides of one frame whose witness cannot settle the count.
 
     Accepts ``SubalgebraBasis`` objects, sequences of matrices or 3-D
     arrays, Hermitian or not, so degenerate generator sets can be checked
@@ -455,8 +344,6 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
         max(np.linalg.norm(a @ stack_b - stack_b @ a, axis=(1, 2)).max() for a in stack_a)
     )
     span_dim = _frame_span_dimension(gens_a, gens_b)
-    if span_dim is None:
-        span_dim = _certified_span_dimension(stack_a, stack_b)
     if span_dim is None:
         span_dim = _dense_span_dimension(stack_a, stack_b)
     return ZanardiReport(

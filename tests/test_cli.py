@@ -106,11 +106,10 @@ class TestZanardiCommand:
 
     def test_both_modes_count_through_the_frame(self, tmp_path, capsys, monkeypatch):
         # route guard: the CLI's sides share one frame, so at d = 36 the frame
-        # witness settles completeness without the Jordan certificate or the dense SVD
+        # witness settles completeness without the dense SVD
         def refuse(*args):
             raise AssertionError("check_zanardi left the frame witness")
 
-        monkeypatch.setattr(tailor, "_certified_span_dimension", refuse)
         monkeypatch.setattr(tailor, "_dense_span_dimension", refuse)
         rng = np.random.default_rng(36)
         state = tmp_path / "psi.json"

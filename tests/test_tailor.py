@@ -1,7 +1,6 @@
 """Tests for frame tailoring and the subsystem-criteria checker."""
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -254,6 +253,19 @@ class TestSubalgebraGenerators:
         with pytest.raises(ValueError, match="expected 4 generators for factor 2, got 3"):
             tl.SubalgebraBasis(4, gens[:3], "A", frame)
 
+    def test_non_array_generators_are_rejected(self):
+        frame = tl.TpsFrame.identity(FAC22)
+        with pytest.raises(ValueError, match="expected 4 generators for factor 2, got 0"):
+            tl.SubalgebraBasis(4, 5, "A", frame)
+
+    def test_basis_of_another_dimension_is_rejected(self):
+        # the frame factors d = 4, while the generators act on dimension 6
+        frame = tl.TpsFrame.identity(FAC22)
+        rng = np.random.default_rng(7)
+        gens = [random_hermitian(rng, 6) for _ in range(4)]
+        with pytest.raises(ValueError, match="dimension 6 for a frame of dimension 4"):
+            tl.SubalgebraBasis(6, gens, "A", frame)
+
     def test_peak_memory_at_d144_stays_below_two_and_a_half_stacks(self):
         # the conjugation holds at most two stacks and the Hermitian check walks
         # the copy in bounded pieces; four stacks were held before (192 MB)
@@ -323,7 +335,7 @@ class TestCheckZanardi:
 def dense_span_oracle(gens_a, gens_b) -> tuple[int, bool]:
     """Span dimension and completeness from the SVD of the full product matrix.
 
-    This is the d^6 count ``check_zanardi`` made before its certificate:
+    The count of ``check_zanardi``'s dense route, built here pair by pair:
     singular values above 1e-8 of the largest.
     """
     list_a = [np.asarray(g, dtype=complex) for g in getattr(gens_a, "generators", gens_a)]
@@ -340,7 +352,7 @@ def frame_sides(frame: tl.TpsFrame):
 
 
 def frame_stacks(frame: tl.TpsFrame):
-    """The two sides as plain arrays, which skip the frame witness for the certificate."""
+    """The two sides as plain arrays, which skip the frame witness for the dense SVD."""
     return tuple(side.generators for side in frame_sides(frame))
 
 
@@ -388,12 +400,18 @@ FACTOR_CASES = [(4, (2, 2)), (6, (2, 3)), (8, (2, 4)), (12, (3, 4))]
 
 
 class TestCertifiedCompleteness:
+    """Counts of inputs the frame witness does not take, certified against the oracle.
+
+    Plain sequences and arrays, and sides that are not A and B of one frame, take
+    the dense SVD inside ``check_zanardi``.
+    """
+
     @pytest.mark.parametrize("d, factors", FACTOR_CASES)
     def test_identity_frames_certified(self, d, factors, dense_calls):
         frame = tl.TpsFrame.identity(tl.Factorization(d, factors))
         report = assert_matches_oracle(*frame_stacks(frame))
         assert report.completeness and report.span_dimension == d * d
-        assert dense_calls == []
+        assert dense_calls == [(factors[0] ** 2, factors[1] ** 2)]
 
     @pytest.mark.parametrize("d, factors", FACTOR_CASES)
     def test_tailored_frames_certified(self, d, factors, dense_calls):
@@ -401,40 +419,33 @@ class TestCertifiedCompleteness:
         fac = tl.Factorization(d, factors)
         frame = tl.tailor_frame(tl.random_pure(d, rng), fac, random_target(rng, min(factors)))
         assert assert_matches_oracle(*frame_stacks(frame)).completeness
-        assert dense_calls == []
+        assert dense_calls == [(factors[0] ** 2, factors[1] ** 2)]
 
     def test_haar_frame_at_d36_certified(self, dense_calls):
         frame = tl.TpsFrame(tl.Factorization(36, (6, 6)), tl.random_unitary(36, 2024))
         report = assert_matches_oracle(*frame_stacks(frame))
         assert report.span_dimension == 1296
-        assert dense_calls == []
+        assert dense_calls == [(36, 36)]
 
-    @pytest.mark.parametrize("target", ["separable", "uniform", "random"])
+    # the separable and uniform targets, and the 9 x 4 split, are frame witness cases
+    @pytest.mark.parametrize("target", ["random"])
     def test_tailored_frames_at_d36_certified(self, target, dense_calls):
         rng = np.random.default_rng(36)
         psi = tl.random_pure(36, rng)
-        if target == "separable":
-            spectrum = tl.TargetSpectrum.separable(6)
-        elif target == "uniform":
-            spectrum = tl.TargetSpectrum.uniform(6)
-        else:
-            spectrum = random_target(rng, 6)
-        frame = tl.tailor_frame(psi, tl.Factorization(36, (6, 6)), spectrum)
+        frame = tl.tailor_frame(psi, tl.Factorization(36, (6, 6)), random_target(rng, 6))
         report = assert_matches_oracle(*frame_stacks(frame))
         assert report.completeness and report.span_dimension == 1296
-        assert dense_calls == []
+        assert dense_calls == [(36, 36)]
 
-    @pytest.mark.parametrize("factors", [(4, 9), (9, 4)], ids=["4x9", "9x4"])
+    @pytest.mark.parametrize("factors", [(4, 9)], ids=["4x9"])
     def test_unequal_haar_split_at_d36_certified(self, factors, dense_calls):
         frame = tl.TpsFrame(tl.Factorization(36, factors), tl.random_unitary(36, 49))
         report = assert_matches_oracle(*frame_stacks(frame))
         assert report.completeness and report.span_dimension == 1296
-        assert dense_calls == []
+        assert dense_calls == [(16, 81)]
 
     def test_ladder_operators_take_the_dense_svd(self, dense_calls):
-        # {I, sigma_+, sigma_-, Z} spans M_2 but is not Hermitian: the
-        # Hermitian-defect term widens the certificate's band past the
-        # products, so the dense SVD settles the count
+        # {I, sigma_+, sigma_-, Z} spans M_2 but is not Hermitian
         eye = np.eye(2, dtype=complex)
         raising = np.array([[0, 1], [0, 0]], dtype=complex)
         side_a = [np.kron(m, eye) for m in (eye, raising, raising.T, SZ)]
@@ -444,9 +455,7 @@ class TestCertifiedCompleteness:
         assert dense_calls == [(4, 4)]
 
     def test_parallel_products_of_anticommuting_sides_take_the_dense_svd(self, dense_calls):
-        # X P0 and Y P0 = i X P0 (P0 = I + Z) are parallel, so the span is 1,
-        # while their Jordan products X and Y are orthogonal; only the
-        # commutator term keeps the certificate from counting 2
+        # X P0 and Y P0 = i X P0 (P0 = I + Z) are parallel, so the span is 1
         report = assert_matches_oracle([SX, SY], [np.eye(2) + SZ])
         assert report.span_dimension == 1
         assert dense_calls == [(2, 1)]
@@ -460,7 +469,7 @@ class TestCertifiedCompleteness:
         assert max(np.abs(g - g.conj().T).max() for g in side_a + side_b) > 1e-13
         report = assert_matches_oracle(side_a, side_b)
         assert report.completeness and report.span_dimension == 144
-        assert dense_calls == []
+        assert dense_calls == [(9, 16)]
 
     def test_same_side_pair_falls_back(self, dense_calls):
         gens = tl.subalgebra_generators(tl.TpsFrame.identity(FAC22), "A")
@@ -471,7 +480,7 @@ class TestCertifiedCompleteness:
     def test_identity_against_identity(self, dense_calls):
         report = assert_matches_oracle([np.eye(4)], [np.eye(4)])
         assert report.span_dimension == 1
-        assert dense_calls == []
+        assert dense_calls == [(1, 1)]
 
     def test_cnot_conjugated_sides(self):
         gens_a, gens_b = frame_sides(tl.TpsFrame.identity(FAC22))
@@ -489,14 +498,12 @@ class TestCertifiedCompleteness:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_duplicated_generator_of_haar_frame_certified(self, seed, dense_calls):
-        # the duplicate leaves a side direction at roundoff: it drops out of
-        # the Gram instead of sending the check to the dense SVD
         frame = tl.TpsFrame(tl.Factorization(12, (3, 4)), tl.random_unitary(12, seed))
         gens_a, gens_b = frame_sides(frame)
         side_a = np.concatenate([gens_a.generators[:5], gens_a.generators[4:5]])
         report = assert_matches_oracle(side_a, gens_b)
         assert report.span_dimension == 80 and not report.completeness
-        assert dense_calls == []
+        assert dense_calls == [(6, 16)]
 
     def test_too_many_products_fall_back(self, dense_calls):
         gens_a, gens_b = frame_sides(tl.TpsFrame.identity(FAC22))
@@ -505,8 +512,7 @@ class TestCertifiedCompleteness:
         assert dense_calls == [(5, 4)]
 
     def test_product_on_rank_threshold_falls_back(self, dense_calls):
-        # the four products with the scaled Z sit at exactly RANK_TOL times
-        # the largest, inside the certificate's band
+        # the four products with the scaled Z sit at exactly RANK_TOL times the largest
         assert_matches_oracle(*pauli_sides(tailor.RANK_TOL))
         assert dense_calls == [(4, 4)]
 
@@ -514,7 +520,7 @@ class TestCertifiedCompleteness:
     def test_products_off_the_threshold_certified(self, scale, span, dense_calls):
         report = assert_matches_oracle(*pauli_sides(scale))
         assert report.span_dimension == span
-        assert dense_calls == []
+        assert dense_calls == [(4, 4)]
 
     def test_zero_generators_fall_back(self, dense_calls):
         report = assert_matches_oracle([np.zeros((4, 4))], [np.eye(4)])
@@ -525,43 +531,11 @@ class TestCertifiedCompleteness:
 FACTOR_PAIRS = [(k1, k2) for k1 in range(2, 7) for k2 in range(2, 7) if k1 * k2 <= 12]
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    factors=st.sampled_from(FACTOR_PAIRS),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.sampled_from([1.0, 1e-4, 1e-8, 1e-12, 0.0]),
-    drop=st.integers(0, 3),
-    duplicate=st.booleans(),
-    scramble_b=st.booleans(),
-    hermitian_defect=st.sampled_from([0.0, 1e-11, 1e-6, 1e-2, 1.0]),
-)
-def test_certified_count_matches_dense_oracle(
-    factors, seed, scale, drop, duplicate, scramble_b, hermitian_defect
-):
-    rng = np.random.default_rng(seed)
-    d = factors[0] * factors[1]
-    frame = tl.TpsFrame(tl.Factorization(d, factors), tl.random_unitary(d, rng))
-    gens_a, gens_b = frame_sides(frame)
-    side_a = list(gens_a.generators)
-    i = int(rng.integers(len(side_a)))
-    side_a[i] = scale * side_a[i]
-    if duplicate:
-        side_a.append(side_a[-1])
-    side_b = list(gens_b.generators)[: max(1, len(gens_b.generators) - drop)]
-    if scramble_b:
-        u = tl.random_unitary(d, rng)
-        side_b = [u @ g @ u.conj().T for g in side_b]
-    if hermitian_defect:
-        side_a = with_anti_hermitian_defect(side_a, hermitian_defect, rng)
-        side_b = with_anti_hermitian_defect(side_b, hermitian_defect, rng)
-    with mock.patch.object(
-        tailor, "_dense_span_dimension", wraps=tailor._dense_span_dimension
-    ) as dense:
-        assert_matches_oracle(side_a, side_b)
-    # the dense SVD runs exactly when the certificate cannot settle the count
-    certified = tailor._certified_span_dimension(side_a, side_b) is not None
-    assert dense.called != certified
-    event("certified" if certified else "dense fallback")
+def test_two_span_routes(dense_calls):
+    # the frame witness and the dense SVD are the only routes to the span count
+    assert not hasattr(tailor, "_certified_span_dimension")
+    tl.check_zanardi(*frame_stacks(tl.TpsFrame.identity(FAC22)))
+    assert dense_calls == [(4, 4)]
 
 
 def witness_matches_oracle(gens_a, gens_b) -> int | None:
@@ -571,21 +545,6 @@ def witness_matches_oracle(gens_a, gens_b) -> int | None:
     assert witnessed is None or witnessed == span
     assert tl.check_zanardi(gens_a, gens_b).span_dimension == span
     return witnessed
-
-
-@pytest.fixture
-def fallback_calls(monkeypatch):
-    """Record each run of the Jordan certificate or the dense SVD inside check_zanardi."""
-    calls = []
-    for name in ("_certified_span_dimension", "_dense_span_dimension"):
-        route = getattr(tailor, name)
-
-        def counting(stack_a, stack_b, route=route, name=name):
-            calls.append(name)
-            return route(stack_a, stack_b)
-
-        monkeypatch.setattr(tailor, name, counting)
-    return calls
 
 
 def embedded(frame: tl.TpsFrame, product_operator: np.ndarray) -> np.ndarray:
@@ -610,6 +569,9 @@ WITNESS_FRAMES = [
     ("haar", 36, (6, 6)),
     ("tailored", 8, (2, 4)),
     ("tailored", 36, (6, 6)),
+    ("haar", 36, (9, 4)),
+    ("separable", 36, (6, 6)),
+    ("uniform", 36, (6, 6)),
 ]
 SMALL_WITNESS_FRAMES = [case for case in WITNESS_FRAMES if case[1] <= 12]
 
@@ -621,23 +583,28 @@ def witness_frame(kind: str, d: int, factors) -> tl.TpsFrame:
     if kind == "haar":
         return tl.TpsFrame(fac, tl.random_unitary(d, d + factors[0]))
     rng = np.random.default_rng(d)
-    return tl.tailor_frame(tl.random_pure(d, rng), fac, random_target(rng, min(factors)))
+    psi, width = tl.random_pure(d, rng), min(factors)
+    if kind == "separable":
+        return tl.tailor_frame(psi, fac, tl.TargetSpectrum.separable(width))
+    if kind == "uniform":
+        return tl.tailor_frame(psi, fac, tl.TargetSpectrum.uniform(width))
+    return tl.tailor_frame(psi, fac, random_target(rng, width))
 
 
 class TestFrameWitness:
     @pytest.mark.parametrize("kind, d, factors", WITNESS_FRAMES)
-    def test_counts_the_full_span_through_the_frame(self, kind, d, factors, fallback_calls):
+    def test_counts_the_full_span_through_the_frame(self, kind, d, factors, dense_calls):
         frame = witness_frame(kind, d, factors)
         assert witness_matches_oracle(*frame_sides(frame)) == d * d
-        assert fallback_calls == []
+        assert dense_calls == []
 
     @pytest.mark.parametrize("kind, d, factors", SMALL_WITNESS_FRAMES)
-    def test_duplicated_generator(self, kind, d, factors, fallback_calls):
+    def test_duplicated_generator(self, kind, d, factors, dense_calls):
         gens_a, gens_b = frame_sides(witness_frame(kind, d, factors))
         side_a = with_duplicate(gens_a, replaced=1, kept=2)
         k2 = factors[1]
         assert witness_matches_oracle(side_a, gens_b) == d * d - k2 * k2
-        assert fallback_calls == []
+        assert dense_calls == []
 
     def test_sides_of_two_frames_skip_it(self):
         fac = tl.Factorization(12, (3, 4))
@@ -656,16 +623,6 @@ class TestFrameWitness:
         gens_a, gens_b = frame_sides(tl.TpsFrame.identity(FAC22))
         assert witness_matches_oracle(gens_a, gens_a) is None
         assert witness_matches_oracle(gens_b, gens_a) is None
-
-    def test_basis_of_another_dimension_skips_it(self):
-        # the frame factors d = 4, while the generators act on dimension 6
-        frame = tl.TpsFrame.identity(FAC22)
-        rng = np.random.default_rng(7)
-        side_a, side_b = (
-            tl.SubalgebraBasis(6, [random_hermitian(rng, 6) for _ in range(4)], side, frame)
-            for side in "AB"
-        )
-        assert witness_matches_oracle(side_a, side_b) is None
 
     @pytest.mark.parametrize("d, factors", [(4, (2, 2)), (12, (3, 4)), (36, (6, 6))])
     def test_frame_its_generators_do_not_match_falls_back(self, d, factors):
