@@ -106,28 +106,25 @@ def _cmd_zanardi(args) -> int:
     if (args.frame is None) == (args.random_frames is None):
         raise ValueError("give exactly one of --frame or --random-frames")
     if args.frame is not None:
-        frame = frame_from_dict(load_json(args.frame))
-        report = check_zanardi(
-            subalgebra_generators(frame, "A"), subalgebra_generators(frame, "B")
-        )
-        lines = _zanardi_lines(report)
-        payload = asdict(report)
+        frames = [frame_from_dict(load_json(args.frame))]
     else:
         if args.dim is None or args.factors is None:
             raise ValueError("--random-frames requires --dim and --factors")
         if args.random_frames < 1:
             raise ValueError(f"--random-frames must be at least 1, got {args.random_frames}")
-        k1, k2 = _parse_int_pair(args.factors)
-        factorization = Factorization(args.dim, (k1, k2))
+        factorization = Factorization(args.dim, _parse_int_pair(args.factors))
         rng = np.random.default_rng(args.seed)
-        reports = []
-        for _ in range(args.random_frames):
-            frame = TpsFrame(factorization, random_unitary(args.dim, rng))
-            reports.append(
-                check_zanardi(
-                    subalgebra_generators(frame, "A"), subalgebra_generators(frame, "B")
-                )
-            )
+        frames = (
+            TpsFrame(factorization, random_unitary(args.dim, rng))
+            for _ in range(args.random_frames)
+        )
+    reports = [
+        check_zanardi(subalgebra_generators(frame, "A"), subalgebra_generators(frame, "B"))
+        for frame in frames
+    ]
+    if args.frame is not None:
+        lines, payload = _zanardi_lines(reports[0]), asdict(reports[0])
+    else:
         failures = sum(1 for r in reports if not (r.independence and r.completeness))
         lines = [
             f"frames_checked={len(reports)}",

@@ -58,6 +58,7 @@ class PureState:
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |psi| = {norm!r}")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "amplitudes", amps)
 
     def projector(self) -> "DensityMatrix":
@@ -82,6 +83,7 @@ class DensityMatrix:
         lowest = float(np.linalg.eigvalsh(mat)[0])
         if lowest < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {lowest!r} below {EIGENVALUE_FLOOR}")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", mat)
 
 
@@ -201,14 +203,25 @@ def bell_state(label: str) -> PureState:
     return PureState(4, _BELL_VECTORS[key])
 
 
-def _check_dims(state_dim: int, frame: TpsFrame) -> None:
-    if state_dim != frame.d:
-        raise ValueError(f"state dimension {state_dim} != frame dimension {frame.d}")
-
-
 def _conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``U M U^dag``: an operator moved into the basis that ``U`` maps onto."""
-    return u @ m @ u.conj().T
+    """``U M U^dag`` for an operator or a stack; ``m`` is rebound so two new arrays are held."""
+    m = u @ m
+    return m @ u.conj().T
+
+
+def _in_product_basis(state, frame: TpsFrame, kinds=(PureState, DensityMatrix)) -> np.ndarray:
+    """``U psi`` as a ``(k1, k2)`` matrix, or ``U rho U^dag`` as a ``(k1, k2, k1, k2)`` array.
+
+    ``kinds`` are the state types the caller accepts; anything else raises ``TypeError``.
+    """
+    if not isinstance(state, kinds):
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"expected {expected}, got {type(state).__name__}")
+    if state.dim != frame.d:
+        raise ValueError(f"state dimension {state.dim} != frame dimension {frame.d}")
+    if isinstance(state, PureState):
+        return (frame.frame @ state.amplitudes).reshape(frame.factorization.factors)
+    return _conjugate(frame.frame, state.matrix).reshape(frame.factorization.factors * 2)
 
 
 def apply_frame(state, frame: TpsFrame):
@@ -217,14 +230,10 @@ def apply_frame(state, frame: TpsFrame):
     Pure states map as ``U psi``, density matrices as ``U rho U^dag``.
     Returns the same type as the input.
     """
-    u = frame.frame
+    moved = _in_product_basis(state, frame)
     if isinstance(state, PureState):
-        _check_dims(state.dim, frame)
-        return PureState(state.dim, u @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        _check_dims(state.dim, frame)
-        return DensityMatrix(state.dim, _conjugate(u, state.matrix))
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+        return PureState(state.dim, moved.reshape(-1))
+    return DensityMatrix(state.dim, moved.reshape(state.dim, state.dim))
 
 
 def _fix_phases(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,9 +270,7 @@ def schmidt_decompose(state: PureState, frame: TpsFrame) -> SchmidtData:
         Coefficients ``lambda_i`` (squared singular values, descending)
         and the matching orthonormal vectors.
     """
-    _check_dims(state.dim, frame)
-    k1, k2 = frame.k1, frame.k2
-    m = (frame.frame @ state.amplitudes).reshape(k1, k2)
+    m = _in_product_basis(state, frame, (PureState,))
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     # psi[a*k2 + b] = sum_i s_i u[a, i] vh[i, b]: the right Schmidt vectors
     # are the rows of vh.
@@ -287,16 +294,11 @@ def partial_trace(rho: DensityMatrix, frame: TpsFrame, side: str) -> DensityMatr
         ``"A"`` keeps the k1-dimensional subsystem, ``"B"`` the
         k2-dimensional one.
     """
-    _check_dims(rho.dim, frame)
-    k1, k2 = frame.k1, frame.k2
-    conj = _conjugate(frame.frame, rho.matrix).reshape(k1, k2, k1, k2)
-    if side == "A":
-        reduced = np.einsum("abcb->ac", conj)
-        return DensityMatrix(k1, 0.5 * (reduced + reduced.conj().T))
-    if side == "B":
-        reduced = np.einsum("abac->bc", conj)
-        return DensityMatrix(k2, 0.5 * (reduced + reduced.conj().T))
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    conj = _in_product_basis(rho, frame, (DensityMatrix,))
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    reduced = np.einsum("abcb->ac" if side == "A" else "abac->bc", conj)
+    return DensityMatrix(len(reduced), 0.5 * (reduced + reduced.conj().T))
 
 
 def _schmidt_probabilities(m: np.ndarray) -> np.ndarray:
@@ -320,9 +322,7 @@ def entanglement_entropy(state: PureState, frame: TpsFrame) -> float:
 
     ``0 * ln 0`` is taken as 0.
     """
-    _check_dims(state.dim, frame)
-    m = (frame.frame @ state.amplitudes).reshape(frame.k1, frame.k2)
-    return _entropy_nats(_schmidt_probabilities(m))
+    return _entropy_nats(_schmidt_probabilities(_in_product_basis(state, frame, (PureState,))))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -338,9 +338,7 @@ def negativity(rho: DensityMatrix, frame: TpsFrame) -> float:
     particular for every product state and for the totally mixed state in
     any frame.
     """
-    _check_dims(rho.dim, frame)
-    k1, k2 = frame.k1, frame.k2
-    conj = _conjugate(frame.frame, rho.matrix).reshape(k1, k2, k1, k2)
+    conj = _in_product_basis(rho, frame, (DensityMatrix,))
     transposed = conj.transpose(0, 3, 2, 1).reshape(rho.dim, rho.dim)
     eigs = np.linalg.eigvalsh(transposed)
     return max(0.0, float((np.abs(eigs).sum() - 1.0) / 2.0))

@@ -135,10 +135,12 @@ class SymplecticMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = frozen_array("symplectic matrix", self.matrix, (2 * self.n_modes,) * 2)
-        defect = float(symplectic_defect(mat, symplectic_form(self.n_modes)))
+        n = require_size("mode counts", self.n_modes)
+        mat = frozen_array("symplectic matrix", self.matrix, (2 * n,) * 2)
+        defect = float(symplectic_defect(mat, symplectic_form(n)))
         if defect > SYMPLECTIC_TOL:
             raise ValueError(f"matrix is not symplectic: ||S^T Omega S - Omega||_F = {defect!r}")
+        object.__setattr__(self, "n_modes", n)
         object.__setattr__(self, "matrix", mat)
 
 
@@ -157,10 +159,12 @@ class CovarianceMatrix:
     nu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        size = (2 * self.n_modes,) * 2
+        n = require_size("mode counts", self.n_modes)
+        size = (2 * n,) * 2
         mat = frozen_array("covariance matrix", self.sigma, size, error=InvalidCovarianceError)
         nu = _validated_spectra(mat)
         nu.setflags(write=False)
+        object.__setattr__(self, "n_modes", n)
         object.__setattr__(self, "sigma", mat)
         object.__setattr__(self, "nu", nu)
 
@@ -401,5 +405,4 @@ def random_covariance(
     rng = np.random.default_rng(seed)
     s = random_symplectic(n_modes, rng, max_squeeze).matrix
     nu = np.ones(n_modes) if pure else rng.uniform(1.0, max_thermal, n_modes)
-    sigma = s @ np.diag(np.repeat(nu, 2)) @ s.T
-    return CovarianceMatrix(n_modes, 0.5 * (sigma + sigma.T))
+    return CovarianceMatrix(n_modes, _congruence(s, np.diag(np.repeat(nu, 2))))

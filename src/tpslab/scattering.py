@@ -82,12 +82,12 @@ class LatticeConfig:
 
     def __post_init__(self):
         require_finite("hopping and interaction", (self.hopping, self.interaction))
-        if not MIN_SITES <= require_integer("site counts", self.n_sites) <= MAX_SITES:
-            raise ValueError(
-                f"site count must be in [{MIN_SITES}, {MAX_SITES}], got {self.n_sites}"
-            )
+        n = require_integer("site counts", self.n_sites)
+        if not MIN_SITES <= n <= MAX_SITES:
+            raise ValueError(f"site count must be in [{MIN_SITES}, {MAX_SITES}], got {n}")
         if self.hopping <= 0.0:
             raise ValueError(f"hopping must be positive, got {self.hopping}")
+        object.__setattr__(self, "n_sites", n)
 
 
 def single_particle_packet(n_sites: int, packet: WavePacket) -> np.ndarray:

@@ -86,6 +86,7 @@ class SubalgebraBasis:
         if gens.shape != (count, d, d):
             raise ValueError(f"expected generator of shape {(count, d, d)}, got {gens.shape}")
         require_hermitian("generator", gens, GENERATOR_HERMITICITY_TOL)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "generators", gens)
 
 
@@ -194,8 +195,9 @@ def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
         factors = np.eye(k1), hermitian_basis(k2)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    # _conjugate's two products, one at a time: each frees its input stack, so no
-    # more than two stacks are held before validation
+    # _conjugate's two products, written out: each frees its input stack, so no more
+    # than two stacks are held before validation.  _conjugate(u, np.kron(*factors))
+    # would hold three, since Python 3.10 keeps a call's arguments alive until it returns
     u = frame.frame.conj().T
     native = u @ np.kron(*factors)
     native = native @ u.conj().T
@@ -245,17 +247,14 @@ def _frame_span_dimension(gens_a, gens_b) -> int | None:
     if not same or (gens_a.side, gens_b.side) != ("A", "B"):
         return None
     f, d, k1, k2 = frame.frame, frame.d, frame.k1, frame.k2
-    f_dag = f.conj().T
     gamma = PRODUCT_ROUNDOFF_PER_TERM * d * np.finfo(float).eps
     # ||F^dag F - I||_F, raised by the roundoff of F^dag F (at most gamma ||F||_F^2)
-    u = (float(np.linalg.norm(f_dag @ f - np.eye(d))) + gamma * d) / (1.0 - gamma * d)
+    u = (float(np.linalg.norm(f.conj().T @ f - np.eye(d))) + gamma * d) / (1.0 - gamma * d)
     if not u < 1.0:
         return None
-    # pull each stack back to the product basis, one product at a time
-    pa = f @ gens_a.generators
-    pa = (pa @ f_dag).reshape(-1, k1, k2, k1, k2)
-    pb = f @ gens_b.generators
-    pb = (pb @ f_dag).reshape(-1, k1, k2, k1, k2)
+    # pull each stack back to the product basis
+    pa = _conjugate(f, gens_a.generators).reshape(-1, k1, k2, k1, k2)
+    pb = _conjugate(f, gens_b.generators).reshape(-1, k1, k2, k1, k2)
     size_a, size_b = np.linalg.norm(gens_a.generators), np.linalg.norm(gens_b.generators)
     size_pb = np.linalg.norm(pb)
     a, e = _local_part(pa)

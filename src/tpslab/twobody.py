@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import SYMMETRY_TOL, UNBOUND_FREQUENCY_RATIO, frozen_array, require_finite
-from ._checks import require_hermitian
+from ._checks import require_hermitian, require_size
 from .gaussian import (
     CovarianceMatrix,
     GaussianState,
@@ -98,8 +98,10 @@ class QuadraticHamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = frozen_array("Hamiltonian matrix", self.matrix, (2 * self.n_modes,) * 2)
+        n = require_size("mode counts", self.n_modes)
+        mat = frozen_array("Hamiltonian matrix", self.matrix, (2 * n,) * 2)
         require_hermitian("Hamiltonian matrix", mat, SYMMETRY_TOL)
+        object.__setattr__(self, "n_modes", n)
         object.__setattr__(self, "matrix", mat)
 
 
@@ -170,8 +172,7 @@ def transform_quadratic_hamiltonian(
         raise ValueError(f"mode mismatch: {ham.n_modes} != {s.n_modes}")
     omega = symplectic_form(ham.n_modes)
     inv = -omega @ s.matrix.T @ omega
-    mat = inv.T @ ham.matrix @ inv
-    return QuadraticHamiltonian(ham.n_modes, 0.5 * (mat + mat.T))
+    return QuadraticHamiltonian(ham.n_modes, _congruence(inv.T, ham.matrix))
 
 
 def scaled_hamiltonian(params: TwoBodyParams) -> QuadraticHamiltonian:
@@ -199,8 +200,7 @@ def _ground_state_sigmas(params: TwoBodyParams, kappas: np.ndarray) -> np.ndarra
     mass_freq = np.array([params.total_mass, mu]) * freqs
     vacua = np.stack([1.0 / mass_freq, mass_freq], axis=2).reshape(-1, 1, 4)
     back = -_OMEGA @ _scaled_to_com_rel(params).T @ _OMEGA
-    sigma = (back * vacua) @ back.T
-    return 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
+    return _congruence(back, vacua * np.eye(4))
 
 
 def ground_state_covariance(params: TwoBodyParams) -> GaussianState:
@@ -219,6 +219,13 @@ def ground_state_covariance(params: TwoBodyParams) -> GaussianState:
     return GaussianState(CovarianceMatrix(2, sigma), np.zeros(4))
 
 
+def _first_mode_entropies(sigma: np.ndarray) -> np.ndarray:
+    """Mode-0 entropies of a stack (N, 4, 4), checked as ``gaussian_entropy_across`` checks one."""
+    _require_pure(_validated_spectra(sigma))
+    marginal = _validated_spectra(sigma[:, :2, :2])
+    return np.array([thermal_entropy(nu) for nu in marginal[:, 0]])
+
+
 def _stacked_sweep(m1, m2, omega_trap, kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``coupling_sweep``'s one pass; a failing check raises for the whole stack."""
     # the masses and the trap are shared, so checking the first coupling that
@@ -226,15 +233,8 @@ def _stacked_sweep(m1, m2, omega_trap, kappas: np.ndarray) -> tuple[np.ndarray, 
     bad = ~np.isfinite(kappas) | (kappas < 0.0) | ((kappas == 0.0) & (omega_trap == 0.0))
     params = TwoBodyParams(m1, m2, omega_trap, float(kappas[np.argmax(bad)]))
     sigma = _ground_state_sigmas(params, kappas)
-    _require_pure(_validated_spectra(sigma))
-    particle_marginal = _validated_spectra(sigma[:, :2, :2])
-    moved = _congruence(_scaled_to_com_rel(params), sigma)
-    _require_pure(_validated_spectra(moved))
-    com_marginal = _validated_spectra(moved[:, :2, :2])
-    return tuple(
-        np.array([thermal_entropy(nu) for nu in marginal[:, 0]])
-        for marginal in (particle_marginal, com_marginal)
-    )
+    particles = _first_mode_entropies(sigma)
+    return particles, _first_mode_entropies(_congruence(_scaled_to_com_rel(params), sigma))
 
 
 def coupling_sweep(

@@ -131,6 +131,18 @@ class TestZanardiCommand:
     def test_requires_exactly_one_mode(self, capsys):
         assert run(["zanardi"]) == 1
 
+    @pytest.mark.parametrize("given", [["--dim", "4"], ["--factors", "2,2"], []])
+    def test_random_frames_require_dim_and_factors(self, given, capsys):
+        assert run(["zanardi", "--random-frames", "2", *given]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        payload = json.loads(line)
+        assert payload == {
+            "error": "ValueError",
+            "message": "--random-frames requires --dim and --factors",
+        }
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_random_frame_count_below_one_is_rejected(self, count, capsys):
         argv = ["zanardi", "--random-frames", count, "--dim", "4", "--factors", "2,2"]

@@ -168,8 +168,49 @@ class TestApplyFrame:
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            tl.apply_frame(tl.random_pure(6, 0), FRAME22)
+        for state in (tl.random_pure(6, 0), tl.random_density(6, 2, 0)):
+            with pytest.raises(ValueError, match="^state dimension 6 != frame dimension 4$"):
+                tl.apply_frame(state, FRAME22)
+
+    def test_non_state_is_rejected(self):
+        with pytest.raises(TypeError, match="^expected PureState or DensityMatrix, got int$"):
+            tl.apply_frame(3, FRAME22)
+
+
+FAC23 = tl.Factorization(6, (2, 3))
+HAAR23 = tl.TpsFrame(FAC23, tl.random_unitary(6, 61))
+PSI6 = tl.random_pure(6, 62)
+RHO6 = tl.random_density(6, 3, 63)
+
+# each measure with a state of the kind it takes
+MEASURES = {
+    "schmidt_decompose": (lambda psi, frame: tl.schmidt_decompose(psi, frame).coefficients, PSI6),
+    "entanglement_entropy": (tl.entanglement_entropy, PSI6),
+    "partial_trace_A": (lambda rho, frame: tl.partial_trace(rho, frame, "A").matrix, RHO6),
+    "partial_trace_B": (lambda rho, frame: tl.partial_trace(rho, frame, "B").matrix, RHO6),
+    "negativity": (tl.negativity, RHO6),
+}
+
+
+class TestOneFrameAction:
+    """Every measure moves the state into the frame's product basis the way apply_frame does."""
+
+    @pytest.mark.parametrize("measure, state", MEASURES.values(), ids=MEASURES.keys())
+    def test_haar_frame_equals_identity_frame_after_apply_frame(self, measure, state):
+        moved = tl.apply_frame(state, HAAR23)
+        assert np.array_equal(measure(state, HAAR23), measure(moved, tl.TpsFrame.identity(FAC23)))
+
+    @pytest.mark.parametrize("measure, state", MEASURES.values(), ids=MEASURES.keys())
+    def test_dimension_mismatch(self, measure, state):
+        with pytest.raises(ValueError, match="^state dimension 6 != frame dimension 4$"):
+            measure(state, FRAME22)
+
+    @pytest.mark.parametrize("measure, state", MEASURES.values(), ids=MEASURES.keys())
+    def test_measure_rejects_the_other_kind_of_state(self, measure, state):
+        # a density matrix has no Schmidt spectrum here, and a pure state no partial trace
+        other = RHO6 if isinstance(state, tl.PureState) else PSI6
+        with pytest.raises(TypeError, match=f"^expected {type(state).__name__}, got"):
+            measure(other, HAAR23)
 
 
 class TestSchmidt:

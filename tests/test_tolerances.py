@@ -77,31 +77,66 @@ SYMPLECTIC_2 = tl.random_symplectic(2, 3).matrix
 FRAME_22 = tl.TpsFrame.identity(tl.Factorization(4, (2, 2)))
 PACKET = tl.WavePacket(4.0, 2.0, 1.0)
 
+# each size-checking constructor with the float size it is given
 NON_INTEGER_SIZES = {
-    "PureState.dim": lambda: tl.PureState(4.0, np.full(4, 0.5)),
-    "DensityMatrix.dim": lambda: tl.DensityMatrix(2.0, np.eye(2) / 2),
-    "SubalgebraBasis.d": lambda: tl.SubalgebraBasis(
-        4.0, tl.subalgebra_generators(FRAME_22, "A").generators, "A", FRAME_22
-    ),
-    "LatticeConfig.n_sites": lambda: tl.LatticeConfig(24.0, 1.0, 2.0, PACKET, PACKET),
-    "symplectic_form": lambda: tl.symplectic_form(2.0),
-    "SymplecticMatrix.n_modes": lambda: tl.SymplecticMatrix(2.0, SYMPLECTIC_2),
-    "CovarianceMatrix.n_modes": lambda: tl.CovarianceMatrix(2.0, np.eye(4)),
-    "QuadraticHamiltonian.n_modes": lambda: tl.QuadraticHamiltonian(2.0, np.eye(4)),
+    "PureState.dim": (4.0, lambda n: tl.PureState(n, np.full(4, 0.5))),
+    "DensityMatrix.dim": (2.0, lambda n: tl.DensityMatrix(n, np.eye(2) / 2)),
+    "SubalgebraBasis.d": (4.0, lambda n: tl.SubalgebraBasis(
+        n, tl.subalgebra_generators(FRAME_22, "A").generators, "A", FRAME_22
+    )),
+    "LatticeConfig.n_sites": (24.0, lambda n: tl.LatticeConfig(n, 1.0, 2.0, PACKET, PACKET)),
+    "symplectic_form": (2.0, tl.symplectic_form),
+    "SymplecticMatrix.n_modes": (2.0, lambda n: tl.SymplecticMatrix(n, SYMPLECTIC_2)),
+    "CovarianceMatrix.n_modes": (2.0, lambda n: tl.CovarianceMatrix(n, np.eye(4))),
+    "QuadraticHamiltonian.n_modes": (2.0, lambda n: tl.QuadraticHamiltonian(n, np.eye(4))),
 }
 
 
 class TestIntegerSizes:
-    @pytest.mark.parametrize("build", NON_INTEGER_SIZES.values(), ids=NON_INTEGER_SIZES.keys())
-    def test_float_size_is_rejected(self, build):
-        with pytest.raises(ValueError, match="must be integers, got [0-9.]+$"):
-            build()
+    @pytest.mark.parametrize("size, build", NON_INTEGER_SIZES.values(), ids=list(NON_INTEGER_SIZES))
+    def test_float_size_is_rejected(self, size, build):
+        # the message names the size passed, not a shape derived from it
+        with pytest.raises(ValueError, match=f"must be integers, got {size!r}$"):
+            build(size)
 
     def test_numpy_integer_sizes_are_accepted(self):
         two = np.int64(2)
         assert tl.PureState(two, np.array([1.0, 0.0])).dim == 2
         assert tl.CovarianceMatrix(two, np.eye(4)).nu.tolist() == [1.0, 1.0]
         assert tl.symplectic_form(two).shape == (4, 4)
+        # each constructor keeps the checked size as an int, not the value given
+        four = np.int64(4)
+        built = {
+            "PureState.dim": tl.PureState(two, np.array([1.0, 0.0])).dim,
+            "DensityMatrix.dim": tl.DensityMatrix(two, np.eye(2) / 2).dim,
+            "SubalgebraBasis.d": tl.SubalgebraBasis(
+                four, tl.subalgebra_generators(FRAME_22, "A").generators, "A", FRAME_22
+            ).d,
+            "LatticeConfig.n_sites": tl.LatticeConfig(
+                np.int64(24), 1.0, 2.0, PACKET, PACKET
+            ).n_sites,
+            "SymplecticMatrix.n_modes": tl.SymplecticMatrix(two, SYMPLECTIC_2).n_modes,
+            "CovarianceMatrix.n_modes": tl.CovarianceMatrix(two, np.eye(4)).n_modes,
+            "QuadraticHamiltonian.n_modes": tl.QuadraticHamiltonian(two, np.eye(4)).n_modes,
+            "CovarianceMatrix(True)": tl.CovarianceMatrix(True, np.eye(2)).n_modes,
+        }
+        assert {name: type(size) for name, size in built.items()} == dict.fromkeys(built, int)
+
+    def test_sizes_given_as_numpy_integers_or_bool_round_trip_through_json(self, tmp_path):
+        two = np.int64(2)
+        pure = (serialization.pure_state_to_dict, serialization.pure_state_from_dict)
+        mixed = (serialization.density_matrix_to_dict, serialization.density_matrix_from_dict)
+        gaussian = (serialization.gaussian_state_to_dict, serialization.gaussian_state_from_dict)
+        cases = [
+            (tl.PureState(np.int64(4), np.full(4, 0.5)), *pure),
+            (tl.DensityMatrix(two, np.eye(2) / 2), *mixed),
+            (tl.GaussianState(tl.CovarianceMatrix(two, np.eye(4)), np.zeros(4)), *gaussian),
+            (tl.GaussianState(tl.CovarianceMatrix(True, np.eye(2)), np.zeros(2)), *gaussian),
+        ]
+        for value, to_dict, from_dict in cases:
+            path = tmp_path / "value.json"
+            serialization.dump_json(path, to_dict(value))
+            assert to_dict(from_dict(serialization.load_json(path))) == to_dict(value)
 
 
 # a real constructor, a valid real input, the error it raises and the attribute that keeps it
