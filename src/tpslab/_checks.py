@@ -115,9 +115,26 @@ def descending_probabilities(what: str, values, sum_tol: float) -> np.ndarray:
     return probs
 
 
-def symplectic_defect(s: np.ndarray, omega: np.ndarray):
+def times_omega(m: np.ndarray) -> np.ndarray:
+    """``M Omega`` for a stack (..., r, 2n), Omega block diagonal in [[0, 1], [-1, 0]].
+
+    An exact signed swap of each column pair, C-ordered like a product: column
+    2i is ``-M[:, 2i+1]`` and column 2i+1 is ``M[:, 2i]``, and exact zeros come
+    out +0.0 as they do from the dense product.
+    """
+    out = np.empty(m.shape, dtype=m.dtype)
+    out[..., 0::2] = 0.0 - m[..., 1::2]
+    out[..., 1::2] = m[..., 0::2] + 0.0
+    return out
+
+
+def symplectic_defect(s: np.ndarray):
     """``||S^T Omega S - Omega||_F``: zero exactly when S preserves Omega."""
-    return np.linalg.norm(s.T @ omega @ s - omega)
+    m = times_omega(s.T) @ s
+    pairs = np.arange(0, len(m), 2)
+    m[pairs, pairs + 1] -= 1.0
+    m[pairs + 1, pairs] += 1.0
+    return np.linalg.norm(m)
 
 
 def williamson_residual(s: np.ndarray, sigma: np.ndarray, nu: np.ndarray):

@@ -23,7 +23,7 @@ import numpy as np
 from . import scattering, twobody
 from ._checks import RANGE_STEP_SLACK, symplectic_defect, williamson_residual
 from .findim import Factorization, TpsFrame, entanglement_entropy, random_unitary
-from .gaussian import gaussian_entropy_across, symplectic_form, williamson
+from .gaussian import gaussian_entropy_across, williamson
 from .serialization import (
     dump_json,
     frame_from_dict,
@@ -148,10 +148,11 @@ def _cmd_gaussian_williamson(args) -> int:
     state = gaussian_state_from_dict(load_json(args.infile))
     s, nu = williamson(state.cov)
     residual = williamson_residual(s.matrix, state.cov.sigma, nu)
-    defect = symplectic_defect(s.matrix, symplectic_form(state.n_modes))
+    defect = symplectic_defect(s.matrix)
     print("nu=" + ",".join(_fmt(v) for v in nu))
-    for i, row in enumerate(s.matrix):
-        print(f"S[{i}]=" + ",".join(_fmt(x) for x in row))
+    # _fmt's rendering, compiled once for a whole row: %.12g formats a float as .12g does
+    row_format = "S[%d]=" + ",".join(["%.12g"] * (2 * state.n_modes))
+    print("\n".join(row_format % (i, *row) for i, row in enumerate(s.matrix.tolist())))
     print(f"reconstruction_residual={_fmt(residual)}")
     print(f"symplectic_defect={_fmt(defect)}")
     if args.out is not None:

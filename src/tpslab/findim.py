@@ -406,7 +406,7 @@ def random_density(d: int, rank: int, seed) -> DensityMatrix:
     ``d * rank``-dimensional space, which forces the requested rank
     almost surely.
     """
-    d = require_size("dimensions", d)
+    d, rank = require_size("dimensions", d), require_integer("ranks", rank)
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in [1, {d}], got {rank}")
     psi = random_pure(d * rank, seed)

@@ -17,7 +17,7 @@ import numpy as np
 from ._checks import NU_CONSTRUCTOR_TOL, PURITY_NU_TOL, SEPARABLE_NU_GUARD, SYMMETRY_TOL
 from ._checks import SYMPLECTIC_TOL, WILLIAMSON_RESIDUAL_TOL, frozen_array, require_finite
 from ._checks import require_hermitian, require_integer, require_size, symplectic_defect
-from ._checks import williamson_residual
+from ._checks import times_omega, williamson_residual
 from .findim import random_unitary
 
 __all__ = [
@@ -72,8 +72,7 @@ def _hermitian_core(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise InvalidCovarianceError("covariance matrix is not positive definite") from None
-    omega = symplectic_form(sigma.shape[-1] // 2)
-    return chol, 1j * (np.swapaxes(chol, -1, -2) @ omega @ chol)
+    return chol, 1j * (times_omega(np.swapaxes(chol, -1, -2)) @ chol)
 
 
 def _spectrum_of(sigma: np.ndarray) -> np.ndarray:
@@ -137,7 +136,7 @@ class SymplecticMatrix:
     def __post_init__(self):
         n = require_size("mode counts", self.n_modes)
         mat = frozen_array("symplectic matrix", self.matrix, (2 * n,) * 2)
-        defect = float(symplectic_defect(mat, symplectic_form(n)))
+        defect = float(symplectic_defect(mat))
         if defect > SYMPLECTIC_TOL:
             raise ValueError(f"matrix is not symplectic: ||S^T Omega S - Omega||_F = {defect!r}")
         object.__setattr__(self, "n_modes", n)
@@ -214,7 +213,7 @@ def williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray]:
     chol, herm = _hermitian_core(sigma)
     pairs = np.sqrt(2.0) * np.linalg.eigh(herm)[1][:, n:][:, ::-1]
     k = np.stack([pairs.imag, pairs.real], axis=2).reshape(2 * n, 2 * n)
-    s = (k.T @ chol.T @ symplectic_form(n)) / np.sqrt(np.repeat(nu, 2))[:, None]
+    s = times_omega(k.T @ chol.T) / np.sqrt(np.repeat(nu, 2))[:, None]
     residual = float(williamson_residual(s, sigma, nu))
     if residual > WILLIAMSON_RESIDUAL_TOL:
         raise WilliamsonError(f"reconstruction residual {residual!r} exceeds tolerance")

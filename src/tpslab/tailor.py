@@ -16,7 +16,7 @@ import numpy as np
 
 from ._checks import CERTIFICATE_MARGIN, COMMUTATOR_TOL, GENERATOR_HERMITICITY_TOL, RANK_TOL
 from ._checks import PRODUCT_ROUNDOFF_PER_TERM, TARGET_SUM_TOL, descending_probabilities
-from ._checks import frozen_array, require_hermitian, require_integer
+from ._checks import frozen_array, require_hermitian, require_integer, require_size
 from .findim import Factorization, PureState, TpsFrame, _conjugate
 
 __all__ = [
@@ -97,6 +97,11 @@ class ZanardiReport:
     Independence: all cross-side generator pairs commute.  Completeness:
     pairwise products span the full d^2-dimensional operator space.  The
     third criterion, local accessibility, is physical and is only noted.
+
+    ``max_commutator_norm`` is read on the route named by ``commutator_route``:
+    ``"measured"``, the largest cross-commutator Frobenius norm computed pair by
+    pair; ``"frame"``, an upper bound on that norm from the frame witness, taken
+    only when it is below ``COMMUTATOR_TOL`` (see ``check_zanardi``).
     """
 
     independence: bool
@@ -105,6 +110,7 @@ class ZanardiReport:
     span_dimension: int
     full_dimension: int
     local_accessibility: str = field(default=LOCAL_ACCESSIBILITY_NOTE)
+    commutator_route: str = "measured"
 
 
 def tailor_frame(psi: PureState, factorization: Factorization, target: TargetSpectrum) -> TpsFrame:
@@ -169,6 +175,7 @@ def hermitian_basis(k: int) -> np.ndarray:
     A ``(k^2, k, k)`` Hermitian stack spanning all of M_k; for k = 2 it holds
     the identity and the three Pauli matrices.
     """
+    k = require_size("factor sizes", k)
     basis = np.zeros((k * k, k, k), dtype=complex)
     basis[0] = np.eye(k)
     rows, cols = np.triu_indices(k, 1)
@@ -219,55 +226,68 @@ def _read_count(lower: np.ndarray, upper: np.ndarray) -> int | None:
     return int(np.count_nonzero(above))
 
 
-def _local_part(pulled: np.ndarray) -> tuple[np.ndarray, float]:
+def _local_part(pulled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a ``(m, k, j, k, j)`` stack into ``a (x) I_j`` plus a residual.
 
     Returns the ``(m, k, k)`` partial traces ``a = Tr_j / j`` and the residual's
-    Frobenius norm over the stack; ``pulled`` is overwritten with the residual.
+    Frobenius norm per generator; ``pulled`` is overwritten with the residual.
     """
     j = pulled.shape[2]
     local = np.einsum("mpsqs->mpq", pulled) / j
     for s in range(j):
         pulled[:, :, s, :, s] -= local
-    return local, float(np.linalg.norm(pulled))
+    return local, np.linalg.norm(pulled.reshape(len(pulled), -1), axis=1)
 
 
-def _frame_span_dimension(gens_a, gens_b) -> int | None:
-    """The span dimension read through the sides' common frame, or None.
+def _frame_witness(gens_a, gens_b) -> tuple[int | None, float | None]:
+    """The span dimension and a commutator bound, read through the sides' common frame.
 
-    None unless ``gens_a`` and ``gens_b`` are side A and side B of one frame,
-    and when the bound described in ``check_zanardi`` cannot settle the count.
+    ``(None, None)`` unless ``gens_a`` and ``gens_b`` are side A and side B of one
+    frame whose defect ``u`` is below one.  Otherwise the count, or None when the
+    band cannot settle it, and a bound on every cross commutator's Frobenius norm,
+    both as described in ``check_zanardi``.
     """
     if not (isinstance(gens_a, SubalgebraBasis) and isinstance(gens_b, SubalgebraBasis)):
-        return None
+        return None, None
     frame, other = gens_a.frame, gens_b.frame
     same = frame is other or (
         frame.factorization == other.factorization and np.array_equal(frame.frame, other.frame)
     )
     if not same or (gens_a.side, gens_b.side) != ("A", "B"):
-        return None
+        return None, None
     f, d, k1, k2 = frame.frame, frame.d, frame.k1, frame.k2
     gamma = PRODUCT_ROUNDOFF_PER_TERM * d * np.finfo(float).eps
     # ||F^dag F - I||_F, raised by the roundoff of F^dag F (at most gamma ||F||_F^2)
     u = (float(np.linalg.norm(f.conj().T @ f - np.eye(d))) + gamma * d) / (1.0 - gamma * d)
     if not u < 1.0:
-        return None
+        return None, None
     # pull each stack back to the product basis
     pa = _conjugate(f, gens_a.generators).reshape(-1, k1, k2, k1, k2)
     pb = _conjugate(f, gens_b.generators).reshape(-1, k1, k2, k1, k2)
-    size_a, size_b = np.linalg.norm(gens_a.generators), np.linalg.norm(gens_b.generators)
-    size_pb = np.linalg.norm(pb)
+    sizes_a, sizes_b = (
+        np.linalg.norm(g.generators.reshape(len(g.generators), -1), axis=1)
+        for g in (gens_a, gens_b)
+    )
+    size_a, size_b, size_pb = np.linalg.norm(sizes_a), np.linalg.norm(sizes_b), np.linalg.norm(pb)
     a, e = _local_part(pa)
-    b, f_norm = _local_part(pb.transpose(0, 2, 1, 4, 3))
+    b, f_res = _local_part(pb.transpose(0, 2, 1, 4, 3))
     s_a = np.linalg.svd(a.reshape(len(a), -1), compute_uv=False)
     s_b = np.linalg.svd(b.reshape(len(b), -1), compute_uv=False)
     ratios = np.sort(np.outer(s_a, s_b), axis=None)[::-1]
     # Weyl: the pulled-back products against the model products a_i (x) b_j
-    eta = np.sqrt(k2) * np.linalg.norm(a) * f_norm + e * size_pb
+    eta = np.sqrt(k2) * np.linalg.norm(a) * np.linalg.norm(f_res) + np.linalg.norm(e) * size_pb
     # the frame's defect and the pullback's roundoff, per unit of generator norm
     pullback = gamma * np.sqrt(d) * (1.0 + u) * (2.0 + gamma * np.sqrt(d))
     eta += size_a * (size_b * (1.0 + u) * (u + pullback) + pullback * size_pb)
-    return _read_count((ratios - eta) / (1.0 + u), (ratios + eta) / (1.0 - u))
+    count = _read_count((ratios - eta) / (1.0 + u), (ratios + eta) / (1.0 - u))
+    # each exact pullback's distance from its local part (residual plus the pullback's
+    # roundoff), and the local part's spectral norm
+    eps_a, eps_b = e + pullback * sizes_a, f_res + pullback * sizes_b
+    norm_a, norm_b = np.linalg.norm(a, 2, axis=(1, 2)), np.linalg.norm(b, 2, axis=(1, 2))
+    pairs = 2.0 * (np.outer(norm_a, eps_b) + np.outer(eps_a, norm_b + eps_b))
+    # the frame's defect, with ||G||_2 <= ||F^-1||_2^2 (||a||_2 + eps) on each side
+    pairs += 2.0 * (1.0 + u) * u * np.outer(norm_a + eps_a, norm_b + eps_b) / (1.0 - u) ** 2
+    return count, float(pairs.max() / (1.0 - u))
 
 
 def _dense_span_dimension(stack_a: np.ndarray, stack_b: np.ndarray) -> int:
@@ -324,6 +344,26 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
        frames (such as ``conjugate_subalgebra`` applied to one side only),
        and sides of one frame whose witness cannot settle the count.
 
+    The commutator maximum also takes one of two routes, named in the
+    report's ``commutator_route``.
+
+    1. **Frame**, O(k^4) past the witness's pullback.  For the inputs the
+       witness takes, ``[a_i (x) I, I (x) b_j] = 0`` exactly, so each pair of
+       pulled-back generators commutes to within ``2 (||a_i||_2 ||f_j|| +
+       ||e_i|| ||b_j||_2 + ||e_i|| ||f_j||)``, where each residual norm is
+       raised by its share of the pullback's roundoff, ``2 gamma_d sqrt(d)
+       ||G||`` as above.  With ``F^dag F = I + Delta``, ``F [G_A, G_B] F^dag =
+       [PA, PB] - F (G_A Delta G_B - G_B Delta G_A) F^dag``, which adds ``2 (1 +
+       u) u ||G_A||_2 ||G_B||_2`` with ``||G||_2 <= (||a||_2 + ||e||) / (1 -
+       u)``, and undoing F costs a factor ``||F^-1||_2^2 <= 1 / (1 - u)``.  The
+       largest pair bound is reported as ``max_commutator_norm`` when it is
+       below ``COMMUTATOR_TOL``; roundoff in the norms, relative ``k^2 eps``,
+       is left out.  For a Haar frame the bound reads about 7e-13 at d = 12,
+       6e-12 at d = 36 and 2e-11 at d = 64, against measured norms near 3e-15.
+    2. **Measured**, O(k^4 d^3): every cross commutator is formed and its
+       Frobenius norm taken, for every other input and whenever the frame
+       bound is at or above ``COMMUTATOR_TOL``.
+
     Accepts ``SubalgebraBasis`` objects, sequences of matrices or 3-D
     arrays, Hermitian or not, so degenerate generator sets can be checked
     too.  Each side becomes one ``(m, d, d)`` stack.
@@ -338,11 +378,14 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
     for stack in (stack_a, stack_b):
         if stack.ndim != 3 or stack.shape[1:] != (d, d):
             raise ValueError(f"generator stack shape {stack.shape} does not match (m, {d}, {d})")
-    # one A generator against the whole B stack bounds the memory at |B| d^2
-    max_comm = float(
-        max(np.linalg.norm(a @ stack_b - stack_b @ a, axis=(1, 2)).max() for a in stack_a)
-    )
-    span_dim = _frame_span_dimension(gens_a, gens_b)
+    span_dim, max_comm = _frame_witness(gens_a, gens_b)
+    route = "frame"
+    if max_comm is None or not max_comm < COMMUTATOR_TOL:
+        # one A generator against the whole B stack bounds the memory at |B| d^2
+        max_comm = float(
+            max(np.linalg.norm(a @ stack_b - stack_b @ a, axis=(1, 2)).max() for a in stack_a)
+        )
+        route = "measured"
     if span_dim is None:
         span_dim = _dense_span_dimension(stack_a, stack_b)
     return ZanardiReport(
@@ -351,6 +394,7 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
         completeness=span_dim == d * d,
         span_dimension=span_dim,
         full_dimension=d * d,
+        commutator_route=route,
     )
 
 

@@ -106,7 +106,8 @@ class TestZanardiCommand:
 
     def test_both_modes_count_through_the_frame(self, tmp_path, capsys, monkeypatch):
         # route guard: the CLI's sides share one frame, so at d = 36 the frame
-        # witness settles completeness without the dense SVD
+        # witness settles completeness without the dense SVD, and its bound
+        # stands for the measured commutator maximum
         def refuse(*args):
             raise AssertionError("check_zanardi left the frame witness")
 
@@ -119,14 +120,19 @@ class TestZanardiCommand:
         argv = ["tailor", "--state", str(state), "--factors", "6,6", "--target", target]
         assert run(argv + ["--out", str(frame_path)]) == 0
         capsys.readouterr()
-        assert run(["zanardi", "--frame", str(frame_path)]) == 0
+        single = tmp_path / "single.json"
+        assert run(["zanardi", "--frame", str(frame_path), "--out", str(single)]) == 0
         assert "span_dimension=1296" in capsys.readouterr().out.splitlines()
+        payload = json.loads(single.read_text())
+        assert list(payload)[-1] == "commutator_route" and payload["commutator_route"] == "frame"
         report = tmp_path / "random.json"
         argv = ["zanardi", "--random-frames", "2", "--dim", "36", "--factors", "6,6"]
         assert run(argv + ["--out", str(report)]) == 0
         assert "failures=0" in capsys.readouterr().out.splitlines()
-        spans = [r["span_dimension"] for r in json.loads(report.read_text())["reports"]]
-        assert spans == [1296, 1296]
+        reports = json.loads(report.read_text())["reports"]
+        assert [r["span_dimension"] for r in reports] == [1296, 1296]
+        assert [r["commutator_route"] for r in reports] == ["frame", "frame"]
+        assert max(r["max_commutator_norm"] for r in reports) < tailor.COMMUTATOR_TOL
 
     def test_requires_exactly_one_mode(self, capsys):
         assert run(["zanardi"]) == 1

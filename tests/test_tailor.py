@@ -306,6 +306,7 @@ class TestCheckZanardi:
         report = tl.check_zanardi(gens, gens)
         assert not report.independence
         assert report.max_commutator_norm > 1.0
+        assert report.commutator_route == "measured"
 
     def test_degenerate_algebra_fails_completeness(self):
         report = tl.check_zanardi([np.eye(4)], [np.eye(4)])
@@ -541,7 +542,7 @@ def test_two_span_routes(dense_calls):
 def witness_matches_oracle(gens_a, gens_b) -> int | None:
     """The frame witness's count, after checking it and the report against the oracle."""
     span, _ = dense_span_oracle(gens_a, gens_b)
-    witnessed = tailor._frame_span_dimension(gens_a, gens_b)
+    witnessed, _ = tailor._frame_witness(gens_a, gens_b)
     assert witnessed is None or witnessed == span
     assert tl.check_zanardi(gens_a, gens_b).span_dimension == span
     return witnessed
@@ -687,13 +688,146 @@ def test_witness_count_matches_dense_oracle(factors, seed, scale, duplicate, per
     event("witnessed" if witnessed is not None else "fallback")
 
 
+def measured_commutator(gens_a, gens_b) -> float:
+    """The largest cross-commutator Frobenius norm, formed pair by pair."""
+    pairs = ((a, b) for a in gens_a.generators for b in gens_b.generators)
+    return max(np.linalg.norm(a @ b - b @ a) for a, b in pairs)
+
+
+def perturbed_side(gens: tl.SubalgebraBasis, size: float, rng, count=None):
+    """The basis with ``size`` times its own random unit Hermitian added to generators."""
+    stack = np.array(gens.generators)
+    for i in range(len(stack) if count is None else count):
+        stack[i] += size * random_hermitian(rng, gens.d)
+    return tl.SubalgebraBasis(gens.d, stack, gens.side, gens.frame)
+
+
+BOUND_FRAMES = [
+    ("identity", 4, (2, 2)),
+    ("identity", 12, (3, 4)),
+    ("haar", 12, (3, 4)),
+    ("tailored", 36, (6, 6)),
+    ("haar", 36, (6, 6)),
+    ("haar", 36, (4, 9)),
+    ("haar", 64, (8, 8)),
+]
+
+
+class TestCommutatorBound:
+    @pytest.mark.parametrize("kind, d, factors", BOUND_FRAMES)
+    def test_bound_covers_the_measured_maximum(self, kind, d, factors):
+        gens_a, gens_b = frame_sides(witness_frame(kind, d, factors))
+        report = tl.check_zanardi(gens_a, gens_b)
+        assert report.commutator_route == "frame" and report.independence
+        bound = report.max_commutator_norm
+        assert measured_commutator(gens_a, gens_b) <= bound < tailor.COMMUTATOR_TOL
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("d, factors", [(12, (3, 4)), (36, (4, 9))])
+    def test_bound_covers_a_perturbed_side(self, side, d, factors):
+        # each generator of one side moves by 1e-10 off its algebra, so the
+        # commutators are about 1e-10 and only that side's residual terms cover them
+        rng = np.random.default_rng(d)
+        gens_a, gens_b = frame_sides(witness_frame("haar", d, factors))
+        if side == "A":
+            gens_a = perturbed_side(gens_a, 1e-10, rng)
+        else:
+            gens_b = perturbed_side(gens_b, 1e-10, rng)
+        report = tl.check_zanardi(gens_a, gens_b)
+        measured = measured_commutator(gens_a, gens_b)
+        assert measured > 1e-11
+        assert report.commutator_route == "frame"
+        assert measured <= report.max_commutator_norm < tailor.COMMUTATOR_TOL
+
+    @pytest.mark.parametrize("d, factors", [(4, (2, 2)), (12, (3, 4))])
+    def test_bound_covers_a_frame_defect(self, d, factors):
+        # F = U (I + 2e-11 H) passes the unitarity check; the generators
+        # F^-1 (A (x) I) F^-dag pull back to the algebra exactly, so only the
+        # frame-defect term covers their commutators of about 5e-11
+        rng = np.random.default_rng(3)
+        f = tl.random_unitary(d, rng) @ (np.eye(d) + 2e-11 * random_hermitian(rng, d))
+        frame = tl.TpsFrame(tl.Factorization(d, factors), f)
+        inverse = np.linalg.inv(f)
+        product_frame = tl.TpsFrame.identity(frame.factorization)
+        sides = []
+        for side in ("A", "B"):
+            product = tl.subalgebra_generators(product_frame, side).generators
+            stack = inverse @ product @ inverse.conj().T
+            stack = 0.5 * (stack + np.swapaxes(stack, 1, 2).conj())
+            sides.append(tl.SubalgebraBasis(d, stack, side, frame))
+        report = tl.check_zanardi(*sides)
+        measured = measured_commutator(*sides)
+        assert measured > 1e-11
+        assert report.commutator_route == "frame"
+        assert measured <= report.max_commutator_norm < tailor.COMMUTATOR_TOL
+
+    def test_perturbed_generator_takes_the_measured_loop(self):
+        rng = np.random.default_rng(7)
+        gens_a, gens_b = frame_sides(witness_frame("haar", 12, (3, 4)))
+        side_a = perturbed_side(gens_a, 1e-6, rng, count=1)
+        report = tl.check_zanardi(side_a, gens_b)
+        assert report.commutator_route == "measured" and not report.independence
+        plain = tl.check_zanardi(side_a.generators, gens_b.generators)
+        assert report.max_commutator_norm == plain.max_commutator_norm
+
+    def test_sides_of_two_frames_take_the_measured_loop(self):
+        fac = tl.Factorization(12, (3, 4))
+        gens_a = tl.subalgebra_generators(tl.TpsFrame(fac, tl.random_unitary(12, 1)), "A")
+        gens_b = tl.subalgebra_generators(tl.TpsFrame(fac, tl.random_unitary(12, 2)), "B")
+        report = tl.check_zanardi(gens_a, gens_b)
+        assert report.commutator_route == "measured" and not report.independence
+        assert report.max_commutator_norm == pytest.approx(measured_commutator(gens_a, gens_b))
+
+    def test_same_side_pairs_take_the_measured_loop(self):
+        gens_a, gens_b = frame_sides(witness_frame("haar", 12, (3, 4)))
+        for pair in ((gens_a, gens_a), (gens_b, gens_b), (gens_b, gens_a)):
+            report = tl.check_zanardi(*pair)
+            assert report.commutator_route == "measured"
+        assert tl.check_zanardi(gens_a, gens_a).max_commutator_norm > 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    factors=st.sampled_from(FACTOR_PAIRS),
+    seed=st.integers(0, 2**32 - 1),
+    side=st.sampled_from("AB"),
+    size=st.sampled_from([0.0, 1e-12, 1e-10, 3e-9, 1e-6]),
+)
+def test_commutator_route_matches_the_pair_loop(factors, seed, side, size):
+    # the frame route bounds the pair loop from above; the measured route is the loop
+    rng = np.random.default_rng(seed)
+    d = factors[0] * factors[1]
+    frame = tl.TpsFrame(tl.Factorization(d, factors), tl.random_unitary(d, rng))
+    gens_a, gens_b = frame_sides(frame)
+    if side == "A":
+        gens_a = perturbed_side(gens_a, size, rng)
+    else:
+        gens_b = perturbed_side(gens_b, size, rng)
+    report = tl.check_zanardi(gens_a, gens_b)
+    measured = measured_commutator(gens_a, gens_b)
+    event(report.commutator_route)
+    assert report.commutator_route == "frame" or size > 1e-10
+    if report.commutator_route == "frame":
+        assert measured <= report.max_commutator_norm < tailor.COMMUTATOR_TOL
+    else:
+        assert abs(report.max_commutator_norm - measured) <= 1e-14 * measured
+    assert report.independence == (report.max_commutator_norm < tailor.COMMUTATOR_TOL)
+
+
 class TestGeneratorStacks:
     def test_three_dimensional_array_equals_list(self):
         frame = tl.TpsFrame(tl.Factorization(12, (3, 4)), tl.random_unitary(12, 21))
         gens_a, gens_b = frame_sides(frame)
         stacked = tl.check_zanardi(np.array(gens_a.generators), np.array(gens_b.generators))
         listed = tl.check_zanardi(list(gens_a.generators), list(gens_b.generators))
-        assert stacked == listed == tl.check_zanardi(gens_a, gens_b)
+        assert stacked == listed
+        # the bases take the frame bound in place of the measured maximum
+        framed = tl.check_zanardi(gens_a, gens_b)
+        assert framed.commutator_route == "frame" and listed.commutator_route == "measured"
+        assert listed.max_commutator_norm <= framed.max_commutator_norm < tailor.COMMUTATOR_TOL
+        assert (framed.independence, framed.completeness, framed.span_dimension) == (
+            listed.independence, listed.completeness, listed.span_dimension
+        )
 
     def test_empty_set_is_rejected(self):
         for side_a, side_b in (([], [np.eye(4)]), ([np.eye(4)], np.zeros((0, 4, 4)))):

@@ -86,6 +86,8 @@ NON_INTEGER_SIZES = {
     )),
     "LatticeConfig.n_sites": (24.0, lambda n: tl.LatticeConfig(n, 1.0, 2.0, PACKET, PACKET)),
     "symplectic_form": (2.0, tl.symplectic_form),
+    "random_density.rank": (2.0, lambda n: tl.random_density(6, n, 0)),
+    "hermitian_basis": (2.0, tl.hermitian_basis),
     "SymplecticMatrix.n_modes": (2.0, lambda n: tl.SymplecticMatrix(n, SYMPLECTIC_2)),
     "CovarianceMatrix.n_modes": (2.0, lambda n: tl.CovarianceMatrix(n, np.eye(4))),
     "QuadraticHamiltonian.n_modes": (2.0, lambda n: tl.QuadraticHamiltonian(n, np.eye(4))),
