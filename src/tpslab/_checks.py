@@ -128,6 +128,11 @@ def times_omega(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def symplectic_inverse(s: np.ndarray) -> np.ndarray:
+    """``S^-1 = -Omega S^T Omega`` of a symplectic S: two exact signed swaps, nothing inverted."""
+    return times_omega(times_omega(s).T)
+
+
 def symplectic_defect(s: np.ndarray):
     """``||S^T Omega S - Omega||_F``: zero exactly when S preserves Omega."""
     m = times_omega(s.T) @ s

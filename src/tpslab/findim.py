@@ -131,7 +131,7 @@ class TpsFrame:
         is_identity = np.count_nonzero(mat) == d and bool(np.all(mat.diagonal() == 1.0))
         if not is_identity:
             defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(d)))
-            if defect > UNITARITY_TOL:
+            if not defect <= UNITARITY_TOL:  # a NaN defect fails too
                 raise ValueError(f"frame is not unitary: ||U^dag U - I||_F = {defect!r}")
         object.__setattr__(self, "frame", mat)
 

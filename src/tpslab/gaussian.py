@@ -52,12 +52,12 @@ class WilliamsonError(RuntimeError):
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """The 2n x 2n form Omega, block diagonal in [[0, 1], [-1, 0]]."""
-    n_modes = require_size("mode counts", n_modes)
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for i in range(n_modes):
-        omega[2 * i, 2 * i + 1] = 1.0
-        omega[2 * i + 1, 2 * i] = -1.0
+    """The 2n x 2n form Omega, block diagonal in [[0, 1], [-1, 0]], read-only.
+
+    The library applies Omega through ``_checks.times_omega``, an exact
+    signed swap, and builds no dense Omega; this matrix is for callers.
+    """
+    omega = times_omega(np.eye(2 * require_size("mode counts", n_modes)))
     omega.setflags(write=False)
     return omega
 
@@ -305,8 +305,8 @@ def log_negativity_two_mode(state: GaussianState) -> float:
     """
     if state.n_modes != 2:
         raise ValueError(f"defined for exactly two modes, got {state.n_modes}")
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    transposed = flip @ state.cov.sigma @ flip
+    signs = np.array([1.0, 1.0, 1.0, -1.0])
+    transposed = state.cov.sigma * np.outer(signs, signs)
     nu_minus = _spectrum_of(transposed)[-1]
     if nu_minus >= 1.0 - SEPARABLE_NU_GUARD:
         return 0.0
@@ -363,14 +363,6 @@ def two_mode_squeezed(r: float) -> GaussianState:
     return GaussianState(CovarianceMatrix(2, sigma), np.zeros(4))
 
 
-def _interleave(n: int) -> np.ndarray:
-    # map interleaved position -> xxpp position
-    order = np.empty(2 * n, dtype=int)
-    order[0::2] = np.arange(n)
-    order[1::2] = np.arange(n) + n
-    return order
-
-
 def random_symplectic(n_modes: int, seed, max_squeeze: float = 0.8) -> SymplecticMatrix:
     """Random symplectic matrix from the Euler decomposition O1 Z O2.
 
@@ -380,16 +372,19 @@ def random_symplectic(n_modes: int, seed, max_squeeze: float = 0.8) -> Symplecti
     rng = np.random.default_rng(seed)
 
     def orthogonal() -> np.ndarray:
+        # u = a + ib acts on (x, p) pairs as [[a, -b], [b, a]]
         u = random_unitary(n_modes, rng)
-        xxpp = np.block([[u.real, -u.imag], [u.imag, u.real]])
-        order = _interleave(n_modes)
-        return xxpp[np.ix_(order, order)]
+        o = np.empty((2 * n_modes, 2 * n_modes))
+        o[0::2, 0::2] = o[1::2, 1::2] = u.real
+        o[0::2, 1::2] = -u.imag
+        o[1::2, 0::2] = u.imag
+        return o
 
     o1 = orthogonal()
     o2 = orthogonal()
     r = rng.uniform(-max_squeeze, max_squeeze, n_modes)
-    z = np.diag(np.repeat(np.exp(r), 2) ** np.tile([1.0, -1.0], n_modes))
-    return SymplecticMatrix(n_modes, o1 @ z @ o2)
+    z = np.repeat(np.exp(r), 2) ** np.tile([1.0, -1.0], n_modes)
+    return SymplecticMatrix(n_modes, (o1 * z) @ o2)
 
 
 def random_covariance(

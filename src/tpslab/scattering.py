@@ -38,7 +38,6 @@ __all__ = [
     "LatticeConfig",
     "single_particle_packet",
     "build_product_in_state",
-    "hopping_matrix",
     "LatticeHamiltonian",
     "build_hamiltonian",
     "evolve",
@@ -106,15 +105,6 @@ def build_product_in_state(config: LatticeConfig) -> PureState:
     a = single_particle_packet(config.n_sites, config.packet_a)
     b = single_particle_packet(config.n_sites, config.packet_b)
     return PureState(config.n_sites**2, np.kron(a, b))
-
-
-def hopping_matrix(n_sites: int, hopping: float) -> np.ndarray:
-    """Single-particle periodic hopping matrix, -J on neighbors and corners."""
-    h = np.zeros((n_sites, n_sites))
-    idx = np.arange(n_sites)
-    h[idx, (idx + 1) % n_sites] = -hopping
-    h[(idx + 1) % n_sites, idx] = -hopping
-    return h
 
 
 @dataclass(frozen=True)

@@ -150,5 +150,9 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def dump_json(path, data: dict) -> None:
-    """Write a JSON document with LF endings and a trailing newline."""
-    write_text_atomic(path, json.dumps(data) + "\n")
+    """Write a JSON document with LF endings and a trailing newline.
+
+    Non-finite floats raise ``ValueError`` before anything is written,
+    since ``load_json`` refuses the ``NaN``/``Infinity`` literals.
+    """
+    write_text_atomic(path, json.dumps(data, allow_nan=False) + "\n")

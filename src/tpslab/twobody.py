@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import SYMMETRY_TOL, UNBOUND_FREQUENCY_RATIO, frozen_array, require_finite
-from ._checks import require_hermitian, require_size
+from ._checks import require_hermitian, require_size, symplectic_inverse, times_omega
 from .gaussian import (
     CovarianceMatrix,
     GaussianState,
@@ -30,7 +30,6 @@ from .gaussian import (
     _validated_spectra,
     apply_symplectic,
     gaussian_entropy_across,
-    symplectic_form,
     thermal_entropy,
 )
 
@@ -50,9 +49,6 @@ __all__ = [
     "evolve_gaussian",
     "galilean_boost",
 ]
-
-_OMEGA = symplectic_form(2)
-
 
 @dataclass(frozen=True)
 class TwoBodyParams:
@@ -170,8 +166,7 @@ def transform_quadratic_hamiltonian(
     """
     if ham.n_modes != s.n_modes:
         raise ValueError(f"mode mismatch: {ham.n_modes} != {s.n_modes}")
-    omega = symplectic_form(ham.n_modes)
-    inv = -omega @ s.matrix.T @ omega
+    inv = symplectic_inverse(s.matrix)
     return QuadraticHamiltonian(ham.n_modes, _congruence(inv.T, ham.matrix))
 
 
@@ -199,8 +194,7 @@ def _ground_state_sigmas(params: TwoBodyParams, kappas: np.ndarray) -> np.ndarra
         )
     mass_freq = np.array([params.total_mass, mu]) * freqs
     vacua = np.stack([1.0 / mass_freq, mass_freq], axis=2).reshape(-1, 1, 4)
-    back = -_OMEGA @ _scaled_to_com_rel(params).T @ _OMEGA
-    return _congruence(back, vacua * np.eye(4))
+    return _congruence(symplectic_inverse(_scaled_to_com_rel(params)), vacua * np.eye(4))
 
 
 def ground_state_covariance(params: TwoBodyParams) -> GaussianState:
@@ -317,7 +311,8 @@ def evolve_gaussian(state: GaussianState, ham: QuadraticHamiltonian, t: float) -
     from scipy.linalg import expm
     if state.n_modes != ham.n_modes:
         raise ValueError(f"mode mismatch: {state.n_modes} != {ham.n_modes}")
-    return apply_symplectic(state, expm(t * symplectic_form(ham.n_modes) @ ham.matrix))
+    # Omega M = -(M^T Omega)^T, exact for any M
+    return apply_symplectic(state, expm(t * -times_omega(ham.matrix.T).T))
 
 
 def galilean_boost(state: GaussianState, velocity: float, params: TwoBodyParams) -> GaussianState:
@@ -329,8 +324,6 @@ def galilean_boost(state: GaussianState, velocity: float, params: TwoBodyParams)
     """
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode state, got {state.n_modes}")
-    w = params.reference_frequency
     shift = np.zeros(4)
-    shift[1] = params.m1 * velocity / np.sqrt(params.m1 * w)
-    shift[3] = params.m2 * velocity / np.sqrt(params.m2 * w)
+    shift[1::2] = np.array([params.m1, params.m2]) * velocity / _mass_scaling_diagonal(params)[0::2]
     return GaussianState(state.cov, state.mean + shift)

@@ -134,6 +134,19 @@ class TestZanardiCommand:
         assert [r["commutator_route"] for r in reports] == ["frame", "frame"]
         assert max(r["max_commutator_norm"] for r in reports) < tailor.COMMUTATOR_TOL
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_frame_with_nan_defect_gives_exit_1(self, tmp_path, capsys):
+        u = np.kron([[1e200, 1e200], [1e200, -1e200]], np.eye(2))
+        frame = {"d": 4, "factors": [2, 2], "frame": np.stack([u, 0.0 * u], axis=-1).tolist()}
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(frame))
+        assert run(["zanardi", "--frame", str(path)]) == 1
+        # NumPy's overflow warnings may print first; the JSON line is the last one
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("frame is not unitary") and payload["message"].endswith("nan")
+
     def test_requires_exactly_one_mode(self, capsys):
         assert run(["zanardi"]) == 1
 

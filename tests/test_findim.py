@@ -105,6 +105,14 @@ class TestTypes:
         with pytest.raises(ValueError, match="unitary"):
             tl.TpsFrame(tl.Factorization(4, (2, 2)), 2.0 * np.eye(4))
 
+    def test_frame_with_nan_defect_is_not_unitary(self):
+        # finite entries whose U^dag U overflows to inf + nan i: a NaN defect
+        # passes "defect > tol", so the check must read "not defect <= tol"
+        u = np.kron([[1e200, 1e200], [1e200, -1e200]], np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"frame is not unitary: .* = nan"):
+                tl.TpsFrame(tl.Factorization(4, (2, 2)), u)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_pure_state_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):

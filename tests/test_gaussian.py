@@ -16,6 +16,7 @@ from scipy.linalg import expm, schur
 
 import tpslab as tl
 from tpslab import gaussian, twobody
+from tpslab._checks import symplectic_inverse, times_omega
 from tpslab.gaussian import InvalidCovarianceError
 
 OMEGA4 = np.array(
@@ -40,6 +41,34 @@ def tms_sigma(r: float) -> np.ndarray:
             [0, -s, 0, c],
         ]
     )
+
+
+def dense_omega(n: int) -> np.ndarray:
+    """Oracle: Omega filled entry by entry."""
+    omega = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        omega[2 * i, 2 * i + 1] = 1.0
+        omega[2 * i + 1, 2 * i] = -1.0
+    return omega
+
+
+def dense_random_symplectic(n: int, seed, max_squeeze: float = 0.8) -> np.ndarray:
+    """Oracle: ``random_symplectic`` through the xxpp block form, an index gather and a dense Z."""
+    rng = np.random.default_rng(seed)
+    order = np.empty(2 * n, dtype=int)
+    order[0::2] = np.arange(n)
+    order[1::2] = np.arange(n) + n
+
+    def orthogonal():
+        u = tl.random_unitary(n, rng)
+        xxpp = np.block([[u.real, -u.imag], [u.imag, u.real]])
+        return xxpp[np.ix_(order, order)]
+
+    o1 = orthogonal()
+    o2 = orthogonal()
+    r = rng.uniform(-max_squeeze, max_squeeze, n)
+    z = np.diag(np.repeat(np.exp(r), 2) ** np.tile([1.0, -1.0], n))
+    return o1 @ z @ o2
 
 
 def tms_number_basis(r: float, cutoff: int) -> tl.PureState:
@@ -67,6 +96,38 @@ class TestSymplecticForm:
 
     def test_matches_hand_written_form(self):
         np.testing.assert_array_equal(tl.symplectic_form(2), OMEGA4)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_dense_oracle_bit_for_bit(self, n):
+        omega = tl.symplectic_form(n)
+        assert omega.tobytes() == dense_omega(n).tobytes()
+        assert not omega.flags.writeable
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_symplectic_inverse_is_the_dense_product(self, n, seed):
+        omega = dense_omega(n)
+        s = tl.random_symplectic(n, seed, max_squeeze=2.0).matrix
+        inv = symplectic_inverse(s)
+        assert np.array_equal(inv, -omega @ s.T @ omega)
+        np.testing.assert_allclose(inv @ s, np.eye(2 * n), atol=1e-12)
+        # the identity holds for any matrix, symplectic or not
+        m = np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
+        assert np.array_equal(symplectic_inverse(m), -omega @ m.T @ omega)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("max_squeeze", [0.8, 2.5])
+    def test_random_symplectic_matches_the_block_oracle(self, n, seed, max_squeeze):
+        s = tl.random_symplectic(n, seed, max_squeeze).matrix
+        assert np.array_equal(s, dense_random_symplectic(n, seed, max_squeeze))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_omega_times_any_matrix(self, n, seed):
+        # evolve_gaussian's Omega M, exact also for a matrix that is not symmetric
+        m = np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
+        assert np.array_equal(-times_omega(m.T).T, dense_omega(n) @ m)
 
 
 class TestValidation:
@@ -332,6 +393,31 @@ class TestLogNegativity:
         assert abs(moduli[0] - np.exp(-2 * r)) < 1e-10
         value = tl.log_negativity_two_mode(tl.two_mode_squeezed(r))
         assert abs(value - 2 * r) < 1e-10
+
+    @pytest.mark.parametrize(
+        "state",
+        [tl.two_mode_squeezed(r) for r in (0.0, 0.2, 0.7, 1.3, 3.0)]
+        + [
+            tl.GaussianState(tl.random_covariance(2, seed, pure=seed % 2 == 0), np.zeros(4))
+            for seed in range(8)
+        ],
+    )
+    def test_sign_flip_matches_the_dense_flip(self, monkeypatch, state):
+        seen = []
+
+        def spectrum(sigma):
+            seen.append(sigma)
+            return spectrum_of(sigma)
+
+        spectrum_of = gaussian._spectrum_of
+        monkeypatch.setattr(gaussian, "_spectrum_of", spectrum)
+        value = tl.log_negativity_two_mode(state)
+        flip = np.diag([1.0, 1.0, 1.0, -1.0])
+        transposed = flip @ state.cov.sigma @ flip
+        assert len(seen) == 1 and np.array_equal(seen[0], transposed)
+        nu_minus = spectrum_of(transposed)[-1]
+        separable = nu_minus >= 1.0 - gaussian.SEPARABLE_NU_GUARD
+        assert value == (0.0 if separable else float(-np.log(nu_minus)))
 
     def test_thermal_product_zero(self):
         sigma = np.diag([1.3, 1.3, 2.0, 2.0])

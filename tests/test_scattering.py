@@ -26,11 +26,20 @@ def config(n=16, g=2.0, width=1.5, hop=1.0):
     )
 
 
+def hopping_matrix(n_sites: int, hopping: float) -> np.ndarray:
+    """Oracle: the single-particle periodic hopping matrix, -J on neighbors and corners."""
+    h = np.zeros((n_sites, n_sites))
+    idx = np.arange(n_sites)
+    h[idx, (idx + 1) % n_sites] = -hopping
+    h[(idx + 1) % n_sites, idx] = -hopping
+    return h
+
+
 def dense_hamiltonian(cfg) -> np.ndarray:
     """Oracle: the n^2 x n^2 Kronecker sum of the hopping plus the contact term, n <= 24."""
     n = cfg.n_sites
     assert n <= 24, "the dense oracle is for small lattices"
-    single = scattering.hopping_matrix(n, cfg.hopping)
+    single = hopping_matrix(n, cfg.hopping)
     eye = np.eye(n)
     h = np.kron(single, eye) + np.kron(eye, single)
     coincidence = np.arange(n) * n + np.arange(n)
@@ -120,7 +129,7 @@ class TestInState:
 class TestHamiltonian:
     def test_single_particle_spectrum(self):
         # periodic hopping has eigenvalues -2 J cos(2 pi k / N)
-        h = scattering.hopping_matrix(8, 1.0)
+        h = hopping_matrix(8, 1.0)
         got = np.sort(np.linalg.eigvalsh(h))
         expected = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(8) / 8))
         np.testing.assert_allclose(got, expected, atol=1e-12)

@@ -162,6 +162,19 @@ class TestFiles:
             ser.load_json(path)
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_dump_refuses_what_load_refuses(self, tmp_path, bad, existing):
+        path = tmp_path / "out.json"
+        if existing:
+            path.write_text("old contents\n")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            ser.dump_json(path, {"x": [1.0, bad]})
+        assert [p.name for p in tmp_path.iterdir()] == (["out.json"] if existing else [])
+        if existing:
+            assert path.read_text() == "old contents\n"
+
+
 def _fail_replace(src, dst):
     raise OSError("disk full")
 

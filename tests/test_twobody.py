@@ -303,6 +303,18 @@ class TestGalileanBoost:
             )
             assert tl.log_negativity_two_mode(boosted) == tl.log_negativity_two_mode(gs)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("velocity", [-3.0, 0.4, 10.0])
+    def test_mean_matches_the_per_particle_formula(self, seed, velocity):
+        params = random_params(np.random.default_rng(seed))
+        mean = np.array([0.3, -1.0, 2.0, 0.5])
+        state = tl.GaussianState(tl.random_covariance(2, seed), mean)
+        w = params.reference_frequency
+        expected = mean.copy()
+        expected[1] += params.m1 * velocity / np.sqrt(params.m1 * w)
+        expected[3] += params.m2 * velocity / np.sqrt(params.m2 * w)
+        assert np.array_equal(tl.galilean_boost(state, velocity, params).mean, expected)
+
     def test_mixed_state_log_negativity_invariant(self):
         state = tl.GaussianState(tl.random_covariance(2, 10), np.zeros(4))
         boosted = tl.galilean_boost(state, 2.2, EQUAL)
@@ -549,3 +561,45 @@ def test_cli_sweep_makes_four_spectra_for_all_kappas(construction_calls, tmp_pat
     assert construction_calls == {
         "inv": 0, "SymplecticMatrix": 0, "QuadraticHamiltonian": 0, "_spectrum_of": 4
     }
+
+
+def dense_symplectic_inverse(s: np.ndarray) -> np.ndarray:
+    """Oracle: ``-Omega S^T Omega`` as two dense products."""
+    omega = np.kron(np.eye(len(s) // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    return -omega @ s.T @ omega
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_inverse_matches_the_dense_products(monkeypatch, seed):
+    params = random_params(np.random.default_rng(seed))
+    kappas = np.linspace(0.0, 3.0, 7)
+    s = tl.random_symplectic(2, seed, max_squeeze=1.5)
+    ham = tl.build_hamiltonian_matrix(params)
+    runs = []
+    for inverse in (twobody.symplectic_inverse, dense_symplectic_inverse):
+        monkeypatch.setattr(twobody, "symplectic_inverse", inverse)
+        runs.append(
+            (
+                tl.ground_state_covariance(params).cov.sigma,
+                *tl.coupling_sweep(params.m1, params.m2, params.omega_trap, kappas),
+                tl.transform_quadratic_hamiltonian(ham, s).matrix,
+                tl.scaled_hamiltonian(params).matrix,
+            )
+        )
+    for fast, dense in zip(*runs):
+        assert np.array_equal(fast, dense)
+
+
+def test_no_dense_omega_is_built(monkeypatch):
+    def refuse(n_modes):
+        raise AssertionError("the library applies Omega through times_omega")
+
+    monkeypatch.setattr(gaussian, "symplectic_form", refuse)
+    monkeypatch.setattr(tl, "symplectic_form", refuse)
+    params = tl.TwoBodyParams(1.0, 3.0, 1.0, 0.7)
+    tl.coupling_sweep(1.0, 3.0, 1.0, [0.0, 0.7, 4.0])
+    state = tl.ground_state_covariance(params)
+    ham = tl.scaled_hamiltonian(params)
+    tl.transform_quadratic_hamiltonian(ham, tl.random_symplectic(2, 3))
+    twobody.evolve_gaussian(state, ham, 1.3)
+    assert not hasattr(twobody, "_OMEGA") and not hasattr(twobody, "symplectic_form")
