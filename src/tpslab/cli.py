@@ -3,7 +3,8 @@
 Subcommands: ``tailor``, ``zanardi``, ``gaussian`` (``williamson``,
 ``entangle``), ``twobody`` (``sweep``) and ``scatter``.  Exit codes: 0 on
 success, 2 on usage errors, 1 on computation or I/O errors, which are
-reported as one machine-readable JSON line on stderr.  Outputs are
+reported as one machine-readable JSON line on stderr (with the warnings
+raised on the way, if any).  Outputs are
 deterministic: the same inputs (and ``--seed``, where randomness is
 involved) give byte-identical files.
 """
@@ -11,11 +12,10 @@ involved) give byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -25,13 +25,13 @@ from ._checks import RANGE_STEP_SLACK, symplectic_defect, williamson_residual
 from .findim import Factorization, TpsFrame, entanglement_entropy, random_unitary
 from .gaussian import gaussian_entropy_across, williamson
 from .serialization import (
+    _frame_document,
+    _write_atomic,
     dump_json,
     frame_from_dict,
-    frame_to_dict,
     gaussian_state_from_dict,
     load_json,
     pure_state_from_dict,
-    write_text_atomic,
 )
 from .tailor import TargetSpectrum, check_zanardi, subalgebra_generators, tailor_frame
 
@@ -68,13 +68,21 @@ def _parse_range(text: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
-    write_text_atomic(path, buf.getvalue())
+def _row_format(prefix: str, width: int, end: str = "") -> str:
+    """``_fmt``'s rendering of ``width`` floats as one format: %.12g formats as .12g does."""
+    return prefix + ",".join(["%.12g"] * width) + end
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """The header, then one line per row; the names and numbers need no CSV quoting."""
+    row_format = _row_format("", len(header), "\n")
+
+    def lines():
+        yield ",".join(header) + "\n"
+        for row in rows:
+            yield row_format % tuple(map(float, row))
+
+    _write_atomic(path, lines())
 
 
 def _cmd_tailor(args) -> int:
@@ -84,7 +92,7 @@ def _cmd_tailor(args) -> int:
     target = TargetSpectrum(np.array(_parse_float_list(args.target)))
     frame = tailor_frame(psi, factorization, target)
     entropy = entanglement_entropy(psi, frame)
-    dump_json(args.out, frame_to_dict(frame))
+    dump_json(args.out, _frame_document(frame))
     print(f"entropy_nats={_fmt(entropy)}")
     if args.bits:
         print(f"entropy_bits={_fmt(entropy / math.log(2.0))}")
@@ -149,21 +157,13 @@ def _cmd_gaussian_williamson(args) -> int:
     s, nu = williamson(state.cov)
     residual = williamson_residual(s.matrix, state.cov.sigma, nu)
     defect = symplectic_defect(s.matrix)
-    print("nu=" + ",".join(_fmt(v) for v in nu))
-    # _fmt's rendering, compiled once for a whole row: %.12g formats a float as .12g does
-    row_format = "S[%d]=" + ",".join(["%.12g"] * (2 * state.n_modes))
+    print(_row_format("nu=", state.n_modes) % tuple(nu.tolist()))
+    row_format = _row_format("S[%d]=", 2 * state.n_modes)
     print("\n".join(row_format % (i, *row) for i, row in enumerate(s.matrix.tolist())))
     print(f"reconstruction_residual={_fmt(residual)}")
     print(f"symplectic_defect={_fmt(defect)}")
     if args.out is not None:
-        dump_json(
-            args.out,
-            {
-                "n_modes": state.n_modes,
-                "S": s.matrix.tolist(),
-                "nu": nu.tolist(),
-            },
-        )
+        dump_json(args.out, {"n_modes": state.n_modes, "S": s.matrix, "nu": nu})
     return 0
 
 
@@ -183,7 +183,7 @@ def _cmd_gaussian_entangle(args) -> int:
 def _cmd_twobody_sweep(args) -> int:
     kappas = _parse_range(args.kappa)
     interparticle, internal_external = twobody.coupling_sweep(args.m1, args.m2, args.omega, kappas)
-    rows = list(zip(kappas, interparticle, internal_external))
+    rows = zip(kappas, interparticle.tolist(), internal_external.tolist())
     _write_csv(args.out, ["kappa", "interparticle_entropy", "internal_external_entropy"], rows)
     return 0
 
@@ -205,7 +205,7 @@ def _cmd_scatter(args) -> int:
         horizon = 2.5 * scattering.collision_time(config)
         times = [i * horizon / 60.0 for i in range(61)]
     history = scattering.entanglement_history(config, times)
-    _write_csv(args.out, ["t", "entropy_nats"], [[t, s] for t, s in history])
+    _write_csv(args.out, ["t", "entropy_nats"], history)
     return 0
 
 
@@ -278,12 +278,20 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except Exception as exc:  # computation or I/O failure: one parseable line
-        line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
-        print(line, file=sys.stderr)
-        return 1
+    # warnings are held while the command runs: on failure they join the one
+    # JSON line, on success they are shown as they would have been
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except Exception as exc:  # computation or I/O failure: one parseable line
+            report = {"error": type(exc).__name__, "message": str(exc)}
+            if caught:
+                report["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+            print(json.dumps(report), file=sys.stderr)
+            return 1
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
 
 
 def main() -> None:

@@ -5,6 +5,11 @@ all numbers are plain IEEE-754 doubles in decimal.  Parsing is strict:
 unknown or missing keys, sizes that are not JSON integers, and the
 non-standard ``NaN``/``Infinity`` literals are rejected rather than
 ignored or truncated.  Files are written atomically.
+
+``dump_json`` also takes float64 and complex128 NumPy arrays as values and
+streams them row by row, as the same text their nested lists would give;
+a non-finite entry is refused before anything is written.  The
+``*_to_dict`` functions return plain lists.
 """
 
 from __future__ import annotations
@@ -81,12 +86,13 @@ def density_matrix_from_dict(data: dict) -> DensityMatrix:
     return DensityMatrix(dim, _pairs_to_complex("matrix", data["matrix"], (dim, dim)))
 
 
+def _frame_document(frame: TpsFrame) -> dict:
+    """The frame file's layout, holding the matrix itself, which ``dump_json`` streams."""
+    return {"d": frame.d, "factors": [frame.k1, frame.k2], "frame": frame.frame}
+
+
 def frame_to_dict(frame: TpsFrame) -> dict:
-    return {
-        "d": frame.d,
-        "factors": [frame.k1, frame.k2],
-        "frame": _complex_to_pairs(frame.frame),
-    }
+    return {**_frame_document(frame), "frame": _complex_to_pairs(frame.frame)}
 
 
 def frame_from_dict(data: dict) -> TpsFrame:
@@ -133,26 +139,89 @@ def write_text_atomic(path, text: str) -> None:
     pipe or device is written through in place instead, since replacing
     it would remove it.
     """
+    _write_atomic(path, (text,))
+
+
+def _write_atomic(path, chunks) -> None:
+    """``write_text_atomic`` of the concatenated ``chunks``, written as they are produced."""
     if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
 
 
+def _array_text(a: np.ndarray):
+    """The text ``json.dumps`` gives ``a``'s nested lists, one innermost row at a time.
+
+    Every row goes through one ``%``-template built for the shape: ``%r``
+    is the ``float.__repr__`` that ``json`` calls, and a complex array is
+    read through its float64 view, which interleaves re and im.
+    """
+    entry = "%r"
+    width = a.shape[-1]
+    if a.dtype == np.complex128:
+        entry = "[%r, %r]"
+        a = np.ascontiguousarray(a).view(np.float64)
+    return _rows_text(a, "[" + ", ".join([entry] * width) + "]")
+
+
+def _rows_text(a: np.ndarray, template: str):
+    if a.ndim == 1:
+        yield template % tuple(a.tolist())
+        return
+    yield "["
+    for i, part in enumerate(a):
+        if i:
+            yield ", "
+        yield from _rows_text(part, template)
+    yield "]"
+
+
 def dump_json(path, data: dict) -> None:
     """Write a JSON document with LF endings and a trailing newline.
 
-    Non-finite floats raise ``ValueError`` before anything is written,
-    since ``load_json`` refuses the ``NaN``/``Infinity`` literals.
+    Values may be float64 or complex128 NumPy arrays of one or more
+    dimensions, complex entries standing for ``[re, im]`` pairs.  Each is
+    streamed to the file row by row, as the same text its nested lists
+    would give, without building those lists or the whole document.
+    Everything else is rendered by ``json.dumps``.  Non-finite floats, in
+    arrays or not, raise ``ValueError`` before anything is written, since
+    ``load_json`` refuses the ``NaN``/``Infinity`` literals.
     """
-    write_text_atomic(path, json.dumps(data, allow_nan=False) + "\n")
+    arrays = []
+    marker = os.urandom(16).hex()
+
+    def hold(value):
+        if not (
+            isinstance(value, np.ndarray)
+            and value.dtype in (np.float64, np.complex128)
+            and value.ndim > 0
+        ):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not np.isfinite(value).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        arrays.append(value)
+        return marker
+
+    # arrays stand in as a random marker string, so json renders every key, separator and
+    # scalar around them; the text is then cut at the markers and the rows go in between
+    pieces = json.dumps(data, allow_nan=False, default=hold).split(f'"{marker}"')
+
+    def chunks():
+        yield pieces[0]
+        for a, piece in zip(arrays, pieces[1:]):
+            yield from _array_text(a)
+            yield piece
+        yield "\n"
+
+    _write_atomic(path, chunks())

@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
+import io
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import tpslab as tl
+from tpslab import cli, scattering, tailor
 from tpslab import serialization as ser
-from tpslab import tailor
 from tpslab.cli import _write_csv, run
 
 
@@ -23,6 +27,30 @@ def write_tms(tmp_path, r=1.0, name="tms.json"):
     path = tmp_path / name
     ser.dump_json(path, ser.gaussian_state_to_dict(tl.two_mode_squeezed(r)))
     return path
+
+
+def write_overflowing_frame(tmp_path):
+    """A finite frame whose U^dag U overflows: NumPy warns, then the frame is refused."""
+    u = np.kron([[1e200, 1e200], [1e200, -1e200]], np.eye(2))
+    frame = {"d": 4, "factors": [2, 2], "frame": np.stack([u, 0.0 * u], axis=-1).tolist()}
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(frame))
+    return path
+
+
+def is_json_module_text(text: str) -> bool:
+    """Whether ``text`` is what ``json.dumps`` writes for the document it holds."""
+    return json.dumps(json.loads(text)) + "\n" == text
+
+
+def csv_module_text(header, rows) -> str:
+    """The CSV text ``csv.writer`` gives for the rows at 12 significant digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{float(x):.12g}" for x in row])
+    return buf.getvalue()
 
 
 class TestTailorCommand:
@@ -80,6 +108,17 @@ class TestTailorCommand:
             outputs.append((capsys.readouterr().out, out.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_frame_file_is_the_json_module_text(self, tmp_path, capsys):
+        state = tmp_path / "psi.json"
+        ser.dump_json(state, ser.pure_state_to_dict(tl.random_pure(64, 9)))
+        out = tmp_path / "frame.json"
+        target = ",".join(["0.125"] * 8)
+        argv = ["tailor", "--state", str(state), "--factors", "8,8", "--target", target]
+        assert run(argv + ["--out", str(out)]) == 0
+        text = out.read_bytes().decode()
+        assert is_json_module_text(text)
+        assert json.dumps(ser.frame_to_dict(ser.frame_from_dict(json.loads(text)))) + "\n" == text
+
 
 class TestZanardiCommand:
     def test_frame_report(self, tmp_path, capsys):
@@ -134,18 +173,15 @@ class TestZanardiCommand:
         assert [r["commutator_route"] for r in reports] == ["frame", "frame"]
         assert max(r["max_commutator_norm"] for r in reports) < tailor.COMMUTATOR_TOL
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_frame_with_nan_defect_gives_exit_1(self, tmp_path, capsys):
-        u = np.kron([[1e200, 1e200], [1e200, -1e200]], np.eye(2))
-        frame = {"d": 4, "factors": [2, 2], "frame": np.stack([u, 0.0 * u], axis=-1).tolist()}
-        path = tmp_path / "frame.json"
-        path.write_text(json.dumps(frame))
+        path = write_overflowing_frame(tmp_path)
         assert run(["zanardi", "--frame", str(path)]) == 1
-        # NumPy's overflow warnings may print first; the JSON line is the last one
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        # NumPy's overflow warnings go into the one JSON line
+        (line,) = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
         assert payload["error"] == "ValueError"
         assert payload["message"].startswith("frame is not unitary") and payload["message"].endswith("nan")
+        assert all(w.startswith("RuntimeWarning: ") for w in payload.get("warnings", []))
 
     def test_requires_exactly_one_mode(self, capsys):
         assert run(["zanardi"]) == 1
@@ -229,6 +265,23 @@ class TestGaussianCommand:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "InvalidCovarianceError"
 
+    def test_transform_file_is_the_json_module_text(self, tmp_path, capsys):
+        cov = tl.random_covariance(5, 2)
+        path = tmp_path / "cov.json"
+        ser.dump_json(path, ser.gaussian_state_to_dict(tl.GaussianState(cov, np.zeros(10))))
+        out = tmp_path / "transform.json"
+        assert run(["gaussian", "williamson", "--in", str(path), "--out", str(out)]) == 0
+        text = out.read_bytes().decode()
+        assert is_json_module_text(text)
+        s, nu = tl.williamson(ser.gaussian_state_from_dict(ser.load_json(path)).cov)
+        assert json.loads(text) == {"n_modes": 5, "S": s.matrix.tolist(), "nu": nu.tolist()}
+        # stdout prints the same rows at 12 significant digits
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "nu=" + ",".join(f"{x:.12g}" for x in nu)
+        assert lines[1:11] == [
+            f"S[{i}]=" + ",".join(f"{x:.12g}" for x in row) for i, row in enumerate(s.matrix)
+        ]
+
 
 class TestTwobodyCommand:
     def test_sweep_csv(self, tmp_path):
@@ -301,6 +354,41 @@ class TestCsvOutput:
         assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
         assert path.read_text() == "old contents\n"
 
+    def test_rows_are_the_csv_module_text(self, tmp_path):
+        rows = [
+            [0.0, -0.0, 5e-324],
+            [1e-5, 1e16, 1e22],
+            [2.0**53 + 2, np.float64(1.0 / 3.0), 7],
+            [float("nan"), float("inf"), -123456789.123456789],
+        ]
+        path = tmp_path / "rows.csv"
+        _write_csv(str(path), ["a", "b", "c"], rows)
+        assert path.read_bytes().decode() == csv_module_text(["a", "b", "c"], rows)
+
+    def test_sweep_is_the_csv_module_text(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["twobody", "sweep", "--m1", "1", "--m2", "3", "--omega", "1", "--kappa", "0:4:0.01"]
+        assert run(argv + ["--out", str(out)]) == 0
+        kappas = [i * 0.01 for i in range(401)]
+        interparticle, internal_external = tl.coupling_sweep(1.0, 3.0, 1.0, kappas)
+        header = ["kappa", "interparticle_entropy", "internal_external_entropy"]
+        rows = zip(kappas, interparticle, internal_external)
+        assert out.read_bytes().decode() == csv_module_text(header, rows)
+
+    def test_scatter_is_the_csv_module_text(self, tmp_path):
+        out = tmp_path / "history.csv"
+        argv = ["scatter", "--sites", "16", "--hop", "1", "--g", "2", "--ka", "1.5708"]
+        assert run(argv + ["--kb", "-1.5708", "--times", "0:12:0.25", "--out", str(out)]) == 0
+        config = scattering.LatticeConfig(
+            n_sites=16,
+            hopping=1.0,
+            interaction=2.0,
+            packet_a=scattering.WavePacket(4.0, 2.0, 1.5708),
+            packet_b=scattering.WavePacket(12.0, 2.0, -1.5708),
+        )
+        history = scattering.entanglement_history(config, [i * 0.25 for i in range(49)])
+        assert out.read_bytes().decode() == csv_module_text(["t", "entropy_nats"], history)
+
 
 class TestScatterCommand:
     def test_history_csv(self, tmp_path):
@@ -331,6 +419,48 @@ class TestScatterCommand:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         code = run(["scatter", "--sites", "12", "--bogus", "1"])
         assert code == 2
+
+
+class TestWarnings:
+    def test_exit_1_stderr_is_one_json_line(self, tmp_path):
+        # no warning filter: NumPy's overflow warnings would print before the error line
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        path = write_overflowing_frame(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tpslab.cli", "zanardi", "--frame", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        payload = json.loads(line)
+        assert list(payload) == ["error", "message", "warnings"]
+        assert payload["error"] == "ValueError"
+        assert payload["warnings"]
+        assert all(w.startswith("RuntimeWarning: ") for w in payload["warnings"])
+
+    def test_success_shows_its_warnings_unchanged(self, tmp_path, capsys, monkeypatch):
+        sweep = tl.coupling_sweep
+
+        def warning_sweep(*args):
+            warnings.warn("raised inside the sweep", RuntimeWarning)
+            return sweep(*args)
+
+        monkeypatch.setattr(cli.twobody, "coupling_sweep", warning_sweep)
+        out = tmp_path / "sweep.csv"
+        argv = ["twobody", "sweep", "--m1", "1", "--m2", "1", "--omega", "1", "--kappa", "0:1:0.5"]
+        with pytest.warns(RuntimeWarning, match="raised inside the sweep") as record:
+            assert run(argv + ["--out", str(out)]) == 0
+        assert [(w.filename, w.category) for w in record] == [(__file__, RuntimeWarning)]
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == 4
+
+    def test_error_without_warnings_has_no_warnings_key(self, capsys):
+        assert run(["zanardi", "--random-frames", "0", "--dim", "4", "--factors", "2,2"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert list(json.loads(line)) == ["error", "message"]
 
 
 class TestConsoleEntryPoint:

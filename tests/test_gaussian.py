@@ -16,7 +16,7 @@ from scipy.linalg import expm, schur
 
 import tpslab as tl
 from tpslab import gaussian, twobody
-from tpslab._checks import symplectic_inverse, times_omega
+from tpslab._checks import symplectic_inverse, times_omega, williamson_residual
 from tpslab.gaussian import InvalidCovarianceError
 
 OMEGA4 = np.array(
@@ -226,6 +226,15 @@ class TestWilliamson:
             assert residual / np.linalg.norm(cov.sigma) < 1e-8
             omega = tl.symplectic_form(n)
             assert np.linalg.norm(s.matrix.T @ omega @ s.matrix - omega) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 6, 200])
+    def test_residual_matches_the_dense_difference(self, n):
+        # nu is taken off the diagonal in place; the dense diag(nu) gives the same bits
+        cov = tl.random_covariance(n, 40 + n)
+        s, nu = tl.williamson(cov)
+        dense = s.matrix @ cov.sigma @ s.matrix.T - np.diag(np.repeat(nu, 2))
+        want = np.linalg.norm(dense) / np.linalg.norm(cov.sigma)
+        assert williamson_residual(s.matrix, cov.sigma, nu) == want
 
     def test_recovers_generator_spectrum(self):
         # the random covariance is built as S diag(nu) S^T, so the intended

@@ -1,9 +1,13 @@
 """Round-trip and strictness tests for the JSON formats."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import tpslab as tl
 from tpslab import serialization as ser
@@ -168,11 +172,96 @@ class TestFiles:
         path = tmp_path / "out.json"
         if existing:
             path.write_text("old contents\n")
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            ser.dump_json(path, {"x": [1.0, bad]})
-        assert [p.name for p in tmp_path.iterdir()] == (["out.json"] if existing else [])
-        if existing:
-            assert path.read_text() == "old contents\n"
+        payloads = [
+            {"x": [1.0, bad]},
+            {"x": np.array([[1.0, 2.0], [3.0, bad]])},
+            {"y": 1, "x": np.array([1.0, complex(0.0, bad)])},
+            # the bad array comes after one that would be streamed first
+            {"ok": np.ones((3, 3), dtype=complex), "x": np.array([[[bad]]])},
+        ]
+        for payload in payloads:
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                ser.dump_json(path, payload)
+            assert [p.name for p in tmp_path.iterdir()] == (["out.json"] if existing else [])
+            if existing:
+                assert path.read_text() == "old contents\n"
+
+
+# floats whose shortest repr takes each of float.__repr__'s forms: a signed zero,
+# the least subnormal, the switches to exponent notation at 1e-5 and 1e16, a
+# power of ten beyond 2**53, and an even integer above 2**53
+EDGE_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, 1e22, 2.0**53 + 2]
+
+finite_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def as_pairs(a: np.ndarray) -> np.ndarray:
+    """A complex array's float64 pairs, each part with its sign of zero."""
+    return np.stack([a.real, a.imag], axis=-1)
+
+
+class TestStreamedArrays:
+    """``dump_json`` streams arrays as the text ``json.dumps`` gives their nested lists."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+        as_complex=st.booleans(),
+        data=st.data(),
+    )
+    def test_file_is_the_json_module_text(self, tmp_path_factory, shape, as_complex, data):
+        # a complex array is drawn as its [re, im] pairs, which are also its lists
+        values = data.draw(
+            arrays(np.float64, (*shape, 2) if as_complex else shape, elements=finite_floats)
+        )
+        array = values.view(np.complex128)[..., 0] if as_complex else values
+        lists = values.tolist()
+        path = tmp_path_factory.mktemp("stream") / "out.json"
+        ser.dump_json(path, {"n": 1, "a": array, "nested": [{"b": array}, -0.0]})
+        want = json.dumps({"n": 1, "a": lists, "nested": [{"b": lists}, -0.0]}) + "\n"
+        assert path.read_bytes().decode() == want
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_edge_floats_in_every_position(self, tmp_path, dtype):
+        values = np.array(EDGE_FLOATS + [-x for x in EDGE_FLOATS])
+        array = values.reshape(2, 3, 2) if dtype is float else values.view(complex).reshape(2, 3)
+        lists = array.tolist() if dtype is float else as_pairs(array).tolist()
+        path = tmp_path / "out.json"
+        ser.dump_json(path, {"a": array})
+        assert path.read_text() == json.dumps({"a": lists}) + "\n"
+
+    def test_frame_file_equals_the_list_document(self, tmp_path):
+        frame = tl.TpsFrame(tl.Factorization(12, (3, 4)), tl.random_unitary(12, 8))
+        path = tmp_path / "frame.json"
+        ser.dump_json(path, ser._frame_document(frame))
+        assert path.read_text() == json.dumps(ser.frame_to_dict(frame)) + "\n"
+        again = ser.frame_from_dict(ser.load_json(path))
+        np.testing.assert_array_equal(again.frame, frame.frame)
+
+    @pytest.mark.parametrize(
+        "value", [np.arange(3), np.float32([1.0]), np.array(1.0), np.array(["a"]), 1j]
+    )
+    def test_other_values_are_refused_as_json_refuses_them(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            ser.dump_json(path, {"x": value})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_frame_dump_peak_memory_is_about_a_row(self, tmp_path):
+        # the list route held 65 536 pair lists and the whole 3 MB text: a 14.8 MB peak
+        frame = tl.TpsFrame(tl.Factorization(256, (16, 16)), tl.random_unitary(256, 3))
+        document = ser._frame_document(frame)
+        path = tmp_path / "frame.json"
+        tracemalloc.start()
+        try:
+            ser.dump_json(path, document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert path.stat().st_size > 3_000_000
 
 
 def _fail_replace(src, dst):
