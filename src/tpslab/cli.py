@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import scattering, twobody
-from ._checks import RANGE_STEP_SLACK, symplectic_defect, williamson_residual
+from ._checks import RANGE_STEP_SLACK, williamson_residual
 from .findim import Factorization, TpsFrame, entanglement_entropy, random_unitary
 from .gaussian import gaussian_entropy_across, williamson
 from .serialization import (
@@ -156,12 +156,11 @@ def _cmd_gaussian_williamson(args) -> int:
     state = gaussian_state_from_dict(load_json(args.infile))
     s, nu = williamson(state.cov)
     residual = williamson_residual(s.matrix, state.cov.sigma, nu)
-    defect = symplectic_defect(s.matrix)
     print(_row_format("nu=", state.n_modes) % tuple(nu.tolist()))
     row_format = _row_format("S[%d]=", 2 * state.n_modes)
     print("\n".join(row_format % (i, *row) for i, row in enumerate(s.matrix.tolist())))
     print(f"reconstruction_residual={_fmt(residual)}")
-    print(f"symplectic_defect={_fmt(defect)}")
+    print(f"symplectic_defect={_fmt(s.defect)}")
     if args.out is not None:
         dump_json(args.out, {"n_modes": state.n_modes, "S": s.matrix, "nu": nu})
     return 0

@@ -16,7 +16,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,22 +118,24 @@ class TpsFrame:
 
     The unitary acts on states: a state ``psi`` in the native basis is
     represented by ``U psi`` in the product basis of the two virtual
-    subsystems, and every measure below is evaluated there.
+    subsystems, and every measure below is evaluated there.  ``defect`` is
+    the ``||U^dag U - I||_F`` its constructor checked, 0.0 for the identity.
     """
 
     factorization: Factorization
     frame: np.ndarray
+    defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.factorization.d
         mat = frozen_array("frame", self.frame, (d, d), complex)
         # exact identity needs no O(d^3) unitarity check
         is_identity = np.count_nonzero(mat) == d and bool(np.all(mat.diagonal() == 1.0))
-        if not is_identity:
-            defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(d)))
-            if not defect <= UNITARITY_TOL:  # a NaN defect fails too
-                raise ValueError(f"frame is not unitary: ||U^dag U - I||_F = {defect!r}")
+        defect = 0.0 if is_identity else float(np.linalg.norm(mat.conj().T @ mat - np.eye(d)))
+        if not defect <= UNITARITY_TOL:  # a NaN defect fails too
+            raise ValueError(f"frame is not unitary: ||U^dag U - I||_F = {defect!r}")
         object.__setattr__(self, "frame", mat)
+        object.__setattr__(self, "defect", defect)
 
     @classmethod
     def identity(cls, factorization: Factorization) -> "TpsFrame":

@@ -128,10 +128,14 @@ def _congruence(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymplecticMatrix:
-    """Real linear phase-space map preserving the canonical form Omega."""
+    """Real linear phase-space map preserving the canonical form Omega.
+
+    ``defect`` is the ``||S^T Omega S - Omega||_F`` its constructor checked.
+    """
 
     n_modes: int
     matrix: np.ndarray
+    defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = require_size("mode counts", self.n_modes)
@@ -141,6 +145,7 @@ class SymplecticMatrix:
             raise ValueError(f"matrix is not symplectic: ||S^T Omega S - Omega||_F = {defect!r}")
         object.__setattr__(self, "n_modes", n)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "defect", defect)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ __all__ = [
     "gaussian_state_from_dict",
     "load_json",
     "dump_json",
-    "write_text_atomic",
 ]
 
 
@@ -130,20 +129,14 @@ def load_json(path) -> dict:
         return json.load(fh, parse_constant=_reject_constant)
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, exactly as given, or not at all.
-
-    The text goes to a temporary file in the same directory, which then
-    replaces ``path`` in one step; on any failure the temporary file is
-    removed and an existing ``path`` is left untouched.  A symbolic link,
-    pipe or device is written through in place instead, since replacing
-    it would remove it.
-    """
-    _write_atomic(path, (text,))
-
-
 def _write_atomic(path, chunks) -> None:
-    """``write_text_atomic`` of the concatenated ``chunks``, written as they are produced."""
+    """Write the text ``chunks``, concatenated, to ``path`` as UTF-8 or not at all.
+
+    The chunks go, as they are produced, to a temporary file in the same
+    directory, which then replaces ``path`` in one step; on any failure it is
+    removed and an existing ``path`` is left untouched.  A symbolic link, pipe
+    or device is written through in place, since replacing it would remove it.
+    """
     if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)

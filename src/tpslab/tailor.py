@@ -16,7 +16,7 @@ import numpy as np
 
 from ._checks import CERTIFICATE_MARGIN, COMMUTATOR_TOL, GENERATOR_HERMITICITY_TOL, RANK_TOL
 from ._checks import PRODUCT_ROUNDOFF_PER_TERM, TARGET_SUM_TOL, descending_probabilities
-from ._checks import frozen_array, require_hermitian, require_integer, require_size
+from ._checks import frozen_array, require_hermitian, require_size
 from .findim import Factorization, PureState, TpsFrame, _conjugate
 
 __all__ = [
@@ -67,7 +67,6 @@ class SubalgebraBasis:
     ``I (x) M_k`` (side B) of the frame's product basis, in the native basis.
     """
 
-    d: int
     generators: np.ndarray
     side: str
     frame: TpsFrame
@@ -75,18 +74,17 @@ class SubalgebraBasis:
     def __post_init__(self):
         if self.side not in ("A", "B"):
             raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
-        d = require_integer("generator sizes", self.d)
-        if d != self.frame.d:
-            raise ValueError(f"generators of dimension {d} for a frame of dimension {self.frame.d}")
-        k = self.frame.k1 if self.side == "A" else self.frame.k2
+        d, k = self.frame.d, (self.frame.k1 if self.side == "A" else self.frame.k2)
         gens = frozen_array("generator", self.generators, dtype=complex)
         count = len(gens) if gens.ndim else 0
         if count != k * k:
             raise ValueError(f"expected {k * k} generators for factor {k}, got {count}")
         if gens.shape != (count, d, d):
-            raise ValueError(f"expected generator of shape {(count, d, d)}, got {gens.shape}")
+            raise ValueError(
+                f"generators of dimension {gens.shape[-1]} for a frame of dimension {d}: "
+                f"expected shape {(count, d, d)}, got {gens.shape}"
+            )
         require_hermitian("generator", gens, GENERATOR_HERMITICITY_TOL)
-        object.__setattr__(self, "d", d)
         object.__setattr__(self, "generators", gens)
 
 
@@ -208,7 +206,7 @@ def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
     u = frame.frame.conj().T
     native = u @ np.kron(*factors)
     native = native @ u.conj().T
-    return SubalgebraBasis(frame.d, native, side, frame)
+    return SubalgebraBasis(native, side, frame)
 
 
 def _read_count(lower: np.ndarray, upper: np.ndarray) -> int | None:
@@ -257,8 +255,8 @@ def _frame_witness(gens_a, gens_b) -> tuple[int | None, float | None]:
         return None, None
     f, d, k1, k2 = frame.frame, frame.d, frame.k1, frame.k2
     gamma = PRODUCT_ROUNDOFF_PER_TERM * d * np.finfo(float).eps
-    # ||F^dag F - I||_F, raised by the roundoff of F^dag F (at most gamma ||F||_F^2)
-    u = (float(np.linalg.norm(f.conj().T @ f - np.eye(d))) + gamma * d) / (1.0 - gamma * d)
+    # the frame's ||F^dag F - I||_F, raised by the roundoff of F^dag F (at most gamma ||F||_F^2)
+    u = (frame.defect + gamma * d) / (1.0 - gamma * d)
     if not u < 1.0:
         return None, None
     # pull each stack back to the product basis
@@ -327,8 +325,8 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
        Frobenius norm of a generator product, so no sqrt(d) enters.  By Weyl
        the pulled-back products lie within ``eta = sqrt(k2) ||a|| ||f|| +
        ||e|| ||PB||`` of the model (stack Frobenius norms; ``sqrt(k2) ||a||``
-       is ``||a (x) I||``).  The frame's unitarity defect ``u = ||F^dag F -
-       I||_F`` adds ``(1 + u) u ||G_A|| ||G_B||``; the roundoff of the two
+       is ``||a (x) I||``).  ``u = ||F^dag F - I||_F``, the frame's own
+       ``defect``, adds ``(1 + u) u ||G_A|| ||G_B||``; the roundoff of the two
        pullback products adds about ``2 gamma_d sqrt(d) ||G||`` to each
        pulled-back stack, where ``gamma_d = PRODUCT_ROUNDOFF_PER_TERM d eps``
        bounds a complex length-d dot product; and conjugation by F scales
@@ -336,7 +334,7 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
        in the small SVDs and the norms, relative ``k^2 eps``, is left to the
        margin.  For a Haar frame at d = 36 the residuals are at roundoff and
        the interval's half-width is 7e-11 of the largest product.  The
-       witness trusts nothing it is handed: a frame that does not match its
+       witness takes no match on trust: a frame that does not match its
        generators leaves residuals of the generators' own size, and the band
        then covers the products.
     2. **Dense SVD** of the d^2 x |A| |B| product matrix, O(d^6), for every
@@ -364,12 +362,14 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
        Frobenius norm taken, for every other input and whenever the frame
        bound is at or above ``COMMUTATOR_TOL``.
 
-    Accepts ``SubalgebraBasis`` objects, sequences of matrices or 3-D
-    arrays, Hermitian or not, so degenerate generator sets can be checked
-    too.  Each side becomes one ``(m, d, d)`` stack.
+    Accepts ``SubalgebraBasis`` objects, whose stacks are used as they are,
+    or sequences of matrices or 3-D arrays, Hermitian or not, each copied into
+    one ``(m, d, d)`` stack, so degenerate generator sets can be checked too.
     """
     stack_a, stack_b = (
-        frozen_array("generators", getattr(g, "generators", g), dtype=complex)
+        g.generators
+        if isinstance(g, SubalgebraBasis)
+        else frozen_array("generators", g, dtype=complex)
         for g in (gens_a, gens_b)
     )
     if stack_a.size == 0 or stack_b.size == 0:
@@ -406,8 +406,8 @@ def conjugate_subalgebra(gens: SubalgebraBasis, u: np.ndarray) -> SubalgebraBasi
     consistently: if the old generators came from frame V, the new ones
     come from ``V U^dag``.
     """
-    u = frozen_array("unitary", u, (gens.d, gens.d), complex)
+    u = frozen_array("unitary", u, (gens.frame.d,) * 2, complex)
     # the new frame's own unitarity check rejects a bad u before the
     # generators are conjugated
     new_frame = TpsFrame(gens.frame.factorization, gens.frame.frame @ u.conj().T)
-    return SubalgebraBasis(gens.d, _conjugate(u, gens.generators), gens.side, new_frame)
+    return SubalgebraBasis(_conjugate(u, gens.generators), gens.side, new_frame)

@@ -16,7 +16,7 @@ from scipy.linalg import expm, schur
 
 import tpslab as tl
 from tpslab import gaussian, twobody
-from tpslab._checks import symplectic_inverse, times_omega, williamson_residual
+from tpslab._checks import symplectic_defect, symplectic_inverse, times_omega, williamson_residual
 from tpslab.gaussian import InvalidCovarianceError
 
 OMEGA4 = np.array(
@@ -144,6 +144,16 @@ class TestValidation:
     def test_covariance_rejects_uncertainty_violation(self):
         with pytest.raises(InvalidCovarianceError, match="uncertainty"):
             tl.CovarianceMatrix(1, 0.5 * np.eye(2))
+
+    def test_symplectic_matrix_keeps_the_defect_it_checked(self):
+        # the williamson command prints this value in place of a second measurement
+        s_random = tl.random_symplectic(3, 5)
+        s_williamson = tl.williamson(tl.random_covariance(4, 2))[0]
+        for s in (s_random, s_williamson):
+            assert type(s.defect) is float
+            assert s.defect == float(symplectic_defect(s.matrix))
+            omega = dense_omega(s.n_modes)
+            assert s.defect == pytest.approx(np.linalg.norm(s.matrix.T @ omega @ s.matrix - omega))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_symplectic_matrix_rejects_non_finite(self, bad):

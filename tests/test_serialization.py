@@ -287,14 +287,14 @@ class TestAtomicWrite:
         path = tmp_path / "out.txt"
         path.write_text("old contents\n")
         with pytest.raises(UnicodeEncodeError):
-            ser.write_text_atomic(path, "first line\nbad \ud800 line\n")
+            ser._write_atomic(path, ("first line\nbad \ud800 line\n",))
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
         assert path.read_text() == "old contents\n"
 
     def test_writes_text_verbatim(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_text("a much longer earlier file\n" * 10)
-        ser.write_text_atomic(path, "a\nb\n")
+        ser._write_atomic(path, ("a\nb\n",))
         assert path.read_bytes() == b"a\nb\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
@@ -303,6 +303,6 @@ class TestAtomicWrite:
         target.write_text("old contents\n")
         link = tmp_path / "link.txt"
         link.symlink_to(target)
-        ser.write_text_atomic(link, "new\n")
+        ser._write_atomic(link, ("new\n",))
         assert link.is_symlink()
         assert target.read_text() == "new\n"

@@ -251,12 +251,12 @@ class TestSubalgebraGenerators:
         frame = tl.TpsFrame.identity(FAC22)
         gens = tl.subalgebra_generators(frame, "A").generators
         with pytest.raises(ValueError, match="expected 4 generators for factor 2, got 3"):
-            tl.SubalgebraBasis(4, gens[:3], "A", frame)
+            tl.SubalgebraBasis(gens[:3], "A", frame)
 
     def test_non_array_generators_are_rejected(self):
         frame = tl.TpsFrame.identity(FAC22)
         with pytest.raises(ValueError, match="expected 4 generators for factor 2, got 0"):
-            tl.SubalgebraBasis(4, 5, "A", frame)
+            tl.SubalgebraBasis(5, "A", frame)
 
     def test_basis_of_another_dimension_is_rejected(self):
         # the frame factors d = 4, while the generators act on dimension 6
@@ -264,7 +264,7 @@ class TestSubalgebraGenerators:
         rng = np.random.default_rng(7)
         gens = [random_hermitian(rng, 6) for _ in range(4)]
         with pytest.raises(ValueError, match="dimension 6 for a frame of dimension 4"):
-            tl.SubalgebraBasis(6, gens, "A", frame)
+            tl.SubalgebraBasis(gens, "A", frame)
 
     def test_peak_memory_at_d144_stays_below_two_and_a_half_stacks(self):
         # the conjugation holds at most two stacks and the Hermitian check walks
@@ -324,6 +324,20 @@ class TestCheckZanardi:
                 tl.subalgebra_generators(frame, "A"), tl.subalgebra_generators(frame, "B")
             )
             assert report.independence and report.completeness
+
+    def test_peak_memory_at_d144_stays_below_four_and_a_half_stacks(self):
+        # both SubalgebraBasis stacks are used as they are; copying them as
+        # well held six stacks at the peak
+        frame = tl.TpsFrame(tl.Factorization(144, (12, 12)), tl.random_unitary(144, 11))
+        gens_a, gens_b = frame_sides(frame)
+        tracemalloc.start()
+        try:
+            report = tl.check_zanardi(gens_a, gens_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.commutator_route == "frame" and report.completeness
+        assert peak <= 4.5 * gens_a.generators.nbytes, peak / gens_a.generators.nbytes
 
     def test_local_accessibility_is_flagged_not_assessed(self):
         frame = tl.TpsFrame.identity(FAC22)
@@ -558,7 +572,7 @@ def with_duplicate(gens: tl.SubalgebraBasis, replaced: int, kept: int, extra=Non
     """The basis with generator ``replaced`` swapped for a copy of ``kept``, plus ``extra``."""
     stack = np.array(gens.generators)
     stack[replaced] = stack[kept] if extra is None else stack[kept] + extra
-    return tl.SubalgebraBasis(gens.d, stack, gens.side, gens.frame)
+    return tl.SubalgebraBasis(stack, gens.side, gens.frame)
 
 
 WITNESS_FRAMES = [
@@ -607,6 +621,29 @@ class TestFrameWitness:
         assert witness_matches_oracle(side_a, gens_b) == d * d - k2 * k2
         assert dense_calls == []
 
+    @pytest.mark.parametrize("kind, d, factors", WITNESS_FRAMES)
+    def test_frame_keeps_the_defect_it_measured(self, kind, d, factors):
+        frame = witness_frame(kind, d, factors)
+        gens = tl.subalgebra_generators(frame, "A")
+        conjugated = tl.conjugate_subalgebra(gens, tl.random_unitary(d, 9)).frame
+        for f in (frame, conjugated):
+            u = f.frame
+            assert type(f.defect) is float
+            assert f.defect == np.linalg.norm(u.conj().T @ u - np.eye(d))
+        if kind == "identity":
+            assert frame.defect == 0.0
+
+    def test_witness_reads_the_kept_defect(self, dense_calls):
+        frame = tl.TpsFrame(tl.Factorization(12, (3, 4)), tl.random_unitary(12, 7))
+        gens_a, gens_b = frame_sides(frame)
+        assert tl.check_zanardi(gens_a, gens_b).commutator_route == "frame"
+        assert dense_calls == []
+        # a defect of 2 leaves the witness no bound, so both routes fall back
+        object.__setattr__(frame, "defect", 2.0)
+        report = tl.check_zanardi(gens_a, gens_b)
+        assert report.commutator_route == "measured" and len(dense_calls) == 1
+        assert report.independence and report.completeness
+
     def test_sides_of_two_frames_skip_it(self):
         fac = tl.Factorization(12, (3, 4))
         gens_a = tl.subalgebra_generators(tl.TpsFrame(fac, tl.random_unitary(12, 1)), "A")
@@ -633,7 +670,7 @@ class TestFrameWitness:
         gens_a, gens_b = frame_sides(tl.TpsFrame(fac, tl.random_unitary(d, 5)))
         wrong = tl.TpsFrame(fac, tl.random_unitary(d, 6))
         side_a, side_b = (
-            tl.SubalgebraBasis(d, g.generators, g.side, wrong) for g in (gens_a, gens_b)
+            tl.SubalgebraBasis(g.generators, g.side, wrong) for g in (gens_a, gens_b)
         )
         assert witness_matches_oracle(side_a, side_b) is None
 
@@ -659,7 +696,7 @@ class TestFrameWitness:
         gens_a, gens_b = frame_sides(tl.TpsFrame.identity(FAC22))
         stack = np.array(gens_a.generators)
         stack[3] *= tailor.RANK_TOL
-        side_a = tl.SubalgebraBasis(4, stack, "A", gens_a.frame)
+        side_a = tl.SubalgebraBasis(stack, "A", gens_a.frame)
         assert witness_matches_oracle(side_a, gens_b) is None
 
 
@@ -683,7 +720,7 @@ def test_witness_count_matches_dense_oracle(factors, seed, scale, duplicate, per
         stack[j] = stack[i]
     if perturbation:
         stack[j] += perturbation * random_hermitian(rng, d)
-    side_a = tl.SubalgebraBasis(d, stack, "A", frame)
+    side_a = tl.SubalgebraBasis(stack, "A", frame)
     witnessed = witness_matches_oracle(side_a, gens_b)
     event("witnessed" if witnessed is not None else "fallback")
 
@@ -698,8 +735,8 @@ def perturbed_side(gens: tl.SubalgebraBasis, size: float, rng, count=None):
     """The basis with ``size`` times its own random unit Hermitian added to generators."""
     stack = np.array(gens.generators)
     for i in range(len(stack) if count is None else count):
-        stack[i] += size * random_hermitian(rng, gens.d)
-    return tl.SubalgebraBasis(gens.d, stack, gens.side, gens.frame)
+        stack[i] += size * random_hermitian(rng, gens.frame.d)
+    return tl.SubalgebraBasis(stack, gens.side, gens.frame)
 
 
 BOUND_FRAMES = [
@@ -754,7 +791,7 @@ class TestCommutatorBound:
             product = tl.subalgebra_generators(product_frame, side).generators
             stack = inverse @ product @ inverse.conj().T
             stack = 0.5 * (stack + np.swapaxes(stack, 1, 2).conj())
-            sides.append(tl.SubalgebraBasis(d, stack, side, frame))
+            sides.append(tl.SubalgebraBasis(stack, side, frame))
         report = tl.check_zanardi(*sides)
         measured = measured_commutator(*sides)
         assert measured > 1e-11
@@ -871,7 +908,7 @@ class TestNonFiniteGenerators:
         gens[1] = gens[1].copy()
         gens[1][0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            tl.SubalgebraBasis(4, tuple(gens), "A", frame)
+            tl.SubalgebraBasis(tuple(gens), "A", frame)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_check_zanardi_rejects_non_finite_sequence(self, bad):

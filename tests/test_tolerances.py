@@ -74,16 +74,12 @@ class TestToleranceTable:
 
 
 SYMPLECTIC_2 = tl.random_symplectic(2, 3).matrix
-FRAME_22 = tl.TpsFrame.identity(tl.Factorization(4, (2, 2)))
 PACKET = tl.WavePacket(4.0, 2.0, 1.0)
 
 # each size-checking constructor with the float size it is given
 NON_INTEGER_SIZES = {
     "PureState.dim": (4.0, lambda n: tl.PureState(n, np.full(4, 0.5))),
     "DensityMatrix.dim": (2.0, lambda n: tl.DensityMatrix(n, np.eye(2) / 2)),
-    "SubalgebraBasis.d": (4.0, lambda n: tl.SubalgebraBasis(
-        n, tl.subalgebra_generators(FRAME_22, "A").generators, "A", FRAME_22
-    )),
     "LatticeConfig.n_sites": (24.0, lambda n: tl.LatticeConfig(n, 1.0, 2.0, PACKET, PACKET)),
     "symplectic_form": (2.0, tl.symplectic_form),
     "random_density.rank": (2.0, lambda n: tl.random_density(6, n, 0)),
@@ -107,13 +103,9 @@ class TestIntegerSizes:
         assert tl.CovarianceMatrix(two, np.eye(4)).nu.tolist() == [1.0, 1.0]
         assert tl.symplectic_form(two).shape == (4, 4)
         # each constructor keeps the checked size as an int, not the value given
-        four = np.int64(4)
         built = {
             "PureState.dim": tl.PureState(two, np.array([1.0, 0.0])).dim,
             "DensityMatrix.dim": tl.DensityMatrix(two, np.eye(2) / 2).dim,
-            "SubalgebraBasis.d": tl.SubalgebraBasis(
-                four, tl.subalgebra_generators(FRAME_22, "A").generators, "A", FRAME_22
-            ).d,
             "LatticeConfig.n_sites": tl.LatticeConfig(
                 np.int64(24), 1.0, 2.0, PACKET, PACKET
             ).n_sites,
