@@ -12,7 +12,7 @@ import numpy as np
 
 # finite-dimensional states and frames (findim)
 NORM_TOL = 1e-12  # |psi| - 1 allowed by PureState: a few ulps of a normalized vector
-HERMITICITY_TOL = 1e-12  # largest |M - M^dag| entry of a density matrix or lattice Hamiltonian
+HERMITICITY_TOL = 1e-12  # largest |M - M^dag| entry of a density matrix
 TRACE_TOL = 1e-12  # |Tr rho - 1| allowed by DensityMatrix
 EIGENVALUE_FLOOR = -1e-10  # density-matrix eigenvalues above this are roundoff, clipped to 0
 UNITARITY_TOL = 1e-10  # ||U^dag U - I||_F of a frame; a Haar frame at d = 1024 reads 4e-14
@@ -86,7 +86,7 @@ def frozen_array(what: str, value, shape=None, dtype=float, error=ValueError) ->
 
 # require_hermitian walks a stack in pieces of at most this many bytes, so its two
 # temporaries stay small beside a large stack; small stacks, such as the (4001, 4, 4)
-# covariances of a 4001-point sweep or lattice blocks up to 80 sites, are one piece
+# covariances of a 4001-point sweep, are one piece
 HERMITIAN_CHUNK_BYTES = 1 << 23
 
 

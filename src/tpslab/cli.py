@@ -21,9 +21,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import scattering, twobody
-from ._checks import RANGE_STEP_SLACK, williamson_residual
+from ._checks import RANGE_STEP_SLACK
 from .findim import Factorization, TpsFrame, entanglement_entropy, random_unitary
-from .gaussian import gaussian_entropy_across, williamson
+from .gaussian import _williamson, gaussian_entropy_across
 from .serialization import (
     _frame_document,
     _write_atomic,
@@ -154,8 +154,7 @@ def _cmd_zanardi(args) -> int:
 
 def _cmd_gaussian_williamson(args) -> int:
     state = gaussian_state_from_dict(load_json(args.infile))
-    s, nu = williamson(state.cov)
-    residual = williamson_residual(s.matrix, state.cov.sigma, nu)
+    s, nu, residual = _williamson(state.cov)
     print(_row_format("nu=", state.n_modes) % tuple(nu.tolist()))
     row_format = _row_format("S[%d]=", 2 * state.n_modes)
     print("\n".join(row_format % (i, *row) for i, row in enumerate(s.matrix.tolist())))

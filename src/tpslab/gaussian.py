@@ -121,8 +121,12 @@ def _require_pure(nu: np.ndarray) -> None:
 
 
 def _congruence(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """``S sigma S^T`` for a stack of sigma, symmetrized against roundoff."""
-    out = s @ sigma @ s.T
+    """``S sigma S^T`` for a stack of sigma, symmetrized against roundoff.
+
+    A 1-D sigma is the diagonal of a diagonal matrix: it scales S's columns,
+    which is ``S @ diag(sigma)`` bit for bit without the dense diagonal.
+    """
+    out = (s * sigma if sigma.ndim == 1 else s @ sigma) @ s.T
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
@@ -214,6 +218,11 @@ def williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray]:
         or S fails the ``SymplecticMatrix`` check (defect above
         ``SYMPLECTIC_TOL``); the failure is reported, never silent.
     """
+    return _williamson(cov)[:2]
+
+
+def _williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray, float]:
+    """``williamson``, with the reconstruction residual it checked."""
     sigma, n, nu = cov.sigma, cov.n_modes, cov.nu
     chol, herm = _hermitian_core(sigma)
     pairs = np.sqrt(2.0) * np.linalg.eigh(herm)[1][:, n:][:, ::-1]
@@ -223,7 +232,7 @@ def williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray]:
     if residual > WILLIAMSON_RESIDUAL_TOL:
         raise WilliamsonError(f"reconstruction residual {residual!r} exceeds tolerance")
     try:
-        return SymplecticMatrix(n, s), nu.copy()
+        return SymplecticMatrix(n, s), nu.copy(), residual
     except ValueError as err:
         raise WilliamsonError(str(err)) from err
 
@@ -404,4 +413,4 @@ def random_covariance(
     rng = np.random.default_rng(seed)
     s = random_symplectic(n_modes, rng, max_squeeze).matrix
     nu = np.ones(n_modes) if pure else rng.uniform(1.0, max_thermal, n_modes)
-    return CovarianceMatrix(n_modes, _congruence(s, np.diag(np.repeat(nu, 2))))
+    return CovarianceMatrix(n_modes, _congruence(s, np.repeat(nu, 2)))

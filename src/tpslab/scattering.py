@@ -9,18 +9,26 @@ unentangled in-state.
 The composite index convention matches the rest of the package: amplitude
 ``i * n_sites + j`` puts particle A at site i and particle B at site j.
 
-The Hamiltonian is never held as an ``n^2 x n^2`` matrix.  Hopping and the
-contact term conserve the total quasi-momentum ``K = 2 pi k / n``, the
-lattice form of the centre-of-mass/relative split: in the coordinates
+The Hamiltonian is never held as a matrix.  Hopping and the contact term
+conserve the total quasi-momentum ``K = 2 pi k / n``, the lattice form of
+the centre-of-mass/relative split: in the coordinates
 ``(r = x_A - x_B mod n, x_B)`` a Fourier transform over ``x_B`` turns the
-Kronecker sum into n independent ``n x n`` rings in r, one per K.  The
-diagonal phases ``D_K = diag(e^{i K r / 2})`` make each ring real: every
-bond becomes ``-2 J cos(K / 2)`` and the closing bond ``(n - 1, 0)`` gains a
-sign ``(-1)^k``.  A ``LatticeHamiltonian`` holds those real blocks; one
-stacked real ``eigh`` diagonalizes them, and the phases are applied to the
-sector amplitudes on the way in and out.  ``evolve`` and
-``entanglement_history`` share that propagation, and the history takes the
-Schmidt spectra of all times in one values-only SVD.
+Kronecker sum into n independent rings in r, one per K.  The diagonal
+phases ``D_K = diag(e^{i K r / 2})`` make each ring real: every bond becomes
+``b_k = -2 J cos(K / 2)`` and the closing bond ``(n - 1, 0)`` gains a sign
+``(-1)^k``, so a ``LatticeHamiltonian`` is the n bonds and g.
+
+Each gauged ring commutes with a reflection of r: ``P: r -> -r`` for even
+k, and ``QP`` with ``Q = diag(1, -1, ..., -1)`` for odd k.  The states the
+reflection flips vanish at r = 0, never feel the contact and move freely,
+with the closed-form modes ``sqrt(2 / n) sin(pi q r / n)``, q of the parity
+of k, at energies ``2 b_k cos(pi q / n)``.  Only the kept halves, real
+paths of about n / 2 sites with g at the origin, are diagonalized, by one
+stacked real ``eigh`` per size.  ``evolve`` and ``entanglement_history``
+share that propagation, walking the times in chunks of bounded size, and
+the history takes the Schmidt spectra of each chunk in one values-only SVD
+(Harshman & Wickramasekara, PRL 98, 080406 (2007), for the symmetry
+argument).
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import CLOSING_SPEED_FLOOR, HERMITICITY_TOL, NORM_TOL, PACKET_NORM_FLOOR, frozen_array
-from ._checks import require_finite, require_hermitian, require_integer
+from ._checks import CLOSING_SPEED_FLOOR, NORM_TOL, PACKET_NORM_FLOOR, frozen_array, require_finite
+from ._checks import require_integer
 from .findim import PureState, _entropy_nats, _schmidt_probabilities
 
 __all__ = [
@@ -46,11 +54,14 @@ __all__ = [
 ]
 
 MIN_SITES = 8
-# a memory bound, not a time bound: a 61-time scatter run at 128 sites takes about
-# 0.54 s and peaks at 101 MB RSS (one BLAS thread, 2-vCPU Xeon; 67 MB of it under
-# tracemalloc), below the 252 MB that the dense n^2 x n^2 eigendecomposition
-# needed at the old 48-site cap
-MAX_SITES = 128
+# a time and memory bound: a 61-time scatter run at 256 sites takes about 0.94 s and
+# peaks at 94 MB RSS (one BLAS thread, 2-vCPU Xeon; 58 MB of it under tracemalloc),
+# where full-size sector blocks took 1.8 s and 428 MB
+MAX_SITES = 256
+# the times are propagated in chunks whose (chunk, n, n) complex amplitudes take at
+# most this many bytes: 61 times at 48 sites are one chunk
+CHUNK_BYTES = 1 << 22
+SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -109,27 +120,43 @@ def build_product_in_state(config: LatticeConfig) -> PureState:
 
 @dataclass(frozen=True)
 class LatticeHamiltonian:
-    """The two-particle Hamiltonian as one real ``n x n`` block per total quasi-momentum.
+    """The two-particle Hamiltonian as its n sector bonds and the contact energy.
 
-    ``blocks[k]`` acts on the relative coordinate ``r = x_A - x_B mod n`` in
-    the sector ``K = 2 pi k / n``, in the gauged basis that makes it real:
-    ``blocks[k] = D_K^dag H_K D_K`` with ``D_K = diag(e^{i K r / 2})``.  The
-    blocks are one read-only, real symmetric float64 stack; complex blocks
-    are rejected.
+    In the sector ``K = 2 pi k / n`` the Hamiltonian acts on the relative
+    coordinate ``r = x_A - x_B mod n``; in the gauged basis of
+    ``D_K = diag(e^{i K r / 2})`` it is a real ring whose bonds are all
+    ``bonds[k]`` except the closing bond ``(n - 1, 0)``, which is
+    ``(-1)^k bonds[k]``, with ``interaction`` at ``r = 0``.  That is all the
+    object holds; ``blocks`` builds the dense stack on demand.  Complex and
+    non-finite input is rejected.
     """
 
-    blocks: np.ndarray
+    bonds: np.ndarray
+    interaction: float
 
     def __post_init__(self):
-        blocks = frozen_array("Hamiltonian blocks", self.blocks)
-        if blocks.ndim != 3 or len(set(blocks.shape)) != 1:
-            raise ValueError(f"expected Hamiltonian blocks of shape (n, n, n), got {blocks.shape}")
-        require_hermitian("Hamiltonian", blocks, HERMITICITY_TOL)
-        object.__setattr__(self, "blocks", blocks)
+        bonds = frozen_array("Hamiltonian bonds", self.bonds)
+        if bonds.ndim != 1 or len(bonds) < MIN_SITES:
+            raise ValueError(f"expected Hamiltonian bonds of shape (n,), n >= {MIN_SITES}, got {bonds.shape}")
+        interaction = float(frozen_array("contact interaction", self.interaction, ()))
+        object.__setattr__(self, "bonds", bonds)
+        object.__setattr__(self, "interaction", interaction)
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The read-only float64 stack of the gauged rings, ``blocks[k] = D_K^dag H_K D_K``."""
+        n = len(self.bonds)
+        r = np.arange(n)
+        blocks = np.zeros((n, n, n))
+        blocks[:, r[:-1], r[1:]] = blocks[:, r[1:], r[:-1]] = self.bonds[:, None]
+        blocks[:, n - 1, 0] = blocks[:, 0, n - 1] = np.where(r % 2 == 0, self.bonds, -self.bonds)
+        blocks[:, 0, 0] = self.interaction
+        blocks.setflags(write=False)
+        return blocks
 
     @property
     def nbytes(self) -> int:
-        return self.blocks.nbytes
+        return self.bonds.nbytes + np.dtype(float).itemsize
 
 
 def build_hamiltonian(config: LatticeConfig) -> LatticeHamiltonian:
@@ -140,70 +167,160 @@ def build_hamiltonian(config: LatticeConfig) -> LatticeHamiltonian:
     hopping ``-J (1 + e^{-iK})`` from ``r + 1`` to ``r`` and the contact
     energy g at ``r = 0``.  The phases ``e^{i K r / 2}`` of ``D_K`` turn every
     bond into ``-2 J cos(K / 2)``; the closing bond ``(n - 1, 0)`` picks up
-    ``e^{-i K n / 2} = (-1)^k`` on top, so each block is real.
+    ``e^{-i K n / 2} = (-1)^k`` on top, so each ring is real.
     """
-    n = config.n_sites
-    k = np.arange(n)
-    # bond[k] = -2 J cos(K / 2) with K / 2 = pi k / n
-    bond = -2.0 * config.hopping * np.cos(np.pi * k / n)
-    blocks = np.zeros((n, n, n))
-    blocks[:, k[:-1], k[1:]] = bond[:, None]
-    blocks[:, k[1:], k[:-1]] = bond[:, None]
-    closing = np.where(k % 2 == 0, bond, -bond)
-    blocks[:, n - 1, 0] = closing
-    blocks[:, 0, n - 1] = closing
-    blocks[:, 0, 0] = config.interaction
-    return LatticeHamiltonian(blocks)
+    # bonds[k] = -2 J cos(K / 2) with K / 2 = pi k / n
+    bonds = -2.0 * config.hopping * np.cos(np.pi * np.arange(config.n_sites) / config.n_sites)
+    return LatticeHamiltonian(bonds, config.interaction)
 
 
-def _propagate(amplitudes: np.ndarray, h: LatticeHamiltonian, times) -> np.ndarray:
-    """``exp(-i H t)`` applied to ``amplitudes[x_A, x_B]``, one ``n x n`` slice per time.
+def _fold(x: np.ndarray, odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The halves of ``x[:, r]`` that the reflection of a sector of this parity keeps and flips.
+
+    With ``s = (-1)^k`` the kept half, where the contact acts, is ``x_0``,
+    then ``(x_j + s x_{n-j}) / sqrt 2`` for ``0 < j < n / 2``, then
+    ``x_{n/2}`` for even n and k.  The flipped half, which is free, is
+    ``(x_j - s x_{n-j}) / sqrt 2``, then ``x_{n/2}`` for even n and odd k.
+    """
+    n = x.shape[1]
+    twin = -x[:, : n // 2 : -1] if odd else x[:, : n // 2 : -1]
+    low = x[:, 1 : (n + 1) // 2]
+    middle = [x[:, n // 2 : n // 2 + 1]] if n % 2 == 0 else []
+    kept = np.concatenate([x[:, :1], (low + twin) * SQRT_HALF] + ([] if odd else middle), axis=1)
+    return kept, np.concatenate([(low - twin) * SQRT_HALF] + (middle if odd else []), axis=1)
+
+
+def _unfold(kept: np.ndarray, free: np.ndarray, out: np.ndarray, odd: bool) -> None:
+    """Write into ``out[:, r]`` the amplitudes whose ``_fold`` halves are ``kept`` and ``free``."""
+    n = out.shape[1]
+    pairs = (n - 1) // 2
+    plus, minus = kept[:, 1 : pairs + 1], free[:, :pairs]
+    out[:, 0] = kept[:, 0]
+    out[:, 1 : pairs + 1] = (plus + minus) * SQRT_HALF
+    out[:, : n // 2 : -1] = ((minus - plus) if odd else (plus - minus)) * SQRT_HALF
+    if n % 2 == 0:
+        out[:, n // 2] = free[:, pairs] if odd else kept[:, pairs + 1]
+
+
+def _paths(bonds: np.ndarray, interaction: float, size: int, far_bond: float, far_energy) -> np.ndarray:
+    """Real paths of ``size`` sites, one per bond, with the contact at site 0.
+
+    Neighbours are joined by the bond, site 0 by ``sqrt 2`` times it and the
+    last site by ``far_bond`` times it; ``far_energy`` sits on the last site.
+    """
+    scale = np.ones(size - 1)
+    scale[-1] = far_bond
+    scale[0] = np.sqrt(2.0)
+    j = np.arange(size - 1)
+    paths = np.zeros((len(bonds), size, size))
+    paths[:, j, j + 1] = paths[:, j + 1, j] = bonds[:, None] * scale
+    paths[:, -1, -1] = far_energy
+    paths[:, 0, 0] = interaction
+    return paths
+
+
+def _kept_spectra(h: LatticeHamiltonian) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``eigh`` of the kept halves of the even-k and of the odd-k sectors, one call per path size.
+
+    Site 0 couples to its pair by ``sqrt 2`` times the bond, and so does
+    ``r = n / 2`` for even n and k.  For odd n every path has ``(n + 1) / 2``
+    sites, and the last pair, ``(n - 1) / 2`` and ``(n + 1) / 2``, keeps the
+    bond it shares as the self-energy ``s bonds[k]``.
+    """
+    n, bonds = len(h.bonds), h.bonds
+    if n % 2:
+        signed = np.where(np.arange(n) % 2 == 0, bonds, -bonds)
+        energies, modes = np.linalg.eigh(_paths(bonds, h.interaction, n // 2 + 1, 1.0, signed))
+        return [(energies[0::2], modes[0::2]), (energies[1::2], modes[1::2])]
+    return [
+        np.linalg.eigh(_paths(bonds[0::2], h.interaction, n // 2 + 1, np.sqrt(2.0), 0.0)),
+        np.linalg.eigh(_paths(bonds[1::2], h.interaction, n // 2, 1.0, 0.0)),
+    ]
+
+
+def _free_modes(h: LatticeHamiltonian, odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The free halves' modes ``sqrt(2 / n) sin(pi q r / n)``, folded, and their energies ``[q, k]``.
+
+    q runs over ``0 < q < n`` with the parity of k, and the energy of mode q
+    in sector k is ``2 bonds[k] cos(pi q / n)``; every sector of the parity
+    shares the one mode matrix.
+    """
+    n = len(h.bonds)
+    q = np.arange(2 - odd, n, 2)
+    # q r is taken mod 2n, so the sine's argument stays below 2 pi
+    modes = np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(q, np.arange(n)) % (2 * n)))
+    return _fold(modes, odd)[1].T, np.outer(2.0 * np.cos(np.pi / n * q), h.bonds[int(odd) :: 2])
+
+
+def _phased(energies: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``weights * e^{-i energies t}``, one C-contiguous slice per time on a new last axis."""
+    # e^{-iEt} is taken as a cos and a sin of the real phase, the same bits as a
+    # complex exp at less cost
+    phase = -energies[..., None] * times
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    out *= weights[..., None]
+    return out
+
+
+def _propagate(amplitudes: np.ndarray, h: LatticeHamiltonian, times):
+    """``exp(-i H t)`` applied to ``amplitudes[x_A, x_B]``, yielded as ``(chunk, n, n)`` stacks.
 
     The amplitudes are relabelled to ``(r, x_B)``, Fourier transformed over
-    ``x_B`` and moved into the real gauge by ``D_K^dag``; every sector and
-    every time is propagated through one stacked real ``eigh`` and one
-    stacked product, then ``D_K`` and the transform are undone.  The result
-    has shape ``(len(times), n, n)``.
+    ``x_B``, moved into the real gauge by ``D_K^dag`` and folded into their
+    reflection halves.  The kept halves are projected on the modes of one
+    stacked real ``eigh`` per path size, the free halves on the closed-form
+    modes of their parity.  The times are then walked in chunks of at most
+    ``CHUNK_BYTES`` of amplitudes: the phases are applied, the halves
+    reassembled and unfolded, and ``D_K`` and the transform undone.
     """
-    n = len(h.blocks)
-    times = np.asarray(times, dtype=float)
+    times = frozen_array("times", times)
+    if times.ndim != 1:
+        raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
+    n = len(h.bonds)
     sites = np.arange(n)
     # relative[r, x_B] = x_A = r + x_B, and back: r = x_A - x_B
     relative = (sites[:, None] + sites) % n
     # gauge[k, r] = e^{i K r / 2} = e^{i pi k r / n}, periodic in k r with period 2n
     gauge = np.exp(1j * np.pi / n * (np.outer(sites, sites) % (2 * n)))
     sectors = np.fft.fft(amplitudes[relative, sites], axis=1, norm="ortho").T * gauge.conj()
-    energies, modes = np.linalg.eigh(h.blocks)
-    # the modes are real, so they meet real and imaginary parts as two real columns
-    parts = modes.swapaxes(1, 2) @ np.stack([sectors.real, sectors.imag], axis=-1)
-    # coefficients[K, m, t]: mode m of sector K at time t.  e^{-iEt} is taken as a
-    # cos and a sin of the real phase, the same bits as a complex exp at less cost
-    phase = -energies[:, :, None] * times
-    coefficients = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=coefficients.real)
-    np.sin(phase, out=coefficients.imag)
-    del phase
-    coefficients *= (parts[..., 0] + 1j * parts[..., 1])[:, :, None]
-    del sectors, parts
-    # a C-contiguous (K, m, t) complex stack is a (K, m, 2t) real one
-    propagated = (modes @ coefficients.view(float)).view(complex)
-    del modes, coefficients
-    propagated *= gauge[:, :, None]
-    # (K, r, t) -> (x_B, r, t) -> (t, x_A, x_B)
-    pairs = np.fft.ifft(propagated, axis=0, norm="ortho")
-    del propagated
-    out = np.empty((len(times), n, n), dtype=complex)
-    out[:, relative, sites] = pairs.transpose(2, 1, 0)
-    return out
+    halves = []
+    for odd, (energies, modes) in zip((False, True), _kept_spectra(h)):
+        kept, free = _fold(sectors[int(odd) :: 2], odd)
+        # the real modes meet real and imaginary parts as two real columns
+        parts = modes.swapaxes(1, 2) @ np.stack([kept.real, kept.imag], axis=-1)
+        weights = parts[..., 0] + 1j * parts[..., 1]
+        shared, free_energies = _free_modes(h, odd)
+        # free coefficients are indexed [q, k], so one product with the shared modes takes every sector
+        halves.append((odd, energies, modes, weights, free_energies, shared, shared.T @ free.T))
+    del sectors
+    step = max(1, CHUNK_BYTES // (16 * n * n))
+    for start in range(0, len(times), step):
+        chunk = times[start : start + step]
+        propagated = np.empty((n, n, len(chunk)), dtype=complex)
+        for odd, energies, modes, weights, free_energies, shared, free_weights in halves:
+            # a C-contiguous (..., m, t) complex stack is a (..., m, 2t) real one
+            kept = (modes @ _phased(energies, weights, chunk).view(float)).view(complex)
+            phased = _phased(free_energies, free_weights, chunk)
+            free = (shared @ phased.reshape(len(shared), -1).view(float)).view(complex).reshape(phased.shape)
+            _unfold(kept, free.swapaxes(0, 1), propagated[int(odd) :: 2], odd)
+        propagated *= gauge[:, :, None]
+        # (K, r, t) -> (x_B, r, t) -> (t, x_A, x_B)
+        pairs = np.fft.ifft(propagated, axis=0, norm="ortho")
+        del propagated
+        out = np.empty((len(chunk), n, n), dtype=complex)
+        out[:, relative, sites] = pairs.transpose(2, 1, 0)
+        yield out
 
 
 def evolve(psi: PureState, h: LatticeHamiltonian, times) -> list[PureState]:
-    """Evolve through one stacked eigendecomposition of the K blocks, one state per time."""
-    n = len(h.blocks)
+    """Evolve through the reflection halves of the K sectors, one state per time."""
+    n = len(h.bonds)
     if psi.dim != n * n:
         raise ValueError(f"state dimension {psi.dim} does not match {n} x {n} sites")
-    amplitudes = _propagate(psi.amplitudes.reshape(n, n), h, times)
-    return [PureState(n * n, amps.reshape(n * n)) for amps in amplitudes]
+    chunks = _propagate(psi.amplitudes.reshape(n, n), h, times)
+    return [PureState(n * n, amps.reshape(n * n)) for chunk in chunks for amps in chunk]
 
 
 def entanglement_history(config: LatticeConfig, times) -> list[tuple[float, float]]:
@@ -213,22 +330,23 @@ def entanglement_history(config: LatticeConfig, times) -> list[tuple[float, floa
     the entropy across the fixed particle bipartition at each time.  That
     bipartition is the native index split, so no frame is applied: each
     time's ``n x n`` amplitude slice is the Schmidt matrix, and one stacked
-    values-only SVD takes all of them.  Each slice passes the checks of
-    ``PureState`` without one being built.
+    values-only SVD takes each chunk of times.  Each slice passes the checks
+    of ``PureState`` without one being built.
     """
     n = config.n_sites
     psi0 = build_product_in_state(config)
-    amplitudes = _propagate(psi0.amplitudes.reshape(n, n), build_hamiltonian(config), times)
-    require_finite("amplitudes", amplitudes)
-    for amps in amplitudes:
-        # the norm of the contiguous slice, summed as PureState sums it
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |psi| = {norm!r}")
-        # the rescaling moves only roundoff, but without it written digits change
-        amps /= norm
-    probabilities = _schmidt_probabilities(amplitudes)
-    return [(float(t), _entropy_nats(p)) for t, p in zip(times, probabilities)]
+    entropies = []
+    for amplitudes in _propagate(psi0.amplitudes.reshape(n, n), build_hamiltonian(config), times):
+        require_finite("amplitudes", amplitudes)
+        for amps in amplitudes:
+            # the norm of the contiguous slice, summed as PureState sums it
+            norm = float(np.linalg.norm(amps))
+            if abs(norm - 1.0) > NORM_TOL:
+                raise ValueError(f"state is not normalized: |psi| = {norm!r}")
+            # the rescaling moves only roundoff, but without it written digits change
+            amps /= norm
+        entropies.extend(_entropy_nats(p) for p in _schmidt_probabilities(amplitudes))
+    return [(float(t), s) for t, s in zip(times, entropies)]
 
 
 def collision_time(config: LatticeConfig) -> float:

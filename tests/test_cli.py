@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tpslab as tl
-from tpslab import cli, scattering, tailor
+from tpslab import cli, gaussian, scattering, tailor
 from tpslab import serialization as ser
 from tpslab.cli import _write_csv, run
 
@@ -219,6 +219,25 @@ class TestGaussianCommand:
         assert float(lines[5].split("=")[1]) < 1e-10
         assert float(lines[6].split("=")[1]) < 1e-10
 
+    def test_williamson_residual_is_computed_once(self, tmp_path, capsys, monkeypatch):
+        # the command prints the residual williamson checked instead of forming S sigma S^T again
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return residual(*args)
+
+        residual = gaussian.williamson_residual
+        monkeypatch.setattr(gaussian, "williamson_residual", counting)
+        if hasattr(cli, "williamson_residual"):
+            monkeypatch.setattr(cli, "williamson_residual", counting)
+        path = tmp_path / "cov.json"
+        ser.dump_json(path, ser.gaussian_state_to_dict(tl.GaussianState(tl.random_covariance(3, 4), np.zeros(6))))
+        assert run(["gaussian", "williamson", "--in", str(path)]) == 0
+        assert len(calls) == 1
+        line = capsys.readouterr().out.splitlines()[-2]
+        assert line.startswith("reconstruction_residual=") and float(line.split("=")[1]) < 1e-12
+
     def test_williamson_writes_transform(self, tmp_path, capsys):
         path = write_tms(tmp_path)
         out = tmp_path / "transform.json"
@@ -419,6 +438,15 @@ class TestScatterCommand:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         code = run(["scatter", "--sites", "12", "--bogus", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("times", ["nan", "inf"])
+    def test_non_finite_times_are_named(self, tmp_path, capsys, times):
+        out = tmp_path / "history.csv"
+        argv = ["scatter", "--sites", "12", "--hop", "1", "--g", "2", "--ka", "1.5708", "--kb", "-1.5708"]
+        assert run(argv + ["--times", times, "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["message"] == "times must be finite"
+        assert not out.exists()
 
 
 class TestWarnings:

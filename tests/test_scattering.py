@@ -47,6 +47,29 @@ def dense_hamiltonian(cfg) -> np.ndarray:
     return h
 
 
+def sparse_hamiltonian(cfg):
+    """Oracle: the n^2 x n^2 Kronecker sum as a sparse matrix, for any n."""
+    n = cfg.n_sites
+    idx = np.arange(n)
+    rows = np.concatenate([idx, (idx + 1) % n])
+    cols = np.concatenate([(idx + 1) % n, idx])
+    single = sp.csr_matrix((np.full(2 * n, -cfg.hopping), (rows, cols)), shape=(n, n))
+    eye = sp.identity(n, format="csr")
+    contact = np.zeros(n * n)
+    contact[idx * n + idx] = cfg.interaction
+    return (sp.kron(single, eye) + sp.kron(eye, single) + sp.diags(contact)).tocsr()
+
+
+def schmidt_entropies(states, n: int) -> np.ndarray:
+    """Oracle: the entropy of each state's normalized Schmidt spectrum, in nats."""
+    entropies = []
+    for amps in states:
+        s = np.linalg.svd(np.reshape(amps, (n, n)), compute_uv=False) ** 2
+        p = s[s > 0.0] / s.sum()
+        entropies.append(float(-(p * np.log(p)).sum()))
+    return np.array(entropies)
+
+
 def propagator(cfg, t: float) -> np.ndarray:
     """exp(-i H t) from the sector engine, one evolved basis state per column."""
     dim = cfg.n_sites**2
@@ -174,11 +197,14 @@ class TestHamiltonian:
         np.testing.assert_allclose(sectors, np.linalg.eigvalsh(dense_hamiltonian(cfg)), rtol=0.0, atol=1e-12)
 
     def test_blocks_are_one_read_only_cube(self):
+        # the object holds the 12 bonds and g; the dense cube is built on demand
         h = tl.build_hamiltonian(config(n=12))
         assert h.blocks.shape == (12, 12, 12) and h.blocks.dtype == np.float64
-        assert h.nbytes == h.blocks.nbytes
+        assert h.bonds.shape == (12,) and h.nbytes == h.bonds.nbytes + 8
         with pytest.raises(ValueError):
             h.blocks[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            h.bonds[0] = 1.0
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_blocks_are_the_gauged_sectors(self, n):
@@ -197,17 +223,61 @@ class TestHamiltonian:
             expected.append(gauge.conj().T @ ring @ gauge)
         np.testing.assert_allclose(tl.build_hamiltonian(cfg).blocks, np.array(expected), rtol=0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("shape", [(8, 8), (8, 8, 9), (8, 9, 9)])
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 8, 8), (7,)])
     def test_rejects_non_cube_blocks(self, shape):
+        # the bonds are one per sector, of at least MIN_SITES sectors; the old cube is refused too
         with pytest.raises(ValueError, match="shape"):
-            tl.LatticeHamiltonian(np.zeros(shape))
+            tl.LatticeHamiltonian(np.zeros(shape), 2.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_blocks(self, bad):
-        blocks = np.zeros((8, 8, 8))
-        blocks[2, 1, 1] = bad
+        bonds = np.zeros(8)
+        bonds[2] = bad
         with pytest.raises(ValueError, match="finite"):
-            tl.LatticeHamiltonian(blocks)
+            tl.LatticeHamiltonian(bonds, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            tl.LatticeHamiltonian(np.zeros(8), bad)
+
+    @pytest.mark.parametrize("n", [8, 9, 48, 49])
+    def test_blocks_commute_with_the_sector_reflection(self, n):
+        # P: r -> -r mod n for even k; QP, Q = diag(1, -1, ..., -1), for odd k
+        h = tl.build_hamiltonian(config(n=n, g=2.0, hop=0.7))
+        r = np.arange(n)
+        reflection = np.zeros((n, n))
+        reflection[(-r) % n, r] = 1.0
+        flip = np.diag(np.where(r == 0, 1.0, -1.0)) @ reflection
+        for k, block in enumerate(h.blocks):
+            op = flip if k % 2 else reflection
+            np.testing.assert_array_equal(op @ block, block @ op)
+            # the other reflection misses by twice the bond
+            other = reflection if k % 2 else flip
+            residual = np.abs(other @ block - block @ other).max()
+            np.testing.assert_allclose(residual, 2.0 * abs(h.bonds[k]), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 9, 48, 49])
+    def test_closed_form_free_modes_are_eigenvectors(self, n):
+        # sqrt(2/n) sin(pi q r / n), 0 < q < n, q = k mod 2, at energy 2 b_k cos(pi q / n)
+        h = tl.build_hamiltonian(config(n=n, g=2.0, hop=0.7))
+        r = np.arange(n)
+        for k, block in enumerate(h.blocks):
+            q = np.arange(1, n)[np.arange(1, n) % 2 == k % 2]
+            modes = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(r, q) / n)
+            energies = 2.0 * h.bonds[k] * np.cos(np.pi * q / n)
+            np.testing.assert_allclose(modes.T @ modes, np.eye(len(q)), rtol=0.0, atol=1e-13)
+            assert np.abs(block @ modes - modes * energies).max() <= 1e-13, k
+
+
+def history_peak(n: int) -> float:
+    """tracemalloc peak of a 61-time history over the default grid at n sites."""
+    cfg = config(n=n, g=2.0, width=2.0)
+    horizon = 2.5 * tl.collision_time(cfg)
+    times = [i * horizon / 60.0 for i in range(61)]
+    tracemalloc.start()
+    try:
+        tl.entanglement_history(cfg, times)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEvolve:
@@ -243,10 +313,12 @@ class TestEvolve:
         assert all(isinstance(state, tl.PureState) and state.dim == 144 for state in states)
 
     def test_rejects_non_hermitian(self):
-        blocks = tl.build_hamiltonian(config(n=8)).blocks.copy()
-        blocks[3, 0, 1] += 1e-3
-        with pytest.raises(ValueError, match="symmetric"):
-            tl.LatticeHamiltonian(blocks)
+        # real bonds and g give symmetric blocks; an imaginary part would make H non-Hermitian
+        h = tl.build_hamiltonian(config(n=8))
+        with pytest.raises(ValueError, match="must be real"):
+            tl.LatticeHamiltonian(h.bonds + 1e-3j, h.interaction)
+        with pytest.raises(ValueError, match="must be real"):
+            tl.LatticeHamiltonian(h.bonds, h.interaction + 1e-3j)
 
     def test_rejects_state_of_another_lattice(self):
         psi = tl.build_product_in_state(config(n=8))
@@ -272,6 +344,16 @@ class TestEvolve:
     def test_no_times_give_no_states(self):
         cfg = config(n=8)
         assert tl.evolve(tl.build_product_in_state(cfg), tl.build_hamiltonian(cfg), []) == []
+
+    def test_chunks_match_one_pass(self, monkeypatch):
+        # the times are walked in chunks; one time per chunk gives the same states
+        cfg = config(n=12)
+        psi, h = tl.build_product_in_state(cfg), tl.build_hamiltonian(cfg)
+        times = [0.0, 0.4, 1.3, 2.2, 5.0]
+        whole = tl.evolve(psi, h, times)
+        monkeypatch.setattr(scattering, "CHUNK_BYTES", 1)
+        for one, other in zip(tl.evolve(psi, h, times), whole, strict=True):
+            assert np.abs(one.amplitudes - other.amplitudes).max() <= 1e-15
 
 
 class TestHistory:
@@ -321,28 +403,32 @@ class TestHistory:
         cfg = config(n=n, g=2.0, width=2.0)
         horizon = 2.5 * tl.collision_time(cfg)
         times = [i * horizon / 60.0 for i in range(61)]
-        idx = np.arange(n)
-        rows = np.concatenate([idx, (idx + 1) % n])
-        cols = np.concatenate([(idx + 1) % n, idx])
-        single = sp.csr_matrix((np.full(2 * n, -1.0), (rows, cols)), shape=(n, n))
-        eye = sp.identity(n, format="csr")
-        contact = np.zeros(n * n)
-        contact[idx * n + idx] = 2.0
-        h = (sp.kron(single, eye) + sp.kron(eye, single) + sp.diags(contact)).tocsr()
         psi0 = tl.build_product_in_state(cfg).amplitudes
-        states = expm_multiply(-1j * h, psi0, start=0.0, stop=horizon, num=61, endpoint=True)
-        expected = []
-        for amps in states:
-            s = np.linalg.svd(amps.reshape(n, n), compute_uv=False) ** 2
-            p = s[s > 0.0] / s.sum()
-            expected.append(float(-(p * np.log(p)).sum()))
+        states = expm_multiply(-1j * sparse_hamiltonian(cfg), psi0, start=0.0, stop=horizon, num=61, endpoint=True)
         got = [entropy for _, entropy in tl.entanglement_history(cfg, times)]
-        assert np.abs(np.array(got) - np.array(expected)).max() <= 1e-9
+        assert np.abs(np.array(got) - schmidt_entropies(states, n)).max() <= 1e-9
+
+    def test_site_cap_matches_sparse_propagation(self):
+        # the same oracle at MAX_SITES, with packets 16 sites apart so that they
+        # collide by t = 4 and the contact acts on both sampled times
+        n = scattering.MAX_SITES
+        cfg = tl.LatticeConfig(
+            n, 1.0, 2.0, tl.WavePacket(n / 2 - 8.0, 2.0, HALF_PI), tl.WavePacket(n / 2 + 8.0, 2.0, -HALF_PI)
+        )
+        times = [2.0, 4.0]
+        psi0 = tl.build_product_in_state(cfg)
+        expected = expm_multiply(-1j * sparse_hamiltonian(cfg), psi0.amplitudes, start=2.0, stop=4.0, num=2)
+        states = tl.evolve(psi0, tl.build_hamiltonian(cfg), times)
+        assert max(np.abs(s.amplitudes - e).max() for s, e in zip(states, expected)) <= 1e-10
+        got = np.array([entropy for _, entropy in tl.entanglement_history(cfg, times)])
+        assert np.abs(got - schmidt_entropies(expected, n)).max() <= 1e-10
+        assert got[1] > 0.1
 
     def test_one_stacked_eigh_of_the_sectors(self, monkeypatch):
-        # structure guard: 48 sites diagonalize as 48 real blocks of 48 x 48,
-        # never as one 2304 x 2304 Kronecker sum or as complex blocks, and the
-        # Schmidt step is one values-only SVD of all times at once
+        # structure guard: at 48 sites only the halves the contact acts on are
+        # diagonalized, 24 real paths of 25 sites (even k) and 24 of 24 (odd k),
+        # never a full 48 x 48 block, the 2304 x 2304 Kronecker sum or a complex
+        # block; the 3 times are one chunk, and the Schmidt step one values-only SVD
         eighs, svds = [], []
         eigh, svd = np.linalg.eigh, np.linalg.svd
 
@@ -357,8 +443,12 @@ class TestHistory:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         tl.entanglement_history(config(n=48), [0.0, 1.0, 2.0])
-        assert eighs == [((48, 48, 48), np.float64)]
+        assert eighs == [((24, 25, 25), np.float64), ((24, 24, 24), np.float64)]
         assert svds == [((3, 48, 48), False)]
+        # for odd n both halves have (n + 1) / 2 sites: one eigh of all 49 paths
+        eighs.clear()
+        tl.entanglement_history(config(n=49), [0.0])
+        assert eighs == [((49, 25, 25), np.float64)]
 
     def test_rejects_unnormalized_evolution(self, monkeypatch):
         # each time passes the checks of PureState, which the history does not build
@@ -367,25 +457,31 @@ class TestHistory:
             tl.entanglement_history(config(n=8), [0.0, 1.0])
 
     def test_rejects_non_finite_evolution(self, monkeypatch):
-        monkeypatch.setattr(scattering, "_propagate", lambda *args: np.full((2, 8, 8), np.nan + 0j))
+        monkeypatch.setattr(scattering, "_propagate", lambda *args: iter([np.full((2, 8, 8), np.nan + 0j)]))
         with pytest.raises(ValueError, match="finite"):
             tl.entanglement_history(config(n=8), [0.0, 1.0])
 
     def test_peak_memory_at_the_site_cap(self):
-        # real blocks and eigenvectors, and no PureState per time: a 61-time
-        # history at 128 sites peaks near 67 MB, where complex blocks and 61
-        # states read 116 MB
-        n = scattering.MAX_SITES
-        cfg = config(n=n, g=2.0, width=2.0)
-        horizon = 2.5 * tl.collision_time(cfg)
-        times = [i * horizon / 60.0 for i in range(61)]
-        tracemalloc.start()
-        try:
-            tl.entanglement_history(cfg, times)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 70e6
+        # half-size eigenvectors and chunks of times: a 61-time history at the
+        # 256-site cap peaks near 58 MB
+        assert scattering.MAX_SITES == 256
+        assert history_peak(256) <= 70e6
+
+    def test_peak_memory_at_128_sites(self):
+        # the old cap: 25 MB, where full real blocks and one (61, n, n) stack read 66 MB
+        assert history_peak(128) <= 30e6
+
+    def test_rejects_times_that_are_not_finite(self):
+        with pytest.raises(ValueError, match="^times must be finite"):
+            tl.entanglement_history(config(n=8), [0.0, np.nan])
+        with pytest.raises(ValueError, match="^times must be finite"):
+            tl.evolve(tl.build_product_in_state(config(n=8)), tl.build_hamiltonian(config(n=8)), [np.inf])
+
+    def test_rejects_times_that_are_not_one_dimensional(self):
+        with pytest.raises(ValueError, match=r"^times must be one-dimensional, got shape \(1, 2\)"):
+            tl.entanglement_history(config(n=8), np.array([[0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"^times must be one-dimensional, got shape \(\)"):
+            tl.entanglement_history(config(n=8), 1.0)
 
     def test_exchange_symmetry(self):
         # swapping the two packets mirrors the state; for the symmetric

@@ -138,7 +138,7 @@ REAL_INPUTS = {
     "CovarianceMatrix": (lambda m: tl.CovarianceMatrix(1, m), np.eye(2), InvalidCovarianceError, "sigma"),
     "SymplecticMatrix": (lambda m: tl.SymplecticMatrix(1, m), np.eye(2), ValueError, "matrix"),
     "QuadraticHamiltonian": (lambda m: tl.QuadraticHamiltonian(1, m), np.eye(2), ValueError, "matrix"),
-    "LatticeHamiltonian": (tl.LatticeHamiltonian, np.zeros((8, 8, 8)), ValueError, "blocks"),
+    "LatticeHamiltonian": (lambda b: tl.LatticeHamiltonian(b, 2.0), np.zeros(8), ValueError, "bonds"),
 }
 
 
