@@ -11,7 +11,7 @@ import operator
 import numpy as np
 
 # finite-dimensional states and frames (findim)
-NORM_TOL = 1e-12  # |psi| - 1 allowed by PureState: a few ulps of a normalized vector
+NORM_TOL = 1e-12  # |psi| - 1 allowed by PureState and each scattered state: a few ulps
 HERMITICITY_TOL = 1e-12  # largest |M - M^dag| entry of a density matrix
 TRACE_TOL = 1e-12  # |Tr rho - 1| allowed by DensityMatrix
 EIGENVALUE_FLOOR = -1e-10  # density-matrix eigenvalues above this are roundoff, clipped to 0
@@ -62,6 +62,13 @@ def require_size(what: str, value) -> int:
     if size < 1:
         raise ValueError(f"{what} must be positive, got {size}")
     return size
+
+
+def side_index(side) -> int:
+    """0 for subsystem A, the slow index of the product basis, and 1 for subsystem B."""
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    return int(side == "B")
 
 
 def frozen_array(what: str, value, shape=None, dtype=float, error=ValueError) -> np.ndarray:

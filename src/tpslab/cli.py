@@ -59,7 +59,9 @@ def _parse_range(text: str) -> list[float]:
         return [float(parts[0])]
     if len(parts) != 3:
         raise ValueError(f"expected START:STOP:STEP, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = bounds = [float(p) for p in parts]
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"START, STOP and STEP must be finite, got {text!r}")
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:

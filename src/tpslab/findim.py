@@ -22,7 +22,7 @@ import numpy as np
 
 from ._checks import EIGENVALUE_FLOOR, HERMITICITY_TOL, NORM_TOL, TRACE_TOL, UNITARITY_TOL
 from ._checks import OPERATOR_RANK_TOL, PHASE_FLOOR, SCHMIDT_SUM_TOL, descending_probabilities
-from ._checks import frozen_array, require_hermitian, require_integer, require_size
+from ._checks import frozen_array, require_hermitian, require_integer, require_size, side_index
 
 __all__ = [
     "PureState",
@@ -45,6 +45,14 @@ __all__ = [
 ]
 
 
+def _unit_norm(amplitudes: np.ndarray) -> float:
+    """``||psi||`` of the amplitudes; raises unless it is within ``NORM_TOL`` of 1."""
+    norm = float(np.linalg.norm(amplitudes))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized: |psi| = {norm!r}")
+    return norm
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector on a ``dim``-dimensional Hilbert space."""
@@ -55,9 +63,7 @@ class PureState:
     def __post_init__(self):
         dim = require_size("dimensions", self.dim)
         amps = frozen_array("amplitudes", self.amplitudes, (dim,), complex)
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |psi| = {norm!r}")
+        _unit_norm(amps)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -297,9 +303,7 @@ def partial_trace(rho: DensityMatrix, frame: TpsFrame, side: str) -> DensityMatr
         k2-dimensional one.
     """
     conj = _in_product_basis(rho, frame, (DensityMatrix,))
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    reduced = np.einsum("abcb->ac" if side == "A" else "abac->bc", conj)
+    reduced = np.einsum(("abcb->ac", "abac->bc")[side_index(side)], conj)
     return DensityMatrix(len(reduced), 0.5 * (reduced + reduced.conj().T))
 
 

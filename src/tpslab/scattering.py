@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import CLOSING_SPEED_FLOOR, NORM_TOL, PACKET_NORM_FLOOR, frozen_array, require_finite
+from ._checks import CLOSING_SPEED_FLOOR, PACKET_NORM_FLOOR, frozen_array, require_finite
 from ._checks import require_integer
-from .findim import PureState, _entropy_nats, _schmidt_probabilities
+from .findim import PureState, _entropy_nats, _schmidt_probabilities, _unit_norm
 
 __all__ = [
     "WavePacket",
@@ -55,8 +55,7 @@ __all__ = [
 
 MIN_SITES = 8
 # a time and memory bound: a 61-time scatter run at 256 sites takes about 0.94 s and
-# peaks at 94 MB RSS (one BLAS thread, 2-vCPU Xeon; 58 MB of it under tracemalloc),
-# where full-size sector blocks took 1.8 s and 428 MB
+# peaks at 94 MB RSS (one BLAS thread, 2-vCPU Xeon; 58 MB of it under tracemalloc)
 MAX_SITES = 256
 # the times are propagated in chunks whose (chunk, n, n) complex amplitudes take at
 # most this many bytes: 61 times at 48 sites are one chunk
@@ -339,12 +338,9 @@ def entanglement_history(config: LatticeConfig, times) -> list[tuple[float, floa
     for amplitudes in _propagate(psi0.amplitudes.reshape(n, n), build_hamiltonian(config), times):
         require_finite("amplitudes", amplitudes)
         for amps in amplitudes:
-            # the norm of the contiguous slice, summed as PureState sums it
-            norm = float(np.linalg.norm(amps))
-            if abs(norm - 1.0) > NORM_TOL:
-                raise ValueError(f"state is not normalized: |psi| = {norm!r}")
-            # the rescaling moves only roundoff, but without it written digits change
-            amps /= norm
+            # the norm of the contiguous slice, summed as PureState sums it; the
+            # rescaling moves only roundoff, but without it written digits change
+            amps /= _unit_norm(amps)
         entropies.extend(_entropy_nats(p) for p in _schmidt_probabilities(amplitudes))
     return [(float(t), s) for t, s in zip(times, entropies)]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._checks import CERTIFICATE_MARGIN, COMMUTATOR_TOL, GENERATOR_HERMITICITY_TOL, RANK_TOL
 from ._checks import PRODUCT_ROUNDOFF_PER_TERM, TARGET_SUM_TOL, descending_probabilities
-from ._checks import frozen_array, require_hermitian, require_size
+from ._checks import frozen_array, require_hermitian, require_size, side_index
 from .findim import Factorization, PureState, TpsFrame, _conjugate
 
 __all__ = [
@@ -72,9 +72,7 @@ class SubalgebraBasis:
     frame: TpsFrame
 
     def __post_init__(self):
-        if self.side not in ("A", "B"):
-            raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
-        d, k = self.frame.d, (self.frame.k1 if self.side == "A" else self.frame.k2)
+        d, k = self.frame.d, self.frame.factorization.factors[side_index(self.side)]
         gens = frozen_array("generator", self.generators, dtype=complex)
         count = len(gens) if gens.ndim else 0
         if count != k * k:
@@ -193,13 +191,8 @@ def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
     identity on the other side and pulled back through the frame, so a
     generator G satisfies ``<psi| G |psi> = <U psi| (A (x) I) |U psi>``.
     """
-    k1, k2 = frame.k1, frame.k2
-    if side == "A":
-        factors = hermitian_basis(k1), np.eye(k2)
-    elif side == "B":
-        factors = np.eye(k1), hermitian_basis(k2)
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    sizes, i = frame.factorization.factors, side_index(side)
+    factors = [hermitian_basis(k) if j == i else np.eye(k) for j, k in enumerate(sizes)]
     # _conjugate's two products, written out: each frees its input stack, so no more
     # than two stacks are held before validation.  _conjugate(u, np.kron(*factors))
     # would hold three, since Python 3.10 keeps a call's arguments alive until it returns

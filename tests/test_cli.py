@@ -53,6 +53,16 @@ def csv_module_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def assert_refused(tmp_path, capsys, argv, message):
+    """``run(argv)`` exits 1 with one JSON line for ``message``, prints nothing and writes no file."""
+    before = sorted(tmp_path.iterdir())
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"error": "ValueError", "message": message}) + "\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestTailorCommand:
     def test_bell_to_separable(self, tmp_path, capsys):
         state = write_bell(tmp_path)
@@ -206,6 +216,12 @@ class TestZanardiCommand:
         assert payload["error"] == "ValueError"
         assert "--random-frames" in payload["message"]
 
+    def test_factors_need_two_integers(self, tmp_path, capsys):
+        argv = ["zanardi", "--random-frames", "1", "--dim", "36", "--factors", "6"]
+        out = tmp_path / "report.json"
+        message = "expected two comma-separated integers, got '6'"
+        assert_refused(tmp_path, capsys, argv + ["--out", str(out)], message)
+
 
 class TestGaussianCommand:
     def test_williamson_vacuum(self, tmp_path, capsys):
@@ -253,6 +269,22 @@ class TestGaussianCommand:
         assert run(["gaussian", "entangle", "--in", str(path), "--partition", "1"]) == 0
         value = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
         assert abs(value - tl.thermal_entropy(np.cosh(2.0))) < 1e-10
+
+    def test_entangle_bits(self, tmp_path, capsys):
+        path = write_tms(tmp_path, r=1.0)
+        assert run(["gaussian", "entangle", "--in", str(path), "--partition", "1", "--bits"]) == 0
+        nats_line, bits_line = capsys.readouterr().out.splitlines()
+        bits = tl.thermal_entropy(np.cosh(2.0)) / np.log(2.0)
+        assert nats_line.startswith("entropy_nats=")
+        assert bits_line.startswith("entropy_bits=")
+        assert abs(float(bits_line.removeprefix("entropy_bits=")) - bits) < 1e-10
+
+    @pytest.mark.parametrize("partition", ["0", "2"])
+    def test_entangle_partition_outside_the_modes(self, tmp_path, capsys, partition):
+        path = write_tms(tmp_path)
+        message = f"--partition must be between 1 and 1, got {partition}"
+        argv = ["gaussian", "entangle", "--in", str(path), "--partition", partition]
+        assert_refused(tmp_path, capsys, argv, message)
 
     def test_entangle_mixed_state_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "thermal.json"
@@ -447,6 +479,30 @@ class TestScatterCommand:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["message"] == "times must be finite"
         assert not out.exists()
+
+
+SCATTER = [
+    "scatter", "--sites", "12", "--hop", "1", "--g", "2", "--ka", "1.5708", "--kb", "-1.5708", "--times"
+]
+SWEEP = ["twobody", "sweep", "--m1", "1", "--m2", "3", "--omega", "1", "--kappa"]
+
+RANGE_ERRORS = {
+    "0:nan:1": "START, STOP and STEP must be finite, got '0:nan:1'",
+    "0:inf:1": "START, STOP and STEP must be finite, got '0:inf:1'",
+    "0:1:inf": "START, STOP and STEP must be finite, got '0:1:inf'",
+    "nan:1:1": "START, STOP and STEP must be finite, got 'nan:1:1'",
+    "1:2": "expected START:STOP:STEP, got '1:2'",
+    "0:1:0": "step must be positive, got 0.0",
+    "1:0:0.5": "stop 0.0 is below start 1.0",
+}
+
+
+class TestRangeErrors:
+    @pytest.mark.parametrize("command", [SCATTER, SWEEP], ids=["scatter", "sweep"])
+    @pytest.mark.parametrize("text", list(RANGE_ERRORS))
+    def test_bad_range_is_refused(self, tmp_path, capsys, command, text):
+        out = tmp_path / "out.csv"
+        assert_refused(tmp_path, capsys, command + [text, "--out", str(out)], RANGE_ERRORS[text])
 
 
 class TestWarnings:

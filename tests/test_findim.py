@@ -293,6 +293,10 @@ class TestPartialTrace:
         oracle = partial_trace_loops(rho.matrix, 2, 3, side)
         np.testing.assert_allclose(reduced.matrix, oracle, atol=1e-12)
 
+    def test_unknown_side_is_rejected(self):
+        with pytest.raises(ValueError, match="^side must be 'A' or 'B', got 'C'$"):
+            tl.partial_trace(tl.bell_state("phi+").projector(), FRAME22, "C")
+
     def test_frame_conjugation_applied(self):
         psi = tl.random_pure(4, 44)
         u = tl.random_unitary(4, 45)
@@ -383,6 +387,9 @@ class TestOperatorSchmidtRank:
         fac = tl.Factorization(4, (2, 2))
         assert schmidt_rank_loops(SWAP, 2, 2) == 4
         assert tl.operator_schmidt_rank(SWAP, fac) == 4
+
+    def test_zero_operator_has_rank_zero(self):
+        assert tl.operator_schmidt_rank(np.zeros((6, 6)), tl.Factorization(6, (2, 3))) == 0
 
     def test_rectangular_factors(self):
         op = np.kron(tl.random_unitary(2, 3), tl.random_unitary(3, 4))

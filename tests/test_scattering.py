@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import tpslab as tl
-from tpslab import scattering
+from tpslab import findim, scattering
 
 HALF_PI = np.pi / 2
 
@@ -452,7 +452,7 @@ class TestHistory:
 
     def test_rejects_unnormalized_evolution(self, monkeypatch):
         # each time passes the checks of PureState, which the history does not build
-        monkeypatch.setattr(scattering, "NORM_TOL", -1.0)
+        monkeypatch.setattr(findim, "NORM_TOL", -1.0)
         with pytest.raises(ValueError, match="not normalized"):
             tl.entanglement_history(config(n=8), [0.0, 1.0])
 

@@ -75,6 +75,21 @@ class TestGaussianState:
             ser.gaussian_state_from_dict({"n_modes": 1, "sigma": [[0.2, 0.0], [0.0, 0.2]]})
 
 
+@pytest.mark.parametrize(
+    "from_dict",
+    [
+        ser.pure_state_from_dict,
+        ser.density_matrix_from_dict,
+        ser.frame_from_dict,
+        ser.gaussian_state_from_dict,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_json_array_is_not_a_document(from_dict):
+    with pytest.raises(ValueError, match="^expected a JSON object, got list$"):
+        from_dict([])
+
+
 def pairs(z) -> list:
     return [float(z.real), float(z.imag)]
 

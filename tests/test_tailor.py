@@ -247,6 +247,14 @@ class TestSubalgebraGenerators:
             with pytest.raises(ValueError):
                 gens[0, 0, 0] = 2.0
 
+    def test_unknown_side_is_rejected(self):
+        frame = tl.TpsFrame.identity(FAC22)
+        gens = tl.subalgebra_generators(frame, "A").generators
+        with pytest.raises(ValueError, match="^side must be 'A' or 'B', got 'C'$"):
+            tl.subalgebra_generators(frame, "C")
+        with pytest.raises(ValueError, match="^side must be 'A' or 'B', got 'C'$"):
+            tl.SubalgebraBasis(gens, "C", frame)
+
     def test_generator_count_keeps_its_message(self):
         frame = tl.TpsFrame.identity(FAC22)
         gens = tl.subalgebra_generators(frame, "A").generators

@@ -1,7 +1,9 @@
 """Tests for the tolerance table and the checks every validated type shares.
 
 The table test reads the package's source: a tolerance typed as a bare
-literal anywhere but ``_checks.py`` is a second definition of it.
+literal anywhere but ``_checks.py`` is a second definition of it.  The
+owner tests read it too: each shared rule's message is written once, and
+the top-level names are the modules' ``__all__``.
 """
 
 import ast
@@ -9,6 +11,7 @@ import importlib
 import inspect
 import json
 import pathlib
+import types
 import warnings
 
 import numpy as np
@@ -20,6 +23,8 @@ from tpslab.cli import run
 from tpslab.gaussian import InvalidCovarianceError
 
 PACKAGE = pathlib.Path(tl.__file__).parent
+# the modules whose __all__ the package re-exports
+MODULES = ["findim", "gaussian", "scattering", "tailor", "twobody"]
 
 # every tolerance that had a name before the table, with its module and value
 OLD_TOLERANCES = [
@@ -71,6 +76,22 @@ class TestToleranceTable:
 
     def test_operator_rank_default_is_unchanged(self):
         assert inspect.signature(tl.operator_schmidt_rank).parameters["tol"].default == 1e-10
+
+
+class TestOneOwner:
+    def test_top_level_names_are_the_modules_all(self):
+        modules = [importlib.import_module(f"tpslab.{name}") for name in MODULES]
+        public = {
+            name
+            for name, value in vars(tl).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert public == set().union(*(module.__all__ for module in modules))
+
+    @pytest.mark.parametrize("message", ["state is not normalized", "side must be 'A' or 'B'"])
+    def test_rule_is_written_once(self, message):
+        sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")]
+        assert sum(text.count(message) for text in sources) == 1
 
 
 SYMPLECTIC_2 = tl.random_symplectic(2, 3).matrix

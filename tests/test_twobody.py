@@ -96,6 +96,11 @@ class TestHamiltonianMatrix:
         freq = np.sqrt(h_cr[2, 2] * h_cr[3, 3])
         assert abs(freq - np.sqrt(3.0)) < 1e-12
 
+    def test_transform_needs_as_many_modes(self):
+        ham = tl.build_hamiltonian_matrix(EQUAL)
+        with pytest.raises(ValueError, match="^mode mismatch: 2 != 1$"):
+            tl.transform_quadratic_hamiltonian(ham, tl.random_symplectic(1, 0))
+
     def test_matches_energy_function(self):
         params = tl.TwoBodyParams(2.0, 0.7, 1.1, 0.9)
         h = tl.build_hamiltonian_matrix(params).matrix
@@ -199,6 +204,11 @@ class TestInternalExternalEntanglement:
         assert abs(tl.internal_external_entropy(state, params) - expected) <= 1e-14 * expected
         assert expected > 0.01
 
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_needs_two_modes(self, n_modes):
+        with pytest.raises(ValueError, match=f"^expected a two-mode state, got {n_modes}$"):
+            tl.internal_external_entropy(tl.vacuum_state(n_modes), EQUAL)
+
     def test_equal_masses_zero(self):
         assert tl.internal_external_entanglement(EQUAL) < 1e-10
 
@@ -278,6 +288,11 @@ class TestEvolution:
 
 
 class TestGalileanBoost:
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_needs_two_modes(self, n_modes):
+        with pytest.raises(ValueError, match=f"^expected a two-mode state, got {n_modes}$"):
+            tl.galilean_boost(tl.vacuum_state(n_modes), 1.0, EQUAL)
+
     def test_zero_velocity_is_identity(self):
         gs = tl.ground_state_covariance(EQUAL)
         out = tl.galilean_boost(gs, 0.0, EQUAL)
