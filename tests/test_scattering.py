@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import tpslab as tl
-from tpslab import findim, scattering
+from tpslab import scattering
 
 HALF_PI = np.pi / 2
 
@@ -451,10 +451,12 @@ class TestHistory:
         assert eighs == [((49, 25, 25), np.float64)]
 
     def test_rejects_unnormalized_evolution(self, monkeypatch):
-        # each time passes the checks of PureState, which the history does not build
-        monkeypatch.setattr(findim, "NORM_TOL", -1.0)
+        # the in-state is valid; the history checks the norm of each evolved slice
+        psi0 = tl.build_product_in_state(config(n=8))
+        drifted = 1.001 * psi0.amplitudes.reshape(1, 8, 8)
+        monkeypatch.setattr(scattering, "_propagate", lambda *args: iter([drifted]))
         with pytest.raises(ValueError, match="not normalized"):
-            tl.entanglement_history(config(n=8), [0.0, 1.0])
+            tl.entanglement_history(config(n=8), [0.0])
 
     def test_rejects_non_finite_evolution(self, monkeypatch):
         monkeypatch.setattr(scattering, "_propagate", lambda *args: iter([np.full((2, 8, 8), np.nan + 0j)]))
