@@ -39,6 +39,7 @@ UNBOUND_FREQUENCY_RATIO = 1e-7  # least w / W; the ground state's nu drifts by e
 PACKET_NORM_FLOOR = 1e-12  # a packet with less norm on the lattice has fallen off the chain
 CLOSING_SPEED_FLOOR = 1e-12  # packets closing slower than this never collide
 RANGE_STEP_SLACK = 1e-9  # START:STOP:STEP keeps STOP when the step count misses it by roundoff
+MAX_RANGE_POINTS = 100_000  # START:STOP:STEP points; a sweep holds about 0.8 kB per point, 80 MB here
 
 
 def require_finite(what: str, values, error=ValueError) -> None:

@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import scattering, twobody
-from ._checks import RANGE_STEP_SLACK
+from ._checks import MAX_RANGE_POINTS, RANGE_STEP_SLACK
 from .findim import Factorization, TpsFrame, entanglement_entropy, random_unitary
 from .gaussian import _williamson, gaussian_entropy_across
 from .serialization import (
@@ -66,8 +66,10 @@ def _parse_range(text: str) -> list[float]:
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + RANGE_STEP_SLACK)) + 1
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step + RANGE_STEP_SLACK
+    if not steps < MAX_RANGE_POINTS:  # an overflowing count is inf
+        raise ValueError(f"START:STOP:STEP must give at most {MAX_RANGE_POINTS} points, got {text!r}")
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 def _row_format(prefix: str, width: int, end: str = "") -> str:

@@ -31,7 +31,6 @@ __all__ = [
     "TpsFrame",
     "SchmidtData",
     "bell_state",
-    "apply_frame",
     "schmidt_decompose",
     "partial_trace",
     "entanglement_entropy",
@@ -217,31 +216,18 @@ def _conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     return m @ u.conj().T
 
 
-def _in_product_basis(state, frame: TpsFrame, kinds=(PureState, DensityMatrix)) -> np.ndarray:
+def _in_product_basis(state, frame: TpsFrame, kind: type) -> np.ndarray:
     """``U psi`` as a ``(k1, k2)`` matrix, or ``U rho U^dag`` as a ``(k1, k2, k1, k2)`` array.
 
-    ``kinds`` are the state types the caller accepts; anything else raises ``TypeError``.
+    ``kind`` is the state type the caller accepts; anything else raises ``TypeError``.
     """
-    if not isinstance(state, kinds):
-        expected = " or ".join(kind.__name__ for kind in kinds)
-        raise TypeError(f"expected {expected}, got {type(state).__name__}")
+    if not isinstance(state, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(state).__name__}")
     if state.dim != frame.d:
         raise ValueError(f"state dimension {state.dim} != frame dimension {frame.d}")
     if isinstance(state, PureState):
         return (frame.frame @ state.amplitudes).reshape(frame.factorization.factors)
     return _conjugate(frame.frame, state.matrix).reshape(frame.factorization.factors * 2)
-
-
-def apply_frame(state, frame: TpsFrame):
-    """Express a state in the frame's product basis.
-
-    Pure states map as ``U psi``, density matrices as ``U rho U^dag``.
-    Returns the same type as the input.
-    """
-    moved = _in_product_basis(state, frame)
-    if isinstance(state, PureState):
-        return PureState(state.dim, moved.reshape(-1))
-    return DensityMatrix(state.dim, moved.reshape(state.dim, state.dim))
 
 
 def _fix_phases(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +264,7 @@ def schmidt_decompose(state: PureState, frame: TpsFrame) -> SchmidtData:
         Coefficients ``lambda_i`` (squared singular values, descending)
         and the matching orthonormal vectors.
     """
-    m = _in_product_basis(state, frame, (PureState,))
+    m = _in_product_basis(state, frame, PureState)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     # psi[a*k2 + b] = sum_i s_i u[a, i] vh[i, b]: the right Schmidt vectors
     # are the rows of vh.
@@ -302,7 +288,7 @@ def partial_trace(rho: DensityMatrix, frame: TpsFrame, side: str) -> DensityMatr
         ``"A"`` keeps the k1-dimensional subsystem, ``"B"`` the
         k2-dimensional one.
     """
-    conj = _in_product_basis(rho, frame, (DensityMatrix,))
+    conj = _in_product_basis(rho, frame, DensityMatrix)
     reduced = np.einsum(("abcb->ac", "abac->bc")[side_index(side)], conj)
     return DensityMatrix(len(reduced), 0.5 * (reduced + reduced.conj().T))
 
@@ -328,7 +314,7 @@ def entanglement_entropy(state: PureState, frame: TpsFrame) -> float:
 
     ``0 * ln 0`` is taken as 0.
     """
-    return _entropy_nats(_schmidt_probabilities(_in_product_basis(state, frame, (PureState,))))
+    return _entropy_nats(_schmidt_probabilities(_in_product_basis(state, frame, PureState)))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -344,20 +330,18 @@ def negativity(rho: DensityMatrix, frame: TpsFrame) -> float:
     particular for every product state and for the totally mixed state in
     any frame.
     """
-    conj = _in_product_basis(rho, frame, (DensityMatrix,))
+    conj = _in_product_basis(rho, frame, DensityMatrix)
     transposed = conj.transpose(0, 3, 2, 1).reshape(rho.dim, rho.dim)
     eigs = np.linalg.eigvalsh(transposed)
     return max(0.0, float((np.abs(eigs).sum() - 1.0) / 2.0))
 
 
-def operator_schmidt_rank(
-    matrix: np.ndarray, factorization: Factorization, tol: float = OPERATOR_RANK_TOL
-) -> int:
+def operator_schmidt_rank(matrix: np.ndarray, factorization: Factorization) -> int:
     """Number of product terms needed to write an operator on ``k1 (x) k2``.
 
     The operator is reshuffled to a ``k1^2 x k2^2`` matrix whose singular
     values are the operator Schmidt coefficients; singular values above
-    ``tol`` times the largest are counted.  Rank 1 means the operator
+    ``OPERATOR_RANK_TOL`` times the largest are counted.  Rank 1 means the operator
     factors as ``A (x) B``.
     """
     d = factorization.d
@@ -367,7 +351,7 @@ def operator_schmidt_rank(
     s = np.linalg.svd(reshuffled, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > OPERATOR_RANK_TOL * s[0]))
 
 
 def spectrum(rho: DensityMatrix) -> np.ndarray:

@@ -30,16 +30,12 @@ __all__ = [
     "symplectic_eigenvalues",
     "williamson",
     "is_pure",
-    "gaussian_purity",
-    "reduce_modes",
     "thermal_entropy",
     "gaussian_entropy_across",
     "log_negativity_two_mode",
     "apply_symplectic",
     "mode_separating_transform",
-    "vacuum_state",
     "two_mode_squeezed",
-    "random_symplectic",
     "random_covariance",
 ]
 
@@ -242,32 +238,6 @@ def is_pure(cov: CovarianceMatrix) -> bool:
     return _all_pure(cov.nu)
 
 
-def gaussian_purity(cov: CovarianceMatrix) -> float:
-    """``Tr(rho^2) = 1/sqrt(det sigma)``.
-
-    A symplectic S with ``S sigma S^T = diag(nu_1, nu_1, ...)`` has unit
-    determinant, so ``det sigma = prod nu^2`` and the purity is
-    ``exp(-sum ln nu)``, read from the kept spectrum ``cov.nu``.
-    """
-    return float(np.exp(-np.sum(np.log(cov.nu))))
-
-
-def reduce_modes(state: GaussianState, keep) -> GaussianState:
-    """Marginal Gaussian state on a subset of modes.
-
-    The reduced covariance is the principal submatrix on the kept modes,
-    the reduced mean the matching subvector.
-    """
-    indices = sorted({require_integer("mode indices", i) for i in keep})
-    if not indices:
-        raise ValueError("must keep at least one mode")
-    if indices[0] < 0 or indices[-1] >= state.n_modes:
-        raise ValueError(f"mode indices {indices} out of range for {state.n_modes} modes")
-    rows = np.array([2 * i + off for i in indices for off in (0, 1)])
-    sub = state.cov.sigma[np.ix_(rows, rows)]
-    return GaussianState(CovarianceMatrix(len(indices), sub), state.mean[rows])
-
-
 def thermal_entropy(nu: float) -> float:
     """Von Neumann entropy (nats) of a single thermal mode with eigenvalue nu.
 
@@ -304,8 +274,11 @@ def gaussian_entropy_across(state: GaussianState, side_a) -> float:
     if not 0 < len(indices) < state.n_modes:
         raise ValueError("bipartition must be a proper nonempty subset of the modes")
     _require_pure(state.cov.nu)
-    reduced = reduce_modes(state, indices)
-    return float(sum(thermal_entropy(nu) for nu in reduced.cov.nu))
+    if indices[0] < 0 or indices[-1] >= state.n_modes:
+        raise ValueError(f"mode indices {indices} out of range for {state.n_modes} modes")
+    rows = np.array([2 * i + off for i in indices for off in (0, 1)])
+    marginal = _validated_spectra(state.cov.sigma[np.ix_(rows, rows)])
+    return float(sum(thermal_entropy(nu) for nu in marginal))
 
 
 def log_negativity_two_mode(state: GaussianState) -> float:
@@ -354,11 +327,6 @@ def mode_separating_transform(state: GaussianState) -> tuple[SymplecticMatrix, G
     return s, apply_symplectic(state, s.matrix)
 
 
-def vacuum_state(n_modes: int) -> GaussianState:
-    """Product vacuum: identity covariance, zero mean."""
-    return GaussianState(CovarianceMatrix(n_modes, np.eye(2 * n_modes)), np.zeros(2 * n_modes))
-
-
 def two_mode_squeezed(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r.
 
@@ -377,7 +345,7 @@ def two_mode_squeezed(r: float) -> GaussianState:
     return GaussianState(CovarianceMatrix(2, sigma), np.zeros(4))
 
 
-def random_symplectic(n_modes: int, seed, max_squeeze: float = 0.8) -> SymplecticMatrix:
+def _random_symplectic(n_modes: int, seed, max_squeeze: float = 0.8) -> SymplecticMatrix:
     """Random symplectic matrix from the Euler decomposition O1 Z O2.
 
     The orthogonal factors are images of Haar unitaries, Z squeezes each
@@ -411,6 +379,6 @@ def random_covariance(
     spectrum known, so it doubles as an oracle for the decompositions.
     """
     rng = np.random.default_rng(seed)
-    s = random_symplectic(n_modes, rng, max_squeeze).matrix
+    s = _random_symplectic(n_modes, rng, max_squeeze).matrix
     nu = np.ones(n_modes) if pure else rng.uniform(1.0, max_thermal, n_modes)
     return CovarianceMatrix(n_modes, _congruence(s, np.repeat(nu, 2)))

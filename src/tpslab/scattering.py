@@ -126,8 +126,8 @@ class LatticeHamiltonian:
     ``D_K = diag(e^{i K r / 2})`` it is a real ring whose bonds are all
     ``bonds[k]`` except the closing bond ``(n - 1, 0)``, which is
     ``(-1)^k bonds[k]``, with ``interaction`` at ``r = 0``.  That is all the
-    object holds; ``blocks`` builds the dense stack on demand.  Complex and
-    non-finite input is rejected.
+    object holds; no full n x n sector is built.  Complex and non-finite
+    input is rejected.
     """
 
     bonds: np.ndarray
@@ -140,18 +140,6 @@ class LatticeHamiltonian:
         interaction = float(frozen_array("contact interaction", self.interaction, ()))
         object.__setattr__(self, "bonds", bonds)
         object.__setattr__(self, "interaction", interaction)
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """The read-only float64 stack of the gauged rings, ``blocks[k] = D_K^dag H_K D_K``."""
-        n = len(self.bonds)
-        r = np.arange(n)
-        blocks = np.zeros((n, n, n))
-        blocks[:, r[:-1], r[1:]] = blocks[:, r[1:], r[:-1]] = self.bonds[:, None]
-        blocks[:, n - 1, 0] = blocks[:, 0, n - 1] = np.where(r % 2 == 0, self.bonds, -self.bonds)
-        blocks[:, 0, 0] = self.interaction
-        blocks.setflags(write=False)
-        return blocks
 
     @property
     def nbytes(self) -> int:

@@ -20,14 +20,12 @@ import os
 import numpy as np
 
 from ._checks import frozen_array
-from .findim import DensityMatrix, Factorization, PureState, TpsFrame
+from .findim import Factorization, PureState, TpsFrame
 from .gaussian import CovarianceMatrix, GaussianState
 
 __all__ = [
     "pure_state_to_dict",
     "pure_state_from_dict",
-    "density_matrix_to_dict",
-    "density_matrix_from_dict",
     "frame_to_dict",
     "frame_from_dict",
     "gaussian_state_to_dict",
@@ -73,16 +71,6 @@ def pure_state_from_dict(data: dict) -> PureState:
     _check_keys(data, {"dim", "amplitudes"})
     dim = _json_int("dim", data["dim"])
     return PureState(dim, _pairs_to_complex("amplitudes", data["amplitudes"], (dim,)))
-
-
-def density_matrix_to_dict(rho: DensityMatrix) -> dict:
-    return {"dim": rho.dim, "matrix": _complex_to_pairs(rho.matrix)}
-
-
-def density_matrix_from_dict(data: dict) -> DensityMatrix:
-    _check_keys(data, {"dim", "matrix"})
-    dim = _json_int("dim", data["dim"])
-    return DensityMatrix(dim, _pairs_to_complex("matrix", data["matrix"], (dim, dim)))
 
 
 def _frame_document(frame: TpsFrame) -> dict:

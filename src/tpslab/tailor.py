@@ -26,10 +26,8 @@ __all__ = [
     "tailor_frame",
     "min_frame",
     "max_frame",
-    "hermitian_basis",
     "subalgebra_generators",
     "check_zanardi",
-    "conjugate_subalgebra",
 ]
 
 LOCAL_ACCESSIBILITY_NOTE = (
@@ -165,7 +163,7 @@ def max_frame(psi: PureState, factorization: Factorization) -> TpsFrame:
     return tailor_frame(psi, factorization, TargetSpectrum.uniform(width))
 
 
-def hermitian_basis(k: int) -> np.ndarray:
+def _hermitian_basis(k: int) -> np.ndarray:
     """Identity plus the generalized Gell-Mann matrices on dimension ``k``.
 
     A ``(k^2, k, k)`` Hermitian stack spanning all of M_k; for k = 2 it holds
@@ -192,7 +190,7 @@ def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
     generator G satisfies ``<psi| G |psi> = <U psi| (A (x) I) |U psi>``.
     """
     sizes, i = frame.factorization.factors, side_index(side)
-    factors = [hermitian_basis(k) if j == i else np.eye(k) for j, k in enumerate(sizes)]
+    factors = [_hermitian_basis(k) if j == i else np.eye(k) for j, k in enumerate(sizes)]
     # _conjugate's two products, written out: each frees its input stack, so no more
     # than two stacks are held before validation.  _conjugate(u, np.kron(*factors))
     # would hold three, since Python 3.10 keeps a call's arguments alive until it returns
@@ -332,7 +330,7 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
        then covers the products.
     2. **Dense SVD** of the d^2 x |A| |B| product matrix, O(d^6), for every
        other input: plain sequences and 3-D arrays, sides of two different
-       frames (such as ``conjugate_subalgebra`` applied to one side only),
+       frames (such as side A of a frame V against side B of ``V U^dag``),
        and sides of one frame whose witness cannot settle the count.
 
     The commutator maximum also takes one of two routes, named in the
@@ -389,18 +387,3 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
         full_dimension=d * d,
         commutator_route=route,
     )
-
-
-def conjugate_subalgebra(gens: SubalgebraBasis, u: np.ndarray) -> SubalgebraBasis:
-    """Conjugate every generator by a unitary, ``G -> U G U^dag``.
-
-    Conjugation preserves Hermiticity, commutators and spans, so the
-    report of ``check_zanardi`` is unchanged.  The stored frame is updated
-    consistently: if the old generators came from frame V, the new ones
-    come from ``V U^dag``.
-    """
-    u = frozen_array("unitary", u, (gens.frame.d,) * 2, complex)
-    # the new frame's own unitarity check rejects a bad u before the
-    # generators are conjugated
-    new_frame = TpsFrame(gens.frame.factorization, gens.frame.frame @ u.conj().T)
-    return SubalgebraBasis(_conjugate(u, gens.generators), gens.side, new_frame)

@@ -37,7 +37,6 @@ __all__ = [
     "TwoBodyParams",
     "QuadraticHamiltonian",
     "com_rel_transform",
-    "mass_scaling",
     "build_hamiltonian_matrix",
     "transform_quadratic_hamiltonian",
     "scaled_hamiltonian",
@@ -131,13 +130,8 @@ def _mass_scaling_diagonal(params: TwoBodyParams) -> np.ndarray:
     return np.stack([roots, 1.0 / roots], axis=1).ravel()
 
 
-def mass_scaling(params: TwoBodyParams) -> SymplecticMatrix:
-    """Local symplectic scaling to the module's mass-scaled quadratures."""
-    return SymplecticMatrix(2, np.diag(_mass_scaling_diagonal(params)))
-
-
 def _scaled_to_com_rel(params: TwoBodyParams) -> np.ndarray:
-    """``com_rel_transform`` after undoing ``mass_scaling``, as a plain array."""
+    """``com_rel_transform`` after undoing the mass scaling, as a plain array."""
     return _com_rel_matrix(params.m1, params.m2) / _mass_scaling_diagonal(params)
 
 
@@ -172,7 +166,8 @@ def transform_quadratic_hamiltonian(
 
 def scaled_hamiltonian(params: TwoBodyParams) -> QuadraticHamiltonian:
     """The two-body Hamiltonian in mass-scaled particle quadratures."""
-    return transform_quadratic_hamiltonian(build_hamiltonian_matrix(params), mass_scaling(params))
+    scaling = SymplecticMatrix(2, np.diag(_mass_scaling_diagonal(params)))
+    return transform_quadratic_hamiltonian(build_hamiltonian_matrix(params), scaling)
 
 
 def _ground_state_sigmas(params: TwoBodyParams, kappas: np.ndarray) -> np.ndarray:
@@ -281,7 +276,7 @@ def internal_external_entropy(state: GaussianState, params: TwoBodyParams) -> fl
 
     The state is expected in mass-scaled particle quadratures; it is
     moved to center-of-mass/relative coordinates by one closed-form map
-    (``com_rel_transform`` after undoing ``mass_scaling``) and cut between
+    (``com_rel_transform`` after undoing the mass scaling) and cut between
     the two modes.
     """
     if state.n_modes != 2:

@@ -226,7 +226,7 @@ class TestZanardiCommand:
 class TestGaussianCommand:
     def test_williamson_vacuum(self, tmp_path, capsys):
         path = tmp_path / "vacuum.json"
-        ser.dump_json(path, ser.gaussian_state_to_dict(tl.vacuum_state(2)))
+        ser.dump_json(path, {"n_modes": 2, "sigma": np.eye(4).tolist()})
         code = run(["gaussian", "williamson", "--in", str(path)])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
@@ -494,6 +494,9 @@ RANGE_ERRORS = {
     "1:2": "expected START:STOP:STEP, got '1:2'",
     "0:1:0": "step must be positive, got 0.0",
     "1:0:0.5": "stop 0.0 is below start 1.0",
+    # refused before the list is built: the first count overflows to inf, the second is 1e12 + 1
+    "0:1e300:1e-300": "START:STOP:STEP must give at most 100000 points, got '0:1e300:1e-300'",
+    "0:1e12:1": "START:STOP:STEP must give at most 100000 points, got '0:1e12:1'",
 }
 
 

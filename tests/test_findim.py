@@ -155,34 +155,59 @@ class TestBellStates:
             tl.bell_state("sigma+")
 
 
+def apply_frame(state, frame):
+    """Oracle: the state in the frame's product basis, ``U psi`` or ``U rho U^dag``, as its own type."""
+    u = frame.frame
+    if isinstance(state, tl.PureState):
+        return tl.PureState(state.dim, u @ state.amplitudes)
+    return tl.DensityMatrix(state.dim, u @ state.matrix @ u.conj().T)
+
+
 class TestApplyFrame:
+    """The frame's action on states, built from the public pieces by ``apply_frame`` above."""
+
     def test_identity_frame_is_noop(self):
         psi = tl.random_pure(4, 3)
-        out = tl.apply_frame(psi, FRAME22)
-        np.testing.assert_allclose(out.amplitudes, psi.amplitudes)
+        out = apply_frame(psi, FRAME22)
+        np.testing.assert_array_equal(out.amplitudes, psi.amplitudes)
 
     def test_frame_then_inverse_restores(self):
         psi = tl.random_pure(4, 5)
         u = tl.random_unitary(4, 6)
         fac = tl.Factorization(4, (2, 2))
-        forward = tl.apply_frame(psi, tl.TpsFrame(fac, u))
-        back = tl.apply_frame(forward, tl.TpsFrame(fac, u.conj().T))
+        forward = apply_frame(psi, tl.TpsFrame(fac, u))
+        inverse = tl.TpsFrame(fac, u.conj().T)
+        back = apply_frame(forward, inverse)
         np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-12)
+        # read in the inverse frame, the moved state has the native Schmidt spectrum
+        np.testing.assert_allclose(
+            tl.schmidt_decompose(forward, inverse).coefficients,
+            tl.schmidt_decompose(psi, FRAME22).coefficients,
+            atol=1e-12,
+        )
 
     def test_totally_mixed_state_is_fixed_point(self):
         rho = tl.DensityMatrix(4, np.eye(4) / 4)
         frame = tl.TpsFrame(tl.Factorization(4, (2, 2)), tl.random_unitary(4, 8))
-        out = tl.apply_frame(rho, frame)
+        out = apply_frame(rho, frame)
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
+        np.testing.assert_allclose(tl.partial_trace(rho, frame, "A").matrix, np.eye(2) / 2, atol=1e-14)
+        assert tl.negativity(rho, frame) == 0.0
 
     def test_dimension_mismatch(self):
-        for state in (tl.random_pure(6, 0), tl.random_density(6, 2, 0)):
-            with pytest.raises(ValueError, match="^state dimension 6 != frame dimension 4$"):
-                tl.apply_frame(state, FRAME22)
+        # a state smaller than the frame; TestOneFrameAction passes a larger one
+        frame = tl.TpsFrame.identity(tl.Factorization(6, (2, 3)))
+        for measure, state in [
+            (tl.entanglement_entropy, tl.random_pure(4, 0)),
+            (tl.negativity, tl.random_density(4, 2, 0)),
+        ]:
+            with pytest.raises(ValueError, match="^state dimension 4 != frame dimension 6$"):
+                measure(state, frame)
 
     def test_non_state_is_rejected(self):
-        with pytest.raises(TypeError, match="^expected PureState or DensityMatrix, got int$"):
-            tl.apply_frame(3, FRAME22)
+        for measure, kind in [(tl.entanglement_entropy, "PureState"), (tl.negativity, "DensityMatrix")]:
+            with pytest.raises(TypeError, match=f"^expected {kind}, got int$"):
+                measure(3, FRAME22)
 
 
 FAC23 = tl.Factorization(6, (2, 3))
@@ -205,7 +230,7 @@ class TestOneFrameAction:
 
     @pytest.mark.parametrize("measure, state", MEASURES.values(), ids=MEASURES.keys())
     def test_haar_frame_equals_identity_frame_after_apply_frame(self, measure, state):
-        moved = tl.apply_frame(state, HAAR23)
+        moved = apply_frame(state, HAAR23)
         assert np.array_equal(measure(state, HAAR23), measure(moved, tl.TpsFrame.identity(FAC23)))
 
     @pytest.mark.parametrize("measure, state", MEASURES.values(), ids=MEASURES.keys())

@@ -17,7 +17,7 @@ from scipy.linalg import expm, schur
 import tpslab as tl
 from tpslab import gaussian, twobody
 from tpslab._checks import symplectic_defect, symplectic_inverse, times_omega, williamson_residual
-from tpslab.gaussian import InvalidCovarianceError
+from tpslab.gaussian import InvalidCovarianceError, _random_symplectic
 
 OMEGA4 = np.array(
     [
@@ -43,6 +43,21 @@ def tms_sigma(r: float) -> np.ndarray:
     )
 
 
+def vacuum(n: int) -> tl.GaussianState:
+    """The product vacuum: identity covariance, zero mean."""
+    return tl.GaussianState(tl.CovarianceMatrix(n, np.eye(2 * n)), np.zeros(2 * n))
+
+
+def gaussian_purity(cov: tl.CovarianceMatrix) -> float:
+    """``Tr(rho^2) = prod 1 / nu`` from the spectrum the constructor kept."""
+    return float(np.exp(-np.sum(np.log(cov.nu))))
+
+
+def mode_rows(modes) -> np.ndarray:
+    """The quadrature rows (x_i, p_i) of each listed mode, in order."""
+    return np.array([2 * i + off for i in modes for off in (0, 1)])
+
+
 def dense_omega(n: int) -> np.ndarray:
     """Oracle: Omega filled entry by entry."""
     omega = np.zeros((2 * n, 2 * n))
@@ -53,7 +68,7 @@ def dense_omega(n: int) -> np.ndarray:
 
 
 def dense_random_symplectic(n: int, seed, max_squeeze: float = 0.8) -> np.ndarray:
-    """Oracle: ``random_symplectic`` through the xxpp block form, an index gather and a dense Z."""
+    """Oracle: ``_random_symplectic`` through the xxpp block form, an index gather and a dense Z."""
     rng = np.random.default_rng(seed)
     order = np.empty(2 * n, dtype=int)
     order[0::2] = np.arange(n)
@@ -107,7 +122,7 @@ class TestSymplecticForm:
     @pytest.mark.parametrize("seed", range(5))
     def test_symplectic_inverse_is_the_dense_product(self, n, seed):
         omega = dense_omega(n)
-        s = tl.random_symplectic(n, seed, max_squeeze=2.0).matrix
+        s = _random_symplectic(n, seed, max_squeeze=2.0).matrix
         inv = symplectic_inverse(s)
         assert np.array_equal(inv, -omega @ s.T @ omega)
         np.testing.assert_allclose(inv @ s, np.eye(2 * n), atol=1e-12)
@@ -119,7 +134,7 @@ class TestSymplecticForm:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("max_squeeze", [0.8, 2.5])
     def test_random_symplectic_matches_the_block_oracle(self, n, seed, max_squeeze):
-        s = tl.random_symplectic(n, seed, max_squeeze).matrix
+        s = _random_symplectic(n, seed, max_squeeze).matrix
         assert np.array_equal(s, dense_random_symplectic(n, seed, max_squeeze))
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -147,7 +162,7 @@ class TestValidation:
 
     def test_symplectic_matrix_keeps_the_defect_it_checked(self):
         # the williamson command prints this value in place of a second measurement
-        s_random = tl.random_symplectic(3, 5)
+        s_random = _random_symplectic(3, 5)
         s_williamson = tl.williamson(tl.random_covariance(4, 2))[0]
         for s in (s_random, s_williamson):
             assert type(s.defect) is float
@@ -202,7 +217,7 @@ class TestSymplecticEigenvalues:
     def test_invariance_under_random_symplectic(self):
         for seed in range(8):
             cov = tl.random_covariance(3, seed)
-            s = tl.random_symplectic(3, 100 + seed).matrix
+            s = _random_symplectic(3, 100 + seed).matrix
             moved = tl.CovarianceMatrix(3, s @ cov.sigma @ s.T)
             np.testing.assert_allclose(
                 tl.symplectic_eigenvalues(moved),
@@ -251,7 +266,7 @@ class TestWilliamson:
         # spectrum is known exactly and doubles as the oracle
         rng = np.random.default_rng(4)
         for _ in range(10):
-            s = tl.random_symplectic(2, rng).matrix
+            s = _random_symplectic(2, rng).matrix
             planted = np.sort(rng.uniform(1.0, 2.5, 2))[::-1]
             sigma = s @ np.diag(np.repeat(planted, 2)) @ s.T
             cov = tl.CovarianceMatrix(2, 0.5 * (sigma + sigma.T))
@@ -259,7 +274,7 @@ class TestWilliamson:
             np.testing.assert_allclose(nu, planted, atol=1e-9)
 
     def test_degenerate_spectrum_reconstructs(self):
-        s = tl.random_symplectic(2, 55).matrix
+        s = _random_symplectic(2, 55).matrix
         sigma = s @ (1.5 * np.eye(4)) @ s.T
         cov = tl.CovarianceMatrix(2, 0.5 * (sigma + sigma.T))
         smat, nu = tl.williamson(cov)
@@ -291,28 +306,30 @@ class TestWilliamson:
 
 
 class TestPurity:
+    """The purity ``gaussian_purity`` above reads off the kept spectrum, against det sigma."""
+
     def test_vacuum_is_pure(self):
         cov = tl.CovarianceMatrix(2, np.eye(4))
         assert tl.is_pure(cov)
-        assert abs(tl.gaussian_purity(cov) - 1.0) < 1e-12
+        assert abs(gaussian_purity(cov) - 1.0) < 1e-12
 
     def test_thermal_mode_purity(self):
         nu = 1.7
         cov = tl.CovarianceMatrix(1, nu * np.eye(2))
         assert not tl.is_pure(cov)
-        assert abs(tl.gaussian_purity(cov) - 1 / nu) < 1e-12
+        assert abs(gaussian_purity(cov) - 1 / nu) < 1e-12
 
     def test_two_mode_squeezed_is_pure(self):
         sigma = tms_sigma(1.0)
         det = np.linalg.det(sigma)
         assert abs(det - 1.0) < 1e-8
-        assert abs(tl.gaussian_purity(tl.CovarianceMatrix(2, sigma)) - 1.0) < 1e-10
+        assert abs(gaussian_purity(tl.CovarianceMatrix(2, sigma)) - 1.0) < 1e-10
 
     def test_purity_is_product_of_inverse_eigenvalues(self):
         for seed in range(8):
             cov = tl.random_covariance(3, seed)
             nu = tl.symplectic_eigenvalues(cov)
-            assert abs(tl.gaussian_purity(cov) - np.prod(1.0 / nu)) < 1e-9
+            assert abs(gaussian_purity(cov) - np.prod(1.0 / nu)) < 1e-9
 
     @pytest.mark.parametrize("n_modes", [1, 3, 200])
     @pytest.mark.parametrize("pure", [True, False])
@@ -323,51 +340,70 @@ class TestPurity:
         sign, logdet = np.linalg.slogdet(cov.sigma)
         assert sign > 0.0
         oracle = np.exp(-0.5 * logdet)
-        assert abs(tl.gaussian_purity(cov) - oracle) <= 1e-12 * oracle
+        assert abs(gaussian_purity(cov) - oracle) <= 1e-12 * oracle
 
 
 class TestReduceModes:
+    """The marginal ``gaussian_entropy_across`` reads: the listed modes' rows and columns."""
+
     def test_product_vacuum_marginal(self):
-        state = tl.vacuum_state(2)
-        reduced = tl.reduce_modes(state, [1])
-        np.testing.assert_allclose(reduced.cov.sigma, np.eye(2))
+        # a two-mode squeezed pair on modes 0 and 2, vacuum on mode 1
+        sigma = np.eye(6)
+        sigma[np.ix_(mode_rows([0, 2]), mode_rows([0, 2]))] = tms_sigma(0.8)
+        state = tl.GaussianState(tl.CovarianceMatrix(3, sigma), np.zeros(6))
+        assert tl.gaussian_entropy_across(state, [1]) < 1e-15
+        thermal = tl.thermal_entropy(np.cosh(1.6))
+        for side in ([0], [2], [0, 1], [1, 2], [2, 1]):
+            assert abs(tl.gaussian_entropy_across(state, side) - thermal) < 1e-12
 
     def test_two_mode_squeezed_marginal_is_thermal(self):
         r = 0.8
-        reduced = tl.reduce_modes(tl.two_mode_squeezed(r), [0])
-        np.testing.assert_allclose(reduced.cov.sigma, np.cosh(2 * r) * np.eye(2), atol=1e-12)
-
-    def test_keep_all_is_identity(self):
-        state = tl.two_mode_squeezed(0.5)
-        reduced = tl.reduce_modes(state, [0, 1])
-        np.testing.assert_array_equal(reduced.cov.sigma, state.cov.sigma)
+        for side in ([0], [1]):
+            entropy = tl.gaussian_entropy_across(tl.two_mode_squeezed(r), side)
+            assert abs(entropy - tl.thermal_entropy(np.cosh(2 * r))) < 1e-12
 
     def test_invalid_indices(self):
-        with pytest.raises(ValueError):
-            tl.reduce_modes(tl.vacuum_state(2), [])
-        with pytest.raises(ValueError):
-            tl.reduce_modes(tl.vacuum_state(2), [2])
+        refused = {
+            (): "^bipartition must be a proper nonempty subset of the modes$",
+            (3,): r"^mode indices \[3\] out of range for 3 modes$",
+            # a negative index must not wrap round to the last mode
+            (-1,): r"^mode indices \[-1\] out of range for 3 modes$",
+            (0, -1): r"^mode indices \[-1, 0\] out of range for 3 modes$",
+        }
+        for side, message in refused.items():
+            with pytest.raises(ValueError, match=message):
+                tl.gaussian_entropy_across(vacuum(3), side)
 
     @pytest.mark.parametrize("bad", [0.7, 1.0, "0", None])
     def test_non_integer_index_is_rejected(self, bad):
         # a fractional index used to be truncated, silently keeping mode 0
         with pytest.raises(ValueError, match="integers"):
-            tl.reduce_modes(tl.two_mode_squeezed(0.5), [bad])
-        with pytest.raises(ValueError, match="integers"):
             tl.gaussian_entropy_across(tl.two_mode_squeezed(0.5), [bad])
 
     def test_numpy_integer_index_is_accepted(self):
-        state = tl.two_mode_squeezed(0.5)
-        reduced = tl.reduce_modes(state, np.array([1]))
-        np.testing.assert_array_equal(reduced.cov.sigma, state.cov.sigma[2:, 2:])
-        assert tl.gaussian_entropy_across(state, [np.int64(0)]) == tl.gaussian_entropy_across(
-            state, [0]
-        )
+        state = tl.GaussianState(tl.random_covariance(3, 4, pure=True), np.zeros(6))
+        for side in ([0], [2], [0, 2]):
+            expected = tl.gaussian_entropy_across(state, side)
+            assert tl.gaussian_entropy_across(state, np.array(side)) == expected
+            assert tl.gaussian_entropy_across(state, [np.int64(i) for i in side]) == expected
+
+    def test_local_symplectic_keeps_the_entropy_at_200_modes(self):
+        # side A is the even modes, not a leading block; S_A (+) S_B acts within each side
+        n = 200
+        state = tl.GaussianState(tl.random_covariance(n, 21, pure=True), np.zeros(2 * n))
+        sides = [list(range(0, n, 2)), list(range(1, n, 2))]
+        local = np.zeros((2 * n, 2 * n))
+        for side, seed in zip(sides, (22, 23)):
+            local[np.ix_(mode_rows(side), mode_rows(side))] = _random_symplectic(n // 2, seed).matrix
+        before = tl.gaussian_entropy_across(state, sides[0])
+        after = tl.gaussian_entropy_across(tl.apply_symplectic(state, local), sides[0])
+        assert before > 1.0
+        assert abs(after - before) <= 1e-12 * before
 
 
 class TestEntropyAcross:
     def test_product_vacuum_zero(self):
-        assert tl.gaussian_entropy_across(tl.vacuum_state(2), [0]) == 0.0
+        assert tl.gaussian_entropy_across(vacuum(2), [0]) == 0.0
 
     def test_unsqueezed_zero(self):
         assert tl.gaussian_entropy_across(tl.two_mode_squeezed(0.0), [0]) < 1e-12
@@ -396,12 +432,12 @@ class TestEntropyAcross:
 
     def test_bad_partition(self):
         with pytest.raises(ValueError, match="bipartition"):
-            tl.gaussian_entropy_across(tl.vacuum_state(2), [0, 1])
+            tl.gaussian_entropy_across(vacuum(2), [0, 1])
 
 
 class TestLogNegativity:
     def test_vacuum_zero(self):
-        assert tl.log_negativity_two_mode(tl.vacuum_state(2)) == 0.0
+        assert tl.log_negativity_two_mode(vacuum(2)) == 0.0
 
     @pytest.mark.parametrize("r", [0.2, 0.7, 1.3])
     def test_two_mode_squeezed_is_2r(self, r):
@@ -445,7 +481,7 @@ class TestLogNegativity:
 
     def test_wrong_mode_count(self):
         with pytest.raises(ValueError, match="two modes"):
-            tl.log_negativity_two_mode(tl.vacuum_state(3))
+            tl.log_negativity_two_mode(vacuum(3))
 
 
 class TestModeSeparation:
@@ -480,7 +516,7 @@ class TestModeSeparation:
 class TestApplySymplectic:
     def test_matches_explicit_congruence(self):
         state = tl.GaussianState(tl.random_covariance(3, 4), np.arange(6.0))
-        s = tl.random_symplectic(3, 5).matrix
+        s = _random_symplectic(3, 5).matrix
         out = tl.apply_symplectic(state, s)
         sigma = s @ state.cov.sigma @ s.T
         np.testing.assert_array_equal(out.cov.sigma, 0.5 * (sigma + sigma.T))
@@ -489,7 +525,7 @@ class TestApplySymplectic:
     def test_keeps_symplectic_spectrum(self):
         for seed in range(5):
             cov = tl.random_covariance(2, seed)
-            s = tl.random_symplectic(2, seed + 50).matrix
+            s = _random_symplectic(2, seed + 50).matrix
             out = tl.apply_symplectic(tl.GaussianState(cov, np.zeros(4)), s)
             np.testing.assert_allclose(
                 tl.symplectic_eigenvalues(out.cov), tl.symplectic_eigenvalues(cov), atol=1e-9
@@ -497,7 +533,7 @@ class TestApplySymplectic:
 
     def test_output_is_symmetric(self):
         state = tl.GaussianState(tl.random_covariance(2, 1), np.zeros(4))
-        out = tl.apply_symplectic(state, tl.random_symplectic(2, 2).matrix)
+        out = tl.apply_symplectic(state, _random_symplectic(2, 2).matrix)
         np.testing.assert_array_equal(out.cov.sigma, out.cov.sigma.T)
 
     def test_rejects_shape_mismatch(self):
@@ -514,7 +550,6 @@ class TestDisplacementInvariance:
             centered, [0]
         )
         assert tl.log_negativity_two_mode(displaced) == tl.log_negativity_two_mode(centered)
-        assert tl.gaussian_purity(displaced.cov) == tl.gaussian_purity(centered.cov)
 
 
 def eigvals_spectrum(sigma: np.ndarray) -> np.ndarray:
@@ -606,7 +641,7 @@ def test_kept_spectrum_matches_hermitian_oracle(n, kind, max_squeeze, gap_expone
     """cov.nu, kept from the Hermitian route, agrees with the independent eigvals oracle
     to 1e-12 relative, degenerate spectra included."""
     rng = np.random.default_rng(seed)
-    s = tl.random_symplectic(n, rng, max_squeeze).matrix
+    s = _random_symplectic(n, rng, max_squeeze).matrix
     steps = 10.0**gap_exponent * np.arange(n)
     planted = {
         "pure": np.ones(n),
@@ -654,7 +689,7 @@ def planted_covariances(draw, kinds=("pure", "mixed", "near-degenerate", "near-p
     max_squeeze = draw(st.floats(min_value=0.0, max_value=1.5))
     steps = 10.0 ** draw(st.floats(min_value=-9.0, max_value=-3.0)) * np.arange(n)
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10**6)))
-    s = tl.random_symplectic(n, rng, max_squeeze).matrix
+    s = _random_symplectic(n, rng, max_squeeze).matrix
     planted = {
         "pure": np.ones(n),
         "mixed": rng.uniform(1.0, 3.0, n),

@@ -30,19 +30,6 @@ class TestPureState:
             ser.pure_state_from_dict({"dim": 2})
 
 
-class TestDensityMatrix:
-    def test_round_trip(self):
-        rho = tl.random_density(4, 2, 1)
-        again = ser.density_matrix_from_dict(ser.density_matrix_to_dict(rho))
-        np.testing.assert_allclose(again.matrix, rho.matrix, atol=1e-15)
-
-    def test_shape_mismatch_rejected(self):
-        data = ser.density_matrix_to_dict(tl.random_density(4, 2, 1))
-        data["dim"] = 3
-        with pytest.raises(ValueError, match="matrix"):
-            ser.density_matrix_from_dict(data)
-
-
 class TestFrame:
     def test_round_trip(self):
         frame = tl.TpsFrame(tl.Factorization(6, (2, 3)), tl.random_unitary(6, 2))
@@ -79,7 +66,6 @@ class TestGaussianState:
     "from_dict",
     [
         ser.pure_state_from_dict,
-        ser.density_matrix_from_dict,
         ser.frame_from_dict,
         ser.gaussian_state_from_dict,
     ],
@@ -98,7 +84,6 @@ class TestRendering:
     """The documents equal those of the per-entry Python-float construction, byte for byte."""
 
     def test_complex_pairs(self):
-        rho = tl.random_density(6, 3, 2)
         frame = tl.TpsFrame(tl.Factorization(6, (2, 3)), tl.random_unitary(6, 4))
         psi = tl.random_pure(6, 5)
         # a negative zero must keep its sign
@@ -106,9 +91,6 @@ class TestRendering:
         psi = tl.PureState(6, amplitudes / np.linalg.norm(amplitudes))
         assert json.dumps(ser.pure_state_to_dict(psi)) == json.dumps(
             {"dim": 6, "amplitudes": [pairs(z) for z in psi.amplitudes]}
-        )
-        assert json.dumps(ser.density_matrix_to_dict(rho)) == json.dumps(
-            {"dim": 6, "matrix": [[pairs(z) for z in row] for row in rho.matrix]}
         )
         assert json.dumps(ser.frame_to_dict(frame)) == json.dumps(
             {"d": 6, "factors": [2, 3], "frame": [[pairs(z) for z in row] for row in frame.frame]}
@@ -131,11 +113,6 @@ class TestIntegerFields:
         data = {"dim": dim, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
         with pytest.raises(ValueError, match="dim must be a JSON integer"):
             ser.pure_state_from_dict(data)
-
-    @pytest.mark.parametrize("dim", [1.5, True, "1"])
-    def test_density_matrix_dim(self, dim):
-        with pytest.raises(ValueError, match="dim must be a JSON integer"):
-            ser.density_matrix_from_dict({"dim": dim, "matrix": [[[1.0, 0.0]]]})
 
     @pytest.mark.parametrize(
         "d, factors, key",

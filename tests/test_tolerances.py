@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import tpslab as tl
-from tpslab import _checks, gaussian, serialization
+from tpslab import _checks, findim, gaussian, serialization, tailor
 from tpslab.cli import run
 from tpslab.gaussian import InvalidCovarianceError
 
@@ -74,8 +74,16 @@ class TestToleranceTable:
         assert getattr(importlib.import_module(f"tpslab.{module}"), name) == value
         assert getattr(_checks, name) == value
 
-    def test_operator_rank_default_is_unchanged(self):
-        assert inspect.signature(tl.operator_schmidt_rank).parameters["tol"].default == 1e-10
+    def test_operator_rank_default_is_unchanged(self, monkeypatch):
+        # the rank counts above the table's 1e-10, read when called: patching the name reaches it
+        assert findim.OPERATOR_RANK_TOL == 1e-10
+        assert list(inspect.signature(tl.operator_schmidt_rank).parameters) == ["matrix", "factorization"]
+        fac = tl.Factorization(4, (2, 2))
+        x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+        operator = np.kron(x, x) + 1e-9 * np.kron(z, z)
+        assert tl.operator_schmidt_rank(operator, fac) == 2
+        monkeypatch.setattr(findim, "OPERATOR_RANK_TOL", 1e-8)
+        assert tl.operator_schmidt_rank(operator, fac) == 1
 
 
 class TestOneOwner:
@@ -94,7 +102,7 @@ class TestOneOwner:
         assert sum(text.count(message) for text in sources) == 1
 
 
-SYMPLECTIC_2 = tl.random_symplectic(2, 3).matrix
+SYMPLECTIC_2 = gaussian._random_symplectic(2, 3).matrix
 PACKET = tl.WavePacket(4.0, 2.0, 1.0)
 
 # each size-checking constructor with the float size it is given
@@ -104,7 +112,7 @@ NON_INTEGER_SIZES = {
     "LatticeConfig.n_sites": (24.0, lambda n: tl.LatticeConfig(n, 1.0, 2.0, PACKET, PACKET)),
     "symplectic_form": (2.0, tl.symplectic_form),
     "random_density.rank": (2.0, lambda n: tl.random_density(6, n, 0)),
-    "hermitian_basis": (2.0, tl.hermitian_basis),
+    "hermitian_basis": (2.0, tailor._hermitian_basis),
     "SymplecticMatrix.n_modes": (2.0, lambda n: tl.SymplecticMatrix(n, SYMPLECTIC_2)),
     "CovarianceMatrix.n_modes": (2.0, lambda n: tl.CovarianceMatrix(n, np.eye(4))),
     "QuadraticHamiltonian.n_modes": (2.0, lambda n: tl.QuadraticHamiltonian(n, np.eye(4))),
@@ -140,11 +148,9 @@ class TestIntegerSizes:
     def test_sizes_given_as_numpy_integers_or_bool_round_trip_through_json(self, tmp_path):
         two = np.int64(2)
         pure = (serialization.pure_state_to_dict, serialization.pure_state_from_dict)
-        mixed = (serialization.density_matrix_to_dict, serialization.density_matrix_from_dict)
         gaussian = (serialization.gaussian_state_to_dict, serialization.gaussian_state_from_dict)
         cases = [
             (tl.PureState(np.int64(4), np.full(4, 0.5)), *pure),
-            (tl.DensityMatrix(two, np.eye(2) / 2), *mixed),
             (tl.GaussianState(tl.CovarianceMatrix(two, np.eye(4)), np.zeros(4)), *gaussian),
             (tl.GaussianState(tl.CovarianceMatrix(True, np.eye(2)), np.zeros(2)), *gaussian),
         ]

@@ -13,6 +13,17 @@ from tpslab.gaussian import symplectic_eigenvalues, thermal_entropy
 EQUAL = tl.TwoBodyParams(1.0, 1.0, 1.0, 1.0)
 
 
+def vacuum(n: int) -> tl.GaussianState:
+    """The product vacuum: identity covariance, zero mean."""
+    return tl.GaussianState(tl.CovarianceMatrix(n, np.eye(2 * n)), np.zeros(2 * n))
+
+
+def mass_scaling(params: tl.TwoBodyParams) -> np.ndarray:
+    """Oracle: ``diag(sqrt(m w), 1 / sqrt(m w))`` per particle, w the reference frequency."""
+    roots = [np.sqrt(m * params.reference_frequency) for m in (params.m1, params.m2)]
+    return np.diag([roots[0], 1.0 / roots[0], roots[1], 1.0 / roots[1]])
+
+
 def random_params(rng, equal_masses=False) -> tl.TwoBodyParams:
     m1 = float(rng.uniform(0.5, 3.0))
     m2 = m1 if equal_masses else float(rng.uniform(0.5, 3.0))
@@ -99,7 +110,7 @@ class TestHamiltonianMatrix:
     def test_transform_needs_as_many_modes(self):
         ham = tl.build_hamiltonian_matrix(EQUAL)
         with pytest.raises(ValueError, match="^mode mismatch: 2 != 1$"):
-            tl.transform_quadratic_hamiltonian(ham, tl.random_symplectic(1, 0))
+            tl.transform_quadratic_hamiltonian(ham, gaussian._random_symplectic(1, 0))
 
     def test_matches_energy_function(self):
         params = tl.TwoBodyParams(2.0, 0.7, 1.1, 0.9)
@@ -159,11 +170,11 @@ class TestInterparticleEntanglement:
         # path 1: symplectic eigenvalue of the reduced covariance via the
         # explicit determinant; path 2: the Williamson decomposition
         gs = tl.ground_state_covariance(EQUAL)
-        reduced = tl.reduce_modes(gs, [0])
-        sigma = reduced.cov.sigma
+        reduced = tl.CovarianceMatrix(1, gs.cov.sigma[:2, :2])
+        sigma = reduced.sigma
         assert abs(sigma[0, 1]) < 1e-12
         nu_direct = np.sqrt(sigma[0, 0] * sigma[1, 1])
-        _, nu_williamson = tl.williamson(reduced.cov)
+        _, nu_williamson = tl.williamson(reduced)
         assert abs(nu_direct - nu_williamson[0]) < 1e-9
         entropy = tl.interparticle_entanglement(EQUAL)
         assert abs(entropy - thermal_entropy(nu_direct)) < 1e-9
@@ -180,11 +191,9 @@ class TestInterparticleEntanglement:
         for _ in range(50):
             params = random_params(rng)
             gs = tl.ground_state_covariance(params)
-            reduced = tl.reduce_modes(gs, [0])
-            via_spectrum = sum(
-                thermal_entropy(nu) for nu in symplectic_eigenvalues(reduced.cov)
-            )
-            _, nu_w = tl.williamson(reduced.cov)
+            reduced = tl.CovarianceMatrix(1, gs.cov.sigma[:2, :2])
+            via_spectrum = sum(thermal_entropy(nu) for nu in symplectic_eigenvalues(reduced))
+            _, nu_w = tl.williamson(reduced)
             via_williamson = sum(thermal_entropy(nu) for nu in nu_w)
             assert abs(via_spectrum - via_williamson) < 1e-9
             assert abs(tl.interparticle_entanglement(params) - via_spectrum) < 1e-9
@@ -195,7 +204,7 @@ class TestInternalExternalEntanglement:
         # reference: unscale, move to COM/relative by hand, cut between the modes
         params = tl.TwoBodyParams(1.0, 3.0, 1.0, 0.7)
         state = tl.GaussianState(tl.two_mode_squeezed(0.4).cov, np.zeros(4))
-        to_cr = tl.com_rel_transform(1.0, 3.0).matrix @ np.linalg.inv(tl.mass_scaling(params).matrix)
+        to_cr = tl.com_rel_transform(1.0, 3.0).matrix @ np.linalg.inv(mass_scaling(params))
         sigma = to_cr @ state.cov.sigma @ to_cr.T
         moved = tl.GaussianState(tl.CovarianceMatrix(2, 0.5 * (sigma + sigma.T)), np.zeros(4))
         expected = tl.gaussian_entropy_across(moved, (0,))
@@ -207,7 +216,7 @@ class TestInternalExternalEntanglement:
     @pytest.mark.parametrize("n_modes", [1, 3])
     def test_needs_two_modes(self, n_modes):
         with pytest.raises(ValueError, match=f"^expected a two-mode state, got {n_modes}$"):
-            tl.internal_external_entropy(tl.vacuum_state(n_modes), EQUAL)
+            tl.internal_external_entropy(vacuum(n_modes), EQUAL)
 
     def test_equal_masses_zero(self):
         assert tl.internal_external_entanglement(EQUAL) < 1e-10
@@ -240,9 +249,10 @@ class TestEvolution:
         rng = np.random.default_rng(7)
         state = tl.GaussianState(tl.random_covariance(2, 8), np.zeros(4))
         ham = tl.scaled_hamiltonian(EQUAL)
-        before = tl.gaussian_purity(state.cov)
+        # Tr(rho^2) = prod 1 / nu
+        before = np.prod(1.0 / state.cov.nu)
         for t in (0.5, 1.7, 4.0):
-            after = tl.gaussian_purity(twobody.evolve_gaussian(state, ham, t).cov)
+            after = np.prod(1.0 / twobody.evolve_gaussian(state, ham, t).cov.nu)
             assert abs(after - before) < 1e-8
 
     def test_symplectic_eigenvalues_preserved(self):
@@ -284,14 +294,14 @@ class TestEvolution:
 
     def test_mode_mismatch(self):
         with pytest.raises(ValueError, match="mode"):
-            twobody.evolve_gaussian(tl.vacuum_state(3), tl.scaled_hamiltonian(EQUAL), 1.0)
+            twobody.evolve_gaussian(vacuum(3), tl.scaled_hamiltonian(EQUAL), 1.0)
 
 
 class TestGalileanBoost:
     @pytest.mark.parametrize("n_modes", [1, 3])
     def test_needs_two_modes(self, n_modes):
         with pytest.raises(ValueError, match=f"^expected a two-mode state, got {n_modes}$"):
-            tl.galilean_boost(tl.vacuum_state(n_modes), 1.0, EQUAL)
+            tl.galilean_boost(vacuum(n_modes), 1.0, EQUAL)
 
     def test_zero_velocity_is_identity(self):
         gs = tl.ground_state_covariance(EQUAL)
@@ -340,14 +350,18 @@ class TestScaledCoordinates:
     def test_mass_scaling_is_symplectic(self):
         params = tl.TwoBodyParams(2.0, 0.3, 1.7, 0.4)
         omega = tl.symplectic_form(2)
-        s = tl.mass_scaling(params).matrix
+        s = mass_scaling(params)
         assert np.linalg.norm(s.T @ omega @ s - omega) < 1e-12
+        # the scaled Hamiltonian is the bare one in the coordinates S xi
+        inv = np.linalg.inv(s)
+        bare = tl.build_hamiltonian_matrix(params).matrix
+        np.testing.assert_allclose(tl.scaled_hamiltonian(params).matrix, inv.T @ bare @ inv, rtol=1e-14, atol=1e-14)
 
     def test_scaled_hamiltonian_consistent_with_unscaled_evolution(self):
         # evolving the scaled state with the scaled Hamiltonian must equal
         # scaling after evolving the unscaled state with the bare one
         params = tl.TwoBodyParams(2.0, 1.0, 1.0, 1.0)
-        scale = tl.mass_scaling(params).matrix
+        scale = mass_scaling(params)
         gs = tl.ground_state_covariance(params)
         unscaled_sigma = np.linalg.inv(scale) @ gs.cov.sigma @ np.linalg.inv(scale).T
         unscaled = tl.GaussianState(tl.CovarianceMatrix(2, unscaled_sigma), np.zeros(4))
@@ -368,7 +382,7 @@ def normal_mode_sigma(params: tl.TwoBodyParams) -> np.ndarray:
     ratio = np.sqrt(np.diag(h_cr)[1::2] / np.diag(h_cr)[0::2])
     sigma_cr = np.diag(np.stack([ratio, 1.0 / ratio], axis=1).ravel())
     sigma_particle = inv @ sigma_cr @ inv.T
-    scale = tl.mass_scaling(params).matrix
+    scale = mass_scaling(params)
     sigma = scale @ sigma_particle @ scale.T
     return 0.5 * (sigma + sigma.T)
 
@@ -588,7 +602,7 @@ def dense_symplectic_inverse(s: np.ndarray) -> np.ndarray:
 def test_exact_inverse_matches_the_dense_products(monkeypatch, seed):
     params = random_params(np.random.default_rng(seed))
     kappas = np.linspace(0.0, 3.0, 7)
-    s = tl.random_symplectic(2, seed, max_squeeze=1.5)
+    s = gaussian._random_symplectic(2, seed, max_squeeze=1.5)
     ham = tl.build_hamiltonian_matrix(params)
     runs = []
     for inverse in (twobody.symplectic_inverse, dense_symplectic_inverse):
@@ -615,6 +629,6 @@ def test_no_dense_omega_is_built(monkeypatch):
     tl.coupling_sweep(1.0, 3.0, 1.0, [0.0, 0.7, 4.0])
     state = tl.ground_state_covariance(params)
     ham = tl.scaled_hamiltonian(params)
-    tl.transform_quadratic_hamiltonian(ham, tl.random_symplectic(2, 3))
+    tl.transform_quadratic_hamiltonian(ham, gaussian._random_symplectic(2, 3))
     twobody.evolve_gaussian(state, ham, 1.3)
     assert not hasattr(twobody, "_OMEGA") and not hasattr(twobody, "symplectic_form")
