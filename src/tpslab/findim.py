@@ -52,7 +52,7 @@ def _unit_norm(amplitudes: np.ndarray) -> float:
     return norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector on a ``dim``-dimensional Hilbert space."""
 
@@ -71,7 +71,7 @@ class PureState:
         return DensityMatrix(self.dim, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on dimension ``dim``."""
 
@@ -117,7 +117,7 @@ class Factorization:
         return self.factors[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TpsFrame:
     """A factorization plus the unitary mapping native to product basis.
 
@@ -129,7 +129,7 @@ class TpsFrame:
 
     factorization: Factorization
     frame: np.ndarray
-    defect: float = field(init=False, repr=False, compare=False)
+    defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.factorization.d
@@ -160,7 +160,7 @@ class TpsFrame:
         return self.factorization.k2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtData:
     """Schmidt spectrum and vectors of a pure state in a given frame.
 

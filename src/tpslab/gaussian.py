@@ -126,7 +126,7 @@ def _congruence(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticMatrix:
     """Real linear phase-space map preserving the canonical form Omega.
 
@@ -135,7 +135,7 @@ class SymplecticMatrix:
 
     n_modes: int
     matrix: np.ndarray
-    defect: float = field(init=False, repr=False, compare=False)
+    defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
         n = require_size("mode counts", self.n_modes)
@@ -148,7 +148,7 @@ class SymplecticMatrix:
         object.__setattr__(self, "defect", defect)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Symmetric covariance matrix satisfying the uncertainty bound.
 
@@ -160,7 +160,7 @@ class CovarianceMatrix:
 
     n_modes: int
     sigma: np.ndarray
-    nu: np.ndarray = field(init=False, repr=False, compare=False)
+    nu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = require_size("mode counts", self.n_modes)
@@ -173,7 +173,7 @@ class CovarianceMatrix:
         object.__setattr__(self, "nu", nu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Covariance matrix plus mean vector."""
 
@@ -370,15 +370,15 @@ def _random_symplectic(n_modes: int, seed, max_squeeze: float = 0.8) -> Symplect
 
 
 def random_covariance(
-    n_modes: int, seed, pure: bool = False, max_squeeze: float = 0.8, max_thermal: float = 2.0
+    n_modes: int, seed, pure: bool = False, max_squeeze: float = 0.8
 ) -> CovarianceMatrix:
     """Random valid covariance ``S D S^T`` with a random symplectic S.
 
     D holds the symplectic eigenvalues: all 1 when ``pure``, otherwise
-    uniform in [1, max_thermal].  The construction makes the intended
-    spectrum known, so it doubles as an oracle for the decompositions.
+    uniform in [1, 2].  The construction makes the intended spectrum
+    known, so it doubles as an oracle for the decompositions.
     """
     rng = np.random.default_rng(seed)
     s = _random_symplectic(n_modes, rng, max_squeeze).matrix
-    nu = np.ones(n_modes) if pure else rng.uniform(1.0, max_thermal, n_modes)
+    nu = np.ones(n_modes) if pure else rng.uniform(1.0, 2.0, n_modes)
     return CovarianceMatrix(n_modes, _congruence(s, np.repeat(nu, 2)))

@@ -117,7 +117,7 @@ def build_product_in_state(config: LatticeConfig) -> PureState:
     return PureState(config.n_sites**2, np.kron(a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeHamiltonian:
     """The two-particle Hamiltonian as its n sector bonds and the contact energy.
 

@@ -2,9 +2,10 @@
 
 Complex numbers are written as ``[re, im]`` pairs and matrices row-major;
 all numbers are plain IEEE-754 doubles in decimal.  Parsing is strict:
-unknown or missing keys, sizes that are not JSON integers, and the
-non-standard ``NaN``/``Infinity`` literals are rejected rather than
-ignored or truncated.  Files are written atomically.
+unknown or missing keys, sizes that are not JSON integers, array entries
+that are not JSON numbers, and the non-standard ``NaN``/``Infinity``
+literals are rejected rather than ignored, converted or truncated.  Files
+are written atomically.
 
 ``dump_json`` also takes float64 and complex128 NumPy arrays as values and
 streams them row by row, as the same text their nested lists would give;
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -53,13 +55,30 @@ def _json_int(key: str, value) -> int:
     return value
 
 
+def _json_numbers(key: str, value):
+    """``value``, once every entry of its nested lists is a JSON number.
+
+    ``frozen_array`` would read ``true`` as 1 and ``"0.5"`` as 0.5, so a boolean,
+    string, null or object among the entries is refused here, naming the key.
+    """
+    level, kinds = [value], {type(value)}
+    while kinds == {list}:
+        level = list(chain.from_iterable(level))
+        kinds = set(map(type, level))
+    bad = kinds - {int, float, list}
+    if bad:
+        entry = next(v for v in level if type(v) in bad)
+        raise ValueError(f"{key} must hold only JSON numbers, got {entry!r}")
+    return value
+
+
 def _complex_to_pairs(a: np.ndarray) -> list:
     """Nested lists of the entries of ``a`` as ``[re, im]`` pairs of Python floats."""
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _pairs_to_complex(what: str, pairs, shape: tuple) -> np.ndarray:
-    arr = frozen_array(f"{what} of [re, im] pairs", pairs, (*shape, 2))
+    arr = frozen_array(f"{what} of [re, im] pairs", _json_numbers(what, pairs), (*shape, 2))
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -105,7 +124,8 @@ def gaussian_state_to_dict(state: GaussianState) -> dict:
 def gaussian_state_from_dict(data: dict) -> GaussianState:
     _check_keys(data, {"n_modes", "sigma"}, optional={"mean"})
     n = _json_int("n_modes", data["n_modes"])
-    return GaussianState(CovarianceMatrix(n, data["sigma"]), data.get("mean", np.zeros(2 * n)))
+    cov = CovarianceMatrix(n, _json_numbers("sigma", data["sigma"]))
+    return GaussianState(cov, _json_numbers("mean", data["mean"]) if "mean" in data else np.zeros(2 * n))
 
 
 def _reject_constant(name: str):

@@ -36,7 +36,7 @@ LOCAL_ACCESSIBILITY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSpectrum:
     """Wanted Schmidt probabilities, descending, summing to one."""
 
@@ -57,7 +57,7 @@ class TargetSpectrum:
         return cls(probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubalgebraBasis:
     """Hermitian generators of one virtual subsystem's observable algebra.
 
@@ -182,6 +182,17 @@ def _hermitian_basis(k: int) -> np.ndarray:
     return basis
 
 
+def _side_rows(frame: TpsFrame, side: str) -> tuple[np.ndarray, int]:
+    """F's rows reordered so that the side's factor k is the slow index, and k.
+
+    In these rows R every operator of the side is ``X (x) I``, so its generators
+    are ``R^dag (X (x) I) R``.  Side A's rows are F itself; side B's are a d x d copy.
+    """
+    i = side_index(side)
+    rows = np.moveaxis(frame.frame.reshape(*frame.factorization.factors, frame.d), i, 0)
+    return rows.reshape(frame.d, frame.d), frame.factorization.factors[i]
+
+
 def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
     """Hermitian generator set of one virtual subsystem, in the native basis.
 
@@ -189,14 +200,10 @@ def subalgebra_generators(frame: TpsFrame, side: str) -> SubalgebraBasis:
     identity on the other side and pulled back through the frame, so a
     generator G satisfies ``<psi| G |psi> = <U psi| (A (x) I) |U psi>``.
     """
-    sizes, i = frame.factorization.factors, side_index(side)
-    factors = [_hermitian_basis(k) if j == i else np.eye(k) for j, k in enumerate(sizes)]
-    # _conjugate's two products, written out: each frees its input stack, so no more
-    # than two stacks are held before validation.  _conjugate(u, np.kron(*factors))
-    # would hold three, since Python 3.10 keeps a call's arguments alive until it returns
-    u = frame.frame.conj().T
-    native = u @ np.kron(*factors)
-    native = native @ u.conj().T
+    rows, k = _side_rows(frame, side)
+    # X (x) I acts on R as X on its slow index; the product is a temporary, so no more
+    # than two stacks are held before validation
+    native = rows.conj().T @ (_hermitian_basis(k) @ rows.reshape(k, -1)).reshape(k * k, *rows.shape)
     return SubalgebraBasis(native, side, frame)
 
 
@@ -215,17 +222,24 @@ def _read_count(lower: np.ndarray, upper: np.ndarray) -> int | None:
     return int(np.count_nonzero(above))
 
 
-def _local_part(pulled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a ``(m, k, j, k, j)`` stack into ``a (x) I_j`` plus a residual.
+def _pulled_back(gens: SubalgebraBasis):
+    """One side pulled back to the product basis and split into ``a (x) I`` plus a residual.
 
-    Returns the ``(m, k, k)`` partial traces ``a = Tr_j / j`` and the residual's
-    Frobenius norm per generator; ``pulled`` is overwritten with the residual.
+    The pullback ``R G R^dag`` is read through ``_side_rows``, so it is a ``(m, k, j,
+    k, j)`` stack with the side's factor k first.  Returns the ``(m, k, k)`` local
+    parts ``a = Tr_j / j``, each residual's Frobenius norm, each native generator's
+    Frobenius norm and the Frobenius norm of the whole pullback before the split.
     """
-    j = pulled.shape[2]
+    rows, k = _side_rows(gens.frame, gens.side)
+    j = gens.frame.d // k
+    pulled = _conjugate(rows, gens.generators).reshape(-1, k, j, k, j)
+    size = np.linalg.norm(pulled)
     local = np.einsum("mpsqs->mpq", pulled) / j
     for s in range(j):
         pulled[:, :, s, :, s] -= local
-    return local, np.linalg.norm(pulled.reshape(len(pulled), -1), axis=1)
+    # matrix by matrix, so that no temporary is the size of a stack
+    e, sizes = (np.array([np.linalg.norm(g) for g in stack]) for stack in (pulled, gens.generators))
+    return local, e, sizes, size
 
 
 def _frame_witness(gens_a, gens_b) -> tuple[int | None, float | None]:
@@ -244,22 +258,16 @@ def _frame_witness(gens_a, gens_b) -> tuple[int | None, float | None]:
     )
     if not same or (gens_a.side, gens_b.side) != ("A", "B"):
         return None, None
-    f, d, k1, k2 = frame.frame, frame.d, frame.k1, frame.k2
+    d, k2 = frame.d, frame.k2
     gamma = PRODUCT_ROUNDOFF_PER_TERM * d * np.finfo(float).eps
     # the frame's ||F^dag F - I||_F, raised by the roundoff of F^dag F (at most gamma ||F||_F^2)
     u = (frame.defect + gamma * d) / (1.0 - gamma * d)
     if not u < 1.0:
         return None, None
-    # pull each stack back to the product basis
-    pa = _conjugate(f, gens_a.generators).reshape(-1, k1, k2, k1, k2)
-    pb = _conjugate(f, gens_b.generators).reshape(-1, k1, k2, k1, k2)
-    sizes_a, sizes_b = (
-        np.linalg.norm(g.generators.reshape(len(g.generators), -1), axis=1)
-        for g in (gens_a, gens_b)
-    )
-    size_a, size_b, size_pb = np.linalg.norm(sizes_a), np.linalg.norm(sizes_b), np.linalg.norm(pb)
-    a, e = _local_part(pa)
-    b, f_res = _local_part(pb.transpose(0, 2, 1, 4, 3))
+    # one side's pullback is held at a time
+    a, e, sizes_a, _ = _pulled_back(gens_a)
+    b, f_res, sizes_b, size_pb = _pulled_back(gens_b)
+    size_a, size_b = np.linalg.norm(sizes_a), np.linalg.norm(sizes_b)
     s_a = np.linalg.svd(a.reshape(len(a), -1), compute_uv=False)
     s_b = np.linalg.svd(b.reshape(len(b), -1), compute_uv=False)
     ratios = np.sort(np.outer(s_a, s_b), axis=None)[::-1]
@@ -308,7 +316,9 @@ def check_zanardi(gens_a, gens_b) -> ZanardiReport:
        out cannot move a singular value across it.  Each stack is pulled
        back to the product basis, ``PA = F G_A F^dag`` and ``PB = F G_B
        F^dag``, and split into ``a_i (x) I + e_i`` and ``I (x) b_j + f_j``
-       with ``a_i = Tr_B(PA_i) / k2`` and ``b_j = Tr_A(PB_j) / k1``.  The
+       with ``a_i = Tr_B(PA_i) / k2`` and ``b_j = Tr_A(PB_j) / k1``.  PB is
+       read with B's factor first, through F's rows reordered, so that its
+       split is the same as PA's; one side's pullback is held at a time.  The
        model products ``a_i (x) b_j`` have the singular values ``s_A,i
        s_B,j``, the products of the singular values of the two small
        coefficient matrices, whose columns are ``vec(a_i)`` (k1^2 x |A|) and

@@ -85,7 +85,7 @@ class TwoBodyParams:
         return self.omega_trap if self.omega_trap > 0.0 else 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """``H = (1/2) xi^T M xi`` with M real symmetric, xi interleaved."""
 

@@ -308,6 +308,13 @@ class TestGaussianCommand:
         payload = json.loads(captured.err.strip())
         assert payload == {"error": "ValueError", "message": "n_modes must be a JSON integer, got 2.0"}
 
+    def test_booleans_and_strings_in_arrays_give_exit_1(self, tmp_path, capsys):
+        # this file used to pass as the vacuum: true read as 1 and "0" as 0
+        path = tmp_path / "vacuum.json"
+        path.write_text('{"n_modes": 1, "sigma": [[true, false], [false, true]], "mean": ["0", "0"]}')
+        argv = ["gaussian", "williamson", "--in", str(path), "--out", str(tmp_path / "transform.json")]
+        assert_refused(tmp_path, capsys, argv, "sigma must hold only JSON numbers, got True")
+
     def test_invalid_covariance_gives_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         ser.dump_json(path, {"n_modes": 1, "sigma": [[0.1, 0.0], [0.0, 0.1]], "mean": [0.0, 0.0]})

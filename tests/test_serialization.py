@@ -1,6 +1,7 @@
 """Round-trip and strictness tests for the JSON formats."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -138,6 +139,47 @@ class TestIntegerFields:
         data = {"n_modes": n_modes, "sigma": [[1.0, 0.0], [0.0, 1.0]]}
         with pytest.raises(ValueError, match="n_modes must be a JSON integer"):
             ser.gaussian_state_from_dict(data)
+
+
+def identity_pairs_ending_in(entry) -> list:
+    """The 4 x 4 identity as [re, im] pairs, its last real part replaced by ``entry``."""
+    frame = np.stack([np.eye(4), np.zeros((4, 4))], axis=-1).tolist()
+    frame[3][3][0] = entry
+    return frame
+
+
+class TestNumericArrays:
+    """Arrays must hold JSON numbers: a boolean was read as 1 and a string as its number."""
+
+    @pytest.mark.parametrize(
+        "from_dict, data, message",
+        [
+            (
+                ser.pure_state_from_dict,
+                {"dim": 2, "amplitudes": [["0.7071067811865476", 0.0], [True, 0.0]]},
+                "amplitudes must hold only JSON numbers, got '0.7071067811865476'",
+            ),
+            (
+                ser.frame_from_dict,
+                {"d": 4, "factors": [2, 2], "frame": identity_pairs_ending_in(True)},
+                "frame must hold only JSON numbers, got True",
+            ),
+            (
+                ser.gaussian_state_from_dict,
+                {"n_modes": 1, "sigma": [[1.0, False], [0.0, 1.0]]},
+                "sigma must hold only JSON numbers, got False",
+            ),
+            (
+                ser.gaussian_state_from_dict,
+                {"n_modes": 1, "sigma": [[1.0, 0.0], [0.0, 1.0]], "mean": ["0", None]},
+                "mean must hold only JSON numbers, got '0'",
+            ),
+        ],
+        ids=["amplitudes", "frame", "sigma", "mean"],
+    )
+    def test_non_numbers_are_refused_by_key(self, from_dict, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_dict(data)
 
 
 class TestFiles:

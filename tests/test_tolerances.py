@@ -160,6 +160,37 @@ class TestIntegerSizes:
             assert to_dict(from_dict(serialization.load_json(path))) == to_dict(value)
 
 
+# each validated type that holds an array, built afresh on each call from equal input
+ARRAY_HOLDERS = {
+    "PureState": lambda: tl.random_pure(4, 1),
+    "DensityMatrix": lambda: tl.random_density(4, 2, 1),
+    "TpsFrame": lambda: tl.TpsFrame.identity(tl.Factorization(4, (2, 2))),
+    "SchmidtData": lambda: tl.schmidt_decompose(
+        tl.bell_state("phi+"), tl.TpsFrame.identity(tl.Factorization(4, (2, 2)))
+    ),
+    "TargetSpectrum": lambda: tl.TargetSpectrum([0.5, 0.5]),
+    "SubalgebraBasis": lambda: tl.subalgebra_generators(
+        tl.TpsFrame.identity(tl.Factorization(4, (2, 2))), "A"
+    ),
+    "SymplecticMatrix": lambda: tl.SymplecticMatrix(2, SYMPLECTIC_2),
+    "CovarianceMatrix": lambda: tl.random_covariance(2, 1),
+    "GaussianState": lambda: tl.GaussianState(tl.random_covariance(1, 1), [0.0, 0.0]),
+    "QuadraticHamiltonian": lambda: tl.QuadraticHamiltonian(1, np.eye(2)),
+    "LatticeHamiltonian": lambda: tl.LatticeHamiltonian(np.ones(8), 2.0),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_and_hash_by_identity(build):
+    # a generated __eq__ compared the arrays and raised on their truth value, and
+    # the generated __hash__ raised TypeError on them
+    x, y = build(), build()
+    assert (x == y) is False and (x != y) is True
+    assert x == x and hash(x) == hash(x)
+    assert x in [x] and x not in [y]
+    assert len({x, y, x}) == 2
+
+
 # a real constructor, a valid real input, the error it raises and the attribute that keeps it
 REAL_INPUTS = {
     "CovarianceMatrix": (lambda m: tl.CovarianceMatrix(1, m), np.eye(2), InvalidCovarianceError, "sigma"),
