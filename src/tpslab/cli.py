@@ -205,6 +205,8 @@ def _cmd_scatter(args) -> int:
         times = _parse_range(args.times)
     else:
         horizon = 2.5 * scattering.collision_time(config)
+        if horizon == 0.0:
+            raise ValueError("the packets start at the same site, so the default grid is t = 0 only; give --times")
         times = [i * horizon / 60.0 for i in range(61)]
     history = scattering.entanglement_history(config, times)
     _write_csv(args.out, ["t", "entropy_nats"], history)

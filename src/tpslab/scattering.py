@@ -24,11 +24,17 @@ reflection flips vanish at r = 0, never feel the contact and move freely,
 with the closed-form modes ``sqrt(2 / n) sin(pi q r / n)``, q of the parity
 of k, at energies ``2 b_k cos(pi q / n)``.  Only the kept halves, real
 paths of about n / 2 sites with g at the origin, are diagonalized, by one
-stacked real ``eigh`` per size.  ``evolve`` and ``entanglement_history``
-share that propagation, walking the times in chunks of bounded size, and
-the history takes the Schmidt spectra of each chunk in one values-only SVD
-(Harshman & Wickramasekara, PRL 98, 080406 (2007), for the symmetry
-argument).
+stacked real ``eigh`` per size.  Sectors k and n - k have opposite bonds,
+``b_{n-k} = -b_k``, so the kept path of the mirror n - k is ``D H D`` of
+sector k's, ``D = diag((-1)^j)``: each mirror pair shares one ``eigh``
+and one table of kept phases, and only the sectors ``k <= n / 2`` are
+diagonalized.  For even n the pair also shares its free phases, which are
+complex conjugates.  The pairs are read from the bonds, which
+``build_hamiltonian`` makes exact negatives.  ``evolve`` and
+``entanglement_history`` share that propagation, walking the times in
+chunks of bounded size, and the history takes the Schmidt spectra of each
+chunk in one values-only SVD (Harshman & Wickramasekara, PRL 98, 080406
+(2007), for the symmetry argument).
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ __all__ = [
 ]
 
 MIN_SITES = 8
-# a time and memory bound: a 61-time scatter run at 256 sites takes about 0.94 s and
-# peaks at 94 MB RSS (one BLAS thread, 2-vCPU Xeon; 58 MB of it under tracemalloc)
+# a time and memory bound: a 61-time scatter run at 256 sites takes about 0.84 s and
+# peaks at 83 MB RSS (one BLAS thread, 2-vCPU Xeon; 43 MB of it under tracemalloc)
 MAX_SITES = 256
 # the times are propagated in chunks whose (chunk, n, n) complex amplitudes take at
 # most this many bytes: 61 times at 48 sites are one chunk
@@ -127,7 +133,9 @@ class LatticeHamiltonian:
     ``bonds[k]`` except the closing bond ``(n - 1, 0)``, which is
     ``(-1)^k bonds[k]``, with ``interaction`` at ``r = 0``.  That is all the
     object holds; no full n x n sector is built.  Complex and non-finite
-    input is rejected.
+    input is rejected.  ``build_hamiltonian`` makes ``bonds[n - k]`` the
+    exact negative of ``bonds[k]``; the evolution shares the work of each
+    such mirror pair and evolves any other bonds sector by sector.
     """
 
     bonds: np.ndarray
@@ -154,10 +162,14 @@ def build_hamiltonian(config: LatticeConfig) -> LatticeHamiltonian:
     hopping ``-J (1 + e^{-iK})`` from ``r + 1`` to ``r`` and the contact
     energy g at ``r = 0``.  The phases ``e^{i K r / 2}`` of ``D_K`` turn every
     bond into ``-2 J cos(K / 2)``; the closing bond ``(n - 1, 0)`` picks up
-    ``e^{-i K n / 2} = (-1)^k`` on top, so each ring is real.
+    ``e^{-i K n / 2} = (-1)^k`` on top, so each ring is real.  The bonds of
+    k and n - k are set as exact negatives, ``bonds[n - k] = -bonds[k]``,
+    which the cosines miss by up to an ulp.
     """
-    # bonds[k] = -2 J cos(K / 2) with K / 2 = pi k / n
-    bonds = -2.0 * config.hopping * np.cos(np.pi * np.arange(config.n_sites) / config.n_sites)
+    # bonds[k] = -2 J cos(K / 2) with K / 2 = pi k / n, and bonds[n - k] = -bonds[k] exactly
+    n = config.n_sites
+    bonds = -2.0 * config.hopping * np.cos(np.pi * np.arange(n) / n)
+    bonds[: n // 2 : -1] = -bonds[1 : (n + 1) // 2]
     return LatticeHamiltonian(bonds, config.interaction)
 
 
@@ -206,23 +218,33 @@ def _paths(bonds: np.ndarray, interaction: float, size: int, far_bond: float, fa
     return paths
 
 
-def _kept_spectra(h: LatticeHamiltonian) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``eigh`` of the kept halves of the even-k and of the odd-k sectors, one call per path size.
+def _kept_spectra(h: LatticeHamiltonian, mirrored: np.ndarray) -> list[tuple]:
+    """``eigh`` of the kept halves, one call per path size, over the sectors that are not mirrors.
 
-    Site 0 couples to its pair by ``sqrt 2`` times the bond, and so does
-    ``r = n / 2`` for even n and k.  For odd n every path has ``(n + 1) / 2``
-    sites, and the last pair, ``(n - 1) / 2`` and ``(n + 1) / 2``, keeps the
-    bond it shares as the self-energy ``s bonds[k]``.
+    For even n the sizes are those of the even-k and of the odd-k sectors;
+    for odd n every path has ``(n + 1) / 2`` sites.  Site 0 couples to its
+    pair by ``sqrt 2`` times the bond, and so does ``r = n / 2`` for even n
+    and k.  For odd n the last pair, ``(n - 1) / 2`` and ``(n + 1) / 2``,
+    keeps the bond it shares as the self-energy ``s bonds[k]``.
+
+    A sector k that is ``mirrored`` has the path of its partner ``n - k``
+    with every bond negated and the same site energies: it takes the
+    partner's energies and the modes ``D V``, ``D = diag((-1)^j)``.  Each
+    size gives its mirrors, the sectors it diagonalizes, the mirrors'
+    partners first and in the same order, and their energies and modes.
     """
     n, bonds = len(h.bonds), h.bonds
-    if n % 2:
-        signed = np.where(np.arange(n) % 2 == 0, bonds, -bonds)
-        energies, modes = np.linalg.eigh(_paths(bonds, h.interaction, n // 2 + 1, 1.0, signed))
-        return [(energies[0::2], modes[0::2]), (energies[1::2], modes[1::2])]
-    return [
-        np.linalg.eigh(_paths(bonds[0::2], h.interaction, n // 2 + 1, np.sqrt(2.0), 0.0)),
-        np.linalg.eigh(_paths(bonds[1::2], h.interaction, n // 2, 1.0, 0.0)),
-    ]
+    sites = np.arange(n)
+    far_energies = np.where(sites % 2, -bonds, bonds) if n % 2 else np.zeros(n)
+    sizes = [(sites[0::2], n // 2 + 1, np.sqrt(2.0)), (sites[1::2], n // 2, 1.0)]
+    spectra = []
+    for ks, size, far_bond in [(sites, n // 2 + 1, 1.0)] if n % 2 else sizes:
+        mirrors = ks[mirrored[ks]]
+        # a sector is a partner when its own mirror n - k, at index -k, is mirrored
+        bases = np.concatenate([n - mirrors, ks[~mirrored[ks] & ~mirrored[-ks]]])
+        paths = _paths(bonds[bases], h.interaction, size, far_bond, far_energies[bases])
+        spectra.append((mirrors, bases, *np.linalg.eigh(paths)))
+    return spectra
 
 
 def _free_modes(h: LatticeHamiltonian, odd: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -239,16 +261,22 @@ def _free_modes(h: LatticeHamiltonian, odd: bool) -> tuple[np.ndarray, np.ndarra
     return _fold(modes, odd)[1].T, np.outer(2.0 * np.cos(np.pi / n * q), h.bonds[int(odd) :: 2])
 
 
-def _phased(energies: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``weights * e^{-i energies t}``, one C-contiguous slice per time on a new last axis."""
+def _phased(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``e^{-i energies t}``, one C-contiguous slice per time on a new last axis."""
     # e^{-iEt} is taken as a cos and a sin of the real phase, the same bits as a
     # complex exp at less cost
     phase = -energies[..., None] * times
     out = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
-    out *= weights[..., None]
     return out
+
+
+def _project(modes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The coefficients ``modes^T x`` of complex rows ``x`` on stacked real modes."""
+    # the real modes meet real and imaginary parts as two real columns
+    parts = modes.swapaxes(1, 2) @ np.stack([x.real, x.imag], axis=-1)
+    return parts[..., 0] + 1j * parts[..., 1]
 
 
 def _propagate(amplitudes: np.ndarray, h: LatticeHamiltonian, times):
@@ -258,9 +286,11 @@ def _propagate(amplitudes: np.ndarray, h: LatticeHamiltonian, times):
     ``x_B``, moved into the real gauge by ``D_K^dag`` and folded into their
     reflection halves.  The kept halves are projected on the modes of one
     stacked real ``eigh`` per path size, the free halves on the closed-form
-    modes of their parity.  The times are then walked in chunks of at most
-    ``CHUNK_BYTES`` of amplitudes: the phases are applied, the halves
-    reassembled and unfolded, and ``D_K`` and the transform undone.
+    modes of their parity; a mirror sector ``n - k`` is projected through
+    ``D`` on the modes of sector k and shares its phases.  The times are
+    then walked in chunks of at most ``CHUNK_BYTES`` of amplitudes: the
+    phases are applied, the halves reassembled and unfolded, and ``D_K``
+    and the transform undone.
     """
     times = frozen_array("times", times)
     if times.ndim != 1:
@@ -272,26 +302,50 @@ def _propagate(amplitudes: np.ndarray, h: LatticeHamiltonian, times):
     # gauge[k, r] = e^{i K r / 2} = e^{i pi k r / n}, periodic in k r with period 2n
     gauge = np.exp(1j * np.pi / n * (np.outer(sites, sites) % (2 * n)))
     sectors = np.fft.fft(amplitudes[relative, sites], axis=1, norm="ortho").T * gauge.conj()
-    halves = []
-    for odd, (energies, modes) in zip((False, True), _kept_spectra(h)):
-        kept, free = _fold(sectors[int(odd) :: 2], odd)
-        # the real modes meet real and imaginary parts as two real columns
-        parts = modes.swapaxes(1, 2) @ np.stack([kept.real, kept.imag], axis=-1)
-        weights = parts[..., 0] + 1j * parts[..., 1]
-        shared, free_energies = _free_modes(h, odd)
-        # free coefficients are indexed [q, k], so one product with the shared modes takes every sector
-        halves.append((odd, energies, modes, weights, free_energies, shared, shared.T @ free.T))
+    # sector k > n / 2 is the mirror of n - k when its bond is the exact negative of that sector's
+    mirrored = (2 * sites > n) & (h.bonds == -h.bonds[-sites])
+    halves = [_fold(sectors[odd::2], odd) for odd in (0, 1)]
     del sectors
+    # the kept halves by sector k; for even n the odd-k rows leave the last column unused
+    kept = np.zeros((n, n // 2 + 1), dtype=complex)
+    for odd, (half, _) in enumerate(halves):
+        kept[odd::2, : half.shape[1]] = half
+    spectra = []
+    for mirrors, bases, energies, modes in _kept_spectra(h, mirrored):
+        m = modes.shape[-1]
+        sign = 1 - 2 * (np.arange(m) % 2)
+        # a mirror enters and leaves its partner's eigenbasis through D = diag(sign)
+        weights = _project(modes, kept[bases, :m]), _project(modes[: len(mirrors)], kept[mirrors, :m] * sign)
+        spectra.append((mirrors, bases, energies, modes, sign, *weights))
+    frees = []
+    for odd, (_, free) in enumerate(halves):
+        shared, free_energies = _free_modes(h, odd)
+        # for even n the partner of column j's mirror is column n / 2 - odd - j of the
+        # same parity, with the free energies negated: its phases are the conjugates
+        flip = mirrored[odd::2] & (n % 2 == 0)
+        # free coefficients are indexed [q, k], so one product with the shared modes takes every sector
+        frees.append((shared, free_energies, flip, n // 2 - odd - np.flatnonzero(flip), shared.T @ free.T))
+    del halves, kept
     step = max(1, CHUNK_BYTES // (16 * n * n))
     for start in range(0, len(times), step):
         chunk = times[start : start + step]
         propagated = np.empty((n, n, len(chunk)), dtype=complex)
-        for odd, energies, modes, weights, free_energies, shared, free_weights in halves:
-            # a C-contiguous (..., m, t) complex stack is a (..., m, 2t) real one
-            kept = (modes @ _phased(energies, weights, chunk).view(float)).view(complex)
-            phased = _phased(free_energies, free_weights, chunk)
+        evolved = np.empty((n, n // 2 + 1, len(chunk)), dtype=complex)
+        for mirrors, bases, energies, modes, sign, weights, mirror_weights in spectra:
+            # one phase table for a partner and its mirror; a C-contiguous (..., m, t)
+            # complex stack is a (..., m, 2t) real one
+            m, phased = modes.shape[-1], _phased(energies, chunk)
+            reflected = phased[: len(mirrors)] * mirror_weights[..., None]
+            evolved[mirrors, :m] = (modes[: len(mirrors)] @ reflected.view(float)).view(complex) * sign[:, None]
+            phased *= weights[..., None]
+            evolved[bases, :m] = (modes @ phased.view(float)).view(complex)
+        for odd, (shared, free_energies, flip, partners, free_weights) in enumerate(frees):
+            phased = np.empty(free_weights.shape + chunk.shape, dtype=complex)
+            phased[:, ~flip] = _phased(free_energies[:, ~flip], chunk)
+            phased[:, flip] = phased[:, partners].conj()
+            phased *= free_weights[..., None]
             free = (shared @ phased.reshape(len(shared), -1).view(float)).view(complex).reshape(phased.shape)
-            _unfold(kept, free.swapaxes(0, 1), propagated[int(odd) :: 2], odd)
+            _unfold(evolved[odd::2], free.swapaxes(0, 1), propagated[odd::2], odd)
         propagated *= gauge[:, :, None]
         # (K, r, t) -> (x_B, r, t) -> (t, x_A, x_B)
         pairs = np.fft.ifft(propagated, axis=0, norm="ortho")

@@ -474,6 +474,16 @@ class TestScatterCommand:
         assert code == 0
         assert len(out.read_text().splitlines()) == 62
 
+    @pytest.mark.parametrize("cb", ["4", "20"])
+    def test_default_grid_refused_for_packets_at_one_site(self, tmp_path, capsys, cb):
+        # collision_time is 0 when the centres agree mod n, so every default time would be t = 0
+        argv = ["scatter", "--sites", "16", "--hop", "1", "--g", "2", "--ka", "1.5708", "--kb", "-1.5708"]
+        argv += ["--ca", "4", "--cb", cb, "--out", str(tmp_path / "h.csv")]
+        message = "the packets start at the same site, so the default grid is t = 0 only; give --times"
+        assert_refused(tmp_path, capsys, argv, message)
+        assert run(argv + ["--times", "0:2:1"]) == 0
+        assert len((tmp_path / "h.csv").read_text().splitlines()) == 4
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         code = run(["scatter", "--sites", "12", "--bogus", "1"])
         assert code == 2

@@ -46,6 +46,20 @@ def sector_blocks(h: tl.LatticeHamiltonian) -> np.ndarray:
     return blocks
 
 
+def sector_evolution(h: tl.LatticeHamiltonian, amplitudes: np.ndarray, t: float) -> np.ndarray:
+    """Oracle: exp(-i H t) applied through a dense ``expm`` of each gauged ring of ``sector_blocks``."""
+    n = len(h.bonds)
+    r = np.arange(n)
+    relative = (r[:, None] + r) % n
+    gauge = np.exp(1j * np.pi * np.outer(r, r) / n)
+    # psi[r + x_B, x_B], Fourier transformed over x_B and gauged: one row per sector
+    sectors = np.fft.fft(np.reshape(amplitudes, (n, n))[relative, r], axis=1, norm="ortho").T * gauge.conj()
+    evolved = np.array([expm(-1j * t * block) @ sector for block, sector in zip(sector_blocks(h), sectors)])
+    out = np.empty((n, n), dtype=complex)
+    out[relative, r] = np.fft.ifft(evolved * gauge, axis=0, norm="ortho").T
+    return out.ravel()
+
+
 def dense_hamiltonian(cfg) -> np.ndarray:
     """Oracle: the n^2 x n^2 Kronecker sum of the hopping plus the contact term, n <= 24."""
     n = cfg.n_sites
@@ -207,6 +221,15 @@ class TestHamiltonian:
         sectors = np.sort(np.linalg.eigvalsh(sector_blocks(tl.build_hamiltonian(cfg))).ravel())
         np.testing.assert_allclose(sectors, np.linalg.eigvalsh(dense_hamiltonian(cfg)), rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 9, 48, 255, 256])
+    def test_bonds_are_exact_mirror_negatives(self, n):
+        # bonds[n - k] = -bonds[k] bit for bit, and every bond is -2 J cos(pi k / n) to roundoff
+        hop = 0.7
+        bonds = tl.build_hamiltonian(config(n=n, hop=hop)).bonds
+        k = np.arange(1, (n + 1) // 2)
+        np.testing.assert_array_equal(bonds[n - k], -bonds[k])
+        assert np.abs(bonds + 2.0 * hop * np.cos(np.pi * np.arange(n) / n)).max() <= 2e-15 * hop
+
     def test_holds_only_read_only_bonds(self):
         # the object holds the 12 bonds and g; sector_blocks above is the dense oracle
         h = tl.build_hamiltonian(config(n=12))
@@ -350,6 +373,38 @@ class TestEvolve:
                     error = np.abs(state.amplitudes - want).max()
                     assert error <= 1e-12, (n, g, t, error)
 
+    @pytest.mark.parametrize("n", [8, 9, 12, 13])
+    def test_bonds_without_mirrors_match_expm_of_each_ring(self, n, monkeypatch):
+        # the mirror pairs are read from the bonds: random bonds have none, and one
+        # bond of build_hamiltonian's moved by an ulp breaks one pair; each ring must
+        # still evolve as its dense expm, and the broken pair be diagonalized twice
+        cfg = config(n=n, g=2.0)
+        psi = tl.build_product_in_state(cfg)
+        built = tl.build_hamiltonian(cfg)
+        broken = built.bonds.copy()
+        broken[n - 2] = np.nextafter(broken[n - 2], 0.0)
+        random = np.random.default_rng(n).normal(size=n)
+        times = [0.0, 0.9, 3.7]
+        for t in times:
+            # the oracle itself, against the dense Kronecker sum
+            want = expm(-1j * t * dense_hamiltonian(cfg)) @ psi.amplitudes
+            assert np.abs(sector_evolution(built, psi.amplitudes, t) - want).max() <= 1e-12
+        paths = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            paths.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        for bonds, diagonalized in [(built.bonds, n // 2 + 1), (random, n), (broken, n // 2 + 2)]:
+            h = tl.LatticeHamiltonian(bonds, cfg.interaction)
+            paths.clear()
+            for t, state in zip(times, tl.evolve(psi, h, times)):
+                error = np.abs(state.amplitudes - sector_evolution(h, psi.amplitudes, t)).max()
+                assert error <= 1e-12, (t, error)
+            assert sum(paths) == diagonalized
+
     def test_no_times_give_no_states(self):
         cfg = config(n=8)
         assert tl.evolve(tl.build_product_in_state(cfg), tl.build_hamiltonian(cfg), []) == []
@@ -417,6 +472,19 @@ class TestHistory:
         got = [entropy for _, entropy in tl.entanglement_history(cfg, times)]
         assert np.abs(np.array(got) - schmidt_entropies(states, n)).max() <= 1e-9
 
+    def test_odd_size_above_the_dense_oracle_matches_sparse_propagation(self):
+        # the same oracle at 97 sites: for odd n each mirror pair (k, n - k) joins
+        # an even and an odd sector
+        n = 97
+        cfg = config(n=n, g=2.0, width=2.0)
+        horizon = 2.5 * tl.collision_time(cfg)
+        times = [i * horizon / 60.0 for i in range(61)]
+        psi0 = tl.build_product_in_state(cfg).amplitudes
+        states = expm_multiply(-1j * sparse_hamiltonian(cfg), psi0, start=0.0, stop=horizon, num=61, endpoint=True)
+        got = [entropy for _, entropy in tl.entanglement_history(cfg, times)]
+        assert np.abs(np.array(got) - schmidt_entropies(states, n)).max() <= 1e-9
+        assert max(got) > 0.1
+
     def test_site_cap_matches_sparse_propagation(self):
         # the same oracle at MAX_SITES, with packets 16 sites apart so that they
         # collide by t = 4 and the contact acts on both sampled times
@@ -435,9 +503,10 @@ class TestHistory:
 
     def test_one_stacked_eigh_of_the_sectors(self, monkeypatch):
         # structure guard: at 48 sites only the halves the contact acts on are
-        # diagonalized, 24 real paths of 25 sites (even k) and 24 of 24 (odd k),
-        # never a full 48 x 48 block, the 2304 x 2304 Kronecker sum or a complex
-        # block; the 3 times are one chunk, and the Schmidt step one values-only SVD
+        # diagonalized, and of each mirror pair (k, 48 - k) only k < 24: 13 real
+        # paths of 25 sites (even k) and 12 of 24 (odd k), never a full 48 x 48
+        # block, the 2304 x 2304 Kronecker sum or a complex block; the 3 times are
+        # one chunk, and the Schmidt step one values-only SVD
         eighs, svds = [], []
         eigh, svd = np.linalg.eigh, np.linalg.svd
 
@@ -452,12 +521,13 @@ class TestHistory:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         tl.entanglement_history(config(n=48), [0.0, 1.0, 2.0])
-        assert eighs == [((24, 25, 25), np.float64), ((24, 24, 24), np.float64)]
+        assert eighs == [((13, 25, 25), np.float64), ((12, 24, 24), np.float64)]
         assert svds == [((3, 48, 48), False)]
-        # for odd n both halves have (n + 1) / 2 sites: one eigh of all 49 paths
+        # for odd n both halves have (n + 1) / 2 sites: one eigh of the 25 paths
+        # k <= 24, whose mirrors cross the parity groups
         eighs.clear()
         tl.entanglement_history(config(n=49), [0.0])
-        assert eighs == [((49, 25, 25), np.float64)]
+        assert eighs == [((25, 25, 25), np.float64)]
 
     def test_rejects_unnormalized_evolution(self, monkeypatch):
         # the in-state is valid; the history checks the norm of each evolved slice
