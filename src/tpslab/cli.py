@@ -42,24 +42,31 @@ def _fmt(x: float) -> str:
 
 
 def _parse_int_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated integers, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        first, second = (int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected two comma-separated integers, got {text!r}") from None
+    return first, second
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p != ""]
+    try:
+        return [float(p) for p in text.split(",") if p != ""]
+    except ValueError:
+        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _parse_range(text: str) -> list[float]:
     """start:stop:step with both endpoints included; a bare number is itself."""
-    parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    try:
+        bounds = [float(p) for p in text.split(":")]
+    except ValueError:
+        raise ValueError(f"expected START:STOP:STEP, got {text!r}") from None
+    if len(bounds) == 1:
+        return bounds
+    if len(bounds) != 3:
         raise ValueError(f"expected START:STOP:STEP, got {text!r}")
-    start, stop, step = bounds = [float(p) for p in parts]
+    start, stop, step = bounds
     if not all(map(math.isfinite, bounds)):
         raise ValueError(f"START, STOP and STEP must be finite, got {text!r}")
     if step <= 0.0:

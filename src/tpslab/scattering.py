@@ -18,19 +18,21 @@ phases ``D_K = diag(e^{i K r / 2})`` make each ring real: every bond becomes
 ``b_k = -2 J cos(K / 2)`` and the closing bond ``(n - 1, 0)`` gains a sign
 ``(-1)^k``, so a ``LatticeHamiltonian`` is the n bonds and g.
 
+The evolution takes K in the symmetric zone ``-pi < K <= pi``, gauging
+sector k at ``c = k - n`` for k > n / 2.  Inversion combined with particle
+exchange maps K to -K and leaves r fixed, so sectors c and -c have the same
+real ring, bit for bit once the bonds are the exact mirror negatives
+``b_{n-k} = -b_k`` that ``LatticeHamiltonian`` asks for.  Each ring c >= 0
+is diagonalized and phased once and evolves both its sectors as two
+columns of one product.
+
 Each gauged ring commutes with a reflection of r: ``P: r -> -r`` for even
-k, and ``QP`` with ``Q = diag(1, -1, ..., -1)`` for odd k.  The states the
+c, and ``QP`` with ``Q = diag(1, -1, ..., -1)`` for odd c.  The states the
 reflection flips vanish at r = 0, never feel the contact and move freely,
 with the closed-form modes ``sqrt(2 / n) sin(pi q r / n)``, q of the parity
-of k, at energies ``2 b_k cos(pi q / n)``.  Only the kept halves, real
+of c, at energies ``2 b_c cos(pi q / n)``.  Only the kept halves, real
 paths of about n / 2 sites with g at the origin, are diagonalized, by one
-stacked real ``eigh`` per size.  Sectors k and n - k have opposite bonds,
-``b_{n-k} = -b_k``, so the kept path of the mirror n - k is ``D H D`` of
-sector k's, ``D = diag((-1)^j)``: each mirror pair shares one ``eigh``
-and one table of kept phases, and only the sectors ``k <= n / 2`` are
-diagonalized.  For even n the pair also shares its free phases, which are
-complex conjugates.  The pairs are read from the bonds, which
-``build_hamiltonian`` makes exact negatives.  ``evolve`` and
+stacked real ``eigh`` per parity of c.  ``evolve`` and
 ``entanglement_history`` share that propagation, walking the times in
 chunks of bounded size, and the history takes the Schmidt spectra of each
 chunk in one values-only SVD (Harshman & Wickramasekara, PRL 98, 080406
@@ -60,8 +62,8 @@ __all__ = [
 ]
 
 MIN_SITES = 8
-# a time and memory bound: a 61-time scatter run at 256 sites takes about 0.84 s and
-# peaks at 83 MB RSS (one BLAS thread, 2-vCPU Xeon; 43 MB of it under tracemalloc)
+# a time and memory bound: a 61-time scatter run at 256 sites takes about 1.4 s and
+# peaks at 80 MB RSS (one BLAS thread, shared 2-vCPU Xeon; 40 MB of it under tracemalloc)
 MAX_SITES = 256
 # the times are propagated in chunks whose (chunk, n, n) complex amplitudes take at
 # most this many bytes: 61 times at 48 sites are one chunk
@@ -132,10 +134,11 @@ class LatticeHamiltonian:
     ``D_K = diag(e^{i K r / 2})`` it is a real ring whose bonds are all
     ``bonds[k]`` except the closing bond ``(n - 1, 0)``, which is
     ``(-1)^k bonds[k]``, with ``interaction`` at ``r = 0``.  That is all the
-    object holds; no full n x n sector is built.  Complex and non-finite
-    input is rejected.  ``build_hamiltonian`` makes ``bonds[n - k]`` the
-    exact negative of ``bonds[k]``; the evolution shares the work of each
-    such mirror pair and evolves any other bonds sector by sector.
+    object holds; no full n x n sector is built.  The bonds must be exact
+    mirror negatives, ``bonds[n - k] == -bonds[k]`` for ``0 < k < n / 2``,
+    as every nearest-neighbour lattice has them: then sector ``n - k``,
+    gauged at ``K - 2 pi``, is the ring of sector k.  Other bonds, and
+    complex and non-finite input, are rejected.
     """
 
     bonds: np.ndarray
@@ -145,6 +148,9 @@ class LatticeHamiltonian:
         bonds = frozen_array("Hamiltonian bonds", self.bonds)
         if bonds.ndim != 1 or len(bonds) < MIN_SITES:
             raise ValueError(f"expected Hamiltonian bonds of shape (n,), n >= {MIN_SITES}, got {bonds.shape}")
+        n = len(bonds)
+        if not np.array_equal(bonds[: n // 2 : -1], -bonds[1 : (n + 1) // 2]):
+            raise ValueError("Hamiltonian bonds must be mirror negatives, bonds[n - k] == -bonds[k] for 0 < k < n / 2")
         interaction = float(frozen_array("contact interaction", self.interaction, ()))
         object.__setattr__(self, "bonds", bonds)
         object.__setattr__(self, "interaction", interaction)
@@ -163,8 +169,9 @@ def build_hamiltonian(config: LatticeConfig) -> LatticeHamiltonian:
     energy g at ``r = 0``.  The phases ``e^{i K r / 2}`` of ``D_K`` turn every
     bond into ``-2 J cos(K / 2)``; the closing bond ``(n - 1, 0)`` picks up
     ``e^{-i K n / 2} = (-1)^k`` on top, so each ring is real.  The bonds of
-    k and n - k are set as exact negatives, ``bonds[n - k] = -bonds[k]``,
-    which the cosines miss by up to an ulp.
+    k and n - k are set as the exact mirror negatives ``LatticeHamiltonian``
+    asks for, ``bonds[n - k] = -bonds[k]``, which the cosines miss by up to
+    an ulp.
     """
     # bonds[k] = -2 J cos(K / 2) with K / 2 = pi k / n, and bonds[n - k] = -bonds[k] exactly
     n = config.n_sites
@@ -174,12 +181,12 @@ def build_hamiltonian(config: LatticeConfig) -> LatticeHamiltonian:
 
 
 def _fold(x: np.ndarray, odd: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The halves of ``x[:, r]`` that the reflection of a sector of this parity keeps and flips.
+    """The halves of ``x[:, r]`` that the reflection of a ring of this parity keeps and flips.
 
-    With ``s = (-1)^k`` the kept half, where the contact acts, is ``x_0``,
+    With ``s = (-1)^c`` the kept half, where the contact acts, is ``x_0``,
     then ``(x_j + s x_{n-j}) / sqrt 2`` for ``0 < j < n / 2``, then
-    ``x_{n/2}`` for even n and k.  The flipped half, which is free, is
-    ``(x_j - s x_{n-j}) / sqrt 2``, then ``x_{n/2}`` for even n and odd k.
+    ``x_{n/2}`` for even n and c.  The flipped half, which is free, is
+    ``(x_j - s x_{n-j}) / sqrt 2``, then ``x_{n/2}`` for even n and odd c.
     """
     n = x.shape[1]
     twin = -x[:, : n // 2 : -1] if odd else x[:, : n // 2 : -1]
@@ -189,76 +196,38 @@ def _fold(x: np.ndarray, odd: bool) -> tuple[np.ndarray, np.ndarray]:
     return kept, np.concatenate([(low - twin) * SQRT_HALF] + (middle if odd else []), axis=1)
 
 
-def _unfold(kept: np.ndarray, free: np.ndarray, out: np.ndarray, odd: bool) -> None:
-    """Write into ``out[:, r]`` the amplitudes whose ``_fold`` halves are ``kept`` and ``free``."""
+def _unfold(kept: np.ndarray, free: np.ndarray, out: np.ndarray, rows: np.ndarray, odd: bool) -> None:
+    """Write into ``out[rows, r]`` the amplitudes whose ``_fold`` halves are ``kept`` and ``free``."""
     n = out.shape[1]
     pairs = (n - 1) // 2
     plus, minus = kept[:, 1 : pairs + 1], free[:, :pairs]
-    out[:, 0] = kept[:, 0]
-    out[:, 1 : pairs + 1] = (plus + minus) * SQRT_HALF
-    out[:, : n // 2 : -1] = ((minus - plus) if odd else (plus - minus)) * SQRT_HALF
+    out[rows, 0] = kept[:, 0]
+    out[rows, 1 : pairs + 1] = (plus + minus) * SQRT_HALF
+    out[rows, : n // 2 : -1] = ((minus - plus) if odd else (plus - minus)) * SQRT_HALF
     if n % 2 == 0:
-        out[:, n // 2] = free[:, pairs] if odd else kept[:, pairs + 1]
+        out[rows, n // 2] = free[:, pairs] if odd else kept[:, pairs + 1]
 
 
-def _paths(bonds: np.ndarray, interaction: float, size: int, far_bond: float, far_energy) -> np.ndarray:
-    """Real paths of ``size`` sites, one per bond, with the contact at site 0.
+def _paths(h: LatticeHamiltonian, rings: np.ndarray, size: int, odd: bool) -> np.ndarray:
+    """The kept halves of ``rings``, all of this parity: real paths of ``size`` sites with g at site 0.
 
-    Neighbours are joined by the bond, site 0 by ``sqrt 2`` times it and the
-    last site by ``far_bond`` times it; ``far_energy`` sits on the last site.
+    Neighbours are joined by the ring's bond and site 0 by ``sqrt 2`` times
+    it, and so is ``r = n / 2`` for even n and c.  For odd n the last pair,
+    ``(n - 1) / 2`` and ``(n + 1) / 2``, keeps the bond it shares as the
+    self-energy ``(-1)^c`` times it.
     """
+    n, bonds = len(h.bonds), h.bonds[rings]
     scale = np.ones(size - 1)
-    scale[-1] = far_bond
     scale[0] = np.sqrt(2.0)
+    if n % 2 == 0 and not odd:
+        scale[-1] = np.sqrt(2.0)
     j = np.arange(size - 1)
-    paths = np.zeros((len(bonds), size, size))
+    paths = np.zeros((len(rings), size, size))
     paths[:, j, j + 1] = paths[:, j + 1, j] = bonds[:, None] * scale
-    paths[:, -1, -1] = far_energy
-    paths[:, 0, 0] = interaction
+    if n % 2:
+        paths[:, -1, -1] = (1 - 2 * odd) * bonds
+    paths[:, 0, 0] = h.interaction
     return paths
-
-
-def _kept_spectra(h: LatticeHamiltonian, mirrored: np.ndarray) -> list[tuple]:
-    """``eigh`` of the kept halves, one call per path size, over the sectors that are not mirrors.
-
-    For even n the sizes are those of the even-k and of the odd-k sectors;
-    for odd n every path has ``(n + 1) / 2`` sites.  Site 0 couples to its
-    pair by ``sqrt 2`` times the bond, and so does ``r = n / 2`` for even n
-    and k.  For odd n the last pair, ``(n - 1) / 2`` and ``(n + 1) / 2``,
-    keeps the bond it shares as the self-energy ``s bonds[k]``.
-
-    A sector k that is ``mirrored`` has the path of its partner ``n - k``
-    with every bond negated and the same site energies: it takes the
-    partner's energies and the modes ``D V``, ``D = diag((-1)^j)``.  Each
-    size gives its mirrors, the sectors it diagonalizes, the mirrors'
-    partners first and in the same order, and their energies and modes.
-    """
-    n, bonds = len(h.bonds), h.bonds
-    sites = np.arange(n)
-    far_energies = np.where(sites % 2, -bonds, bonds) if n % 2 else np.zeros(n)
-    sizes = [(sites[0::2], n // 2 + 1, np.sqrt(2.0)), (sites[1::2], n // 2, 1.0)]
-    spectra = []
-    for ks, size, far_bond in [(sites, n // 2 + 1, 1.0)] if n % 2 else sizes:
-        mirrors = ks[mirrored[ks]]
-        # a sector is a partner when its own mirror n - k, at index -k, is mirrored
-        bases = np.concatenate([n - mirrors, ks[~mirrored[ks] & ~mirrored[-ks]]])
-        paths = _paths(bonds[bases], h.interaction, size, far_bond, far_energies[bases])
-        spectra.append((mirrors, bases, *np.linalg.eigh(paths)))
-    return spectra
-
-
-def _free_modes(h: LatticeHamiltonian, odd: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The free halves' modes ``sqrt(2 / n) sin(pi q r / n)``, folded, and their energies ``[q, k]``.
-
-    q runs over ``0 < q < n`` with the parity of k, and the energy of mode q
-    in sector k is ``2 bonds[k] cos(pi q / n)``; every sector of the parity
-    shares the one mode matrix.
-    """
-    n = len(h.bonds)
-    q = np.arange(2 - odd, n, 2)
-    # q r is taken mod 2n, so the sine's argument stays below 2 pi
-    modes = np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(q, np.arange(n)) % (2 * n)))
-    return _fold(modes, odd)[1].T, np.outer(2.0 * np.cos(np.pi / n * q), h.bonds[int(odd) :: 2])
 
 
 def _phased(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -272,25 +241,28 @@ def _phased(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project(modes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The coefficients ``modes^T x`` of complex rows ``x`` on stacked real modes."""
-    # the real modes meet real and imaginary parts as two real columns
-    parts = modes.swapaxes(1, 2) @ np.stack([x.real, x.imag], axis=-1)
-    return parts[..., 0] + 1j * parts[..., 1]
+def _evolved(modes: np.ndarray, energies: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``modes @ (e^{-i energies t} weights)`` for each ring's two columns, as ``(ring, site, 2, t)``."""
+    phased = _phased(energies, times)[:, :, None] * weights[..., None]
+    # the real modes meet a C-contiguous (..., 2, t) complex stack as a (..., 4t) real one
+    out = modes @ phased.reshape(*phased.shape[:2], -1).view(float)
+    return out.view(complex).reshape(*out.shape[:2], 2, len(times))
 
 
 def _propagate(amplitudes: np.ndarray, h: LatticeHamiltonian, times):
     """``exp(-i H t)`` applied to ``amplitudes[x_A, x_B]``, yielded as ``(chunk, n, n)`` stacks.
 
-    The amplitudes are relabelled to ``(r, x_B)``, Fourier transformed over
-    ``x_B``, moved into the real gauge by ``D_K^dag`` and folded into their
-    reflection halves.  The kept halves are projected on the modes of one
-    stacked real ``eigh`` per path size, the free halves on the closed-form
-    modes of their parity; a mirror sector ``n - k`` is projected through
-    ``D`` on the modes of sector k and shares its phases.  The times are
-    then walked in chunks of at most ``CHUNK_BYTES`` of amplitudes: the
-    phases are applied, the halves reassembled and unfolded, and ``D_K``
-    and the transform undone.
+    The amplitudes are relabelled to ``(r, x_B)`` and Fourier transformed
+    over ``x_B``.  Sector k is moved into the real gauge of ``c = k`` for
+    ``k <= n / 2`` and of ``c = k - n`` above, so that sectors c and -c sit
+    on the same ring, and each ring c >= 0 takes its two sectors as two
+    columns; ring 0, and ring n / 2 for even n, holds its one sector twice.
+    The columns are folded into their reflection halves, the kept halves
+    projected on the modes of one stacked real ``eigh`` per parity of c and
+    the free halves on the closed-form modes of that parity.  The times are
+    then walked in chunks of at most ``CHUNK_BYTES`` of amplitudes: each
+    ring's phases are taken once and applied to both columns, the halves
+    unfolded into their sectors, and ``D_K`` and the transform undone.
     """
     times = frozen_array("times", times)
     if times.ndim != 1:
@@ -299,53 +271,35 @@ def _propagate(amplitudes: np.ndarray, h: LatticeHamiltonian, times):
     sites = np.arange(n)
     # relative[r, x_B] = x_A = r + x_B, and back: r = x_A - x_B
     relative = (sites[:, None] + sites) % n
-    # gauge[k, r] = e^{i K r / 2} = e^{i pi k r / n}, periodic in k r with period 2n
-    gauge = np.exp(1j * np.pi / n * (np.outer(sites, sites) % (2 * n)))
+    # gauge[k, r] = e^{i pi c r / n} with c = k, or k - n above n / 2: periodic in c r with period 2n
+    zone = np.where(2 * sites > n, sites - n, sites)
+    gauge = np.exp(1j * np.pi / n * (np.outer(zone, sites) % (2 * n)))
     sectors = np.fft.fft(amplitudes[relative, sites], axis=1, norm="ortho").T * gauge.conj()
-    # sector k > n / 2 is the mirror of n - k when its bond is the exact negative of that sector's
-    mirrored = (2 * sites > n) & (h.bonds == -h.bonds[-sites])
-    halves = [_fold(sectors[odd::2], odd) for odd in (0, 1)]
+    groups = []
+    for odd in (0, 1):
+        rings = sites[odd : n // 2 + 1 : 2]
+        # ring c's columns are the sectors c and -c, rows c and n - c of the transform
+        rows = rings, -rings
+        kept, free = _fold(np.stack([sectors[r] for r in rows], axis=-1), odd)
+        energies, modes = np.linalg.eigh(_paths(h, rings, kept.shape[1], odd))
+        # the free modes sqrt(2 / n) sin(pi q r / n), q of the parity of c, taken with q r mod 2n
+        # so that the sine's argument stays below 2 pi; every ring of the parity shares them
+        q = np.arange(2 - odd, n, 2)
+        shared = _fold(np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(q, sites) % (2 * n))), odd)[1].T
+        free_energies = np.outer(h.bonds[rings], 2.0 * np.cos(np.pi / n * q))
+        halves = [(modes, energies, kept), (shared, free_energies, free)]
+        # the real modes meet each complex pair of columns as four real ones
+        groups.append((rows, [(m, e, (m.swapaxes(-1, -2) @ x.view(float)).view(complex)) for m, e, x in halves]))
     del sectors
-    # the kept halves by sector k; for even n the odd-k rows leave the last column unused
-    kept = np.zeros((n, n // 2 + 1), dtype=complex)
-    for odd, (half, _) in enumerate(halves):
-        kept[odd::2, : half.shape[1]] = half
-    spectra = []
-    for mirrors, bases, energies, modes in _kept_spectra(h, mirrored):
-        m = modes.shape[-1]
-        sign = 1 - 2 * (np.arange(m) % 2)
-        # a mirror enters and leaves its partner's eigenbasis through D = diag(sign)
-        weights = _project(modes, kept[bases, :m]), _project(modes[: len(mirrors)], kept[mirrors, :m] * sign)
-        spectra.append((mirrors, bases, energies, modes, sign, *weights))
-    frees = []
-    for odd, (_, free) in enumerate(halves):
-        shared, free_energies = _free_modes(h, odd)
-        # for even n the partner of column j's mirror is column n / 2 - odd - j of the
-        # same parity, with the free energies negated: its phases are the conjugates
-        flip = mirrored[odd::2] & (n % 2 == 0)
-        # free coefficients are indexed [q, k], so one product with the shared modes takes every sector
-        frees.append((shared, free_energies, flip, n // 2 - odd - np.flatnonzero(flip), shared.T @ free.T))
-    del halves, kept
     step = max(1, CHUNK_BYTES // (16 * n * n))
     for start in range(0, len(times), step):
         chunk = times[start : start + step]
         propagated = np.empty((n, n, len(chunk)), dtype=complex)
-        evolved = np.empty((n, n // 2 + 1, len(chunk)), dtype=complex)
-        for mirrors, bases, energies, modes, sign, weights, mirror_weights in spectra:
-            # one phase table for a partner and its mirror; a C-contiguous (..., m, t)
-            # complex stack is a (..., m, 2t) real one
-            m, phased = modes.shape[-1], _phased(energies, chunk)
-            reflected = phased[: len(mirrors)] * mirror_weights[..., None]
-            evolved[mirrors, :m] = (modes[: len(mirrors)] @ reflected.view(float)).view(complex) * sign[:, None]
-            phased *= weights[..., None]
-            evolved[bases, :m] = (modes @ phased.view(float)).view(complex)
-        for odd, (shared, free_energies, flip, partners, free_weights) in enumerate(frees):
-            phased = np.empty(free_weights.shape + chunk.shape, dtype=complex)
-            phased[:, ~flip] = _phased(free_energies[:, ~flip], chunk)
-            phased[:, flip] = phased[:, partners].conj()
-            phased *= free_weights[..., None]
-            free = (shared @ phased.reshape(len(shared), -1).view(float)).view(complex).reshape(phased.shape)
-            _unfold(evolved[odd::2], free.swapaxes(0, 1), propagated[odd::2], odd)
+        for odd, (rows, halves) in enumerate(groups):
+            kept, free = (_evolved(*half, chunk) for half in halves)
+            # the first column is written last, so that the rings holding one sector twice write it once
+            for col in (1, 0):
+                _unfold(kept[:, :, col], free[:, :, col], propagated, rows[col], odd)
         propagated *= gauge[:, :, None]
         # (K, r, t) -> (x_B, r, t) -> (t, x_A, x_B)
         pairs = np.fft.ifft(propagated, axis=0, norm="ortho")

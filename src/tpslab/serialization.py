@@ -2,8 +2,8 @@
 
 Complex numbers are written as ``[re, im]`` pairs and matrices row-major;
 all numbers are plain IEEE-754 doubles in decimal.  Parsing is strict:
-unknown or missing keys, sizes that are not JSON integers, array entries
-that are not JSON numbers, and the non-standard ``NaN``/``Infinity``
+unknown, missing or repeated keys, sizes that are not JSON integers, array
+entries that are not JSON numbers, and the non-standard ``NaN``/``Infinity``
 literals are rejected rather than ignored, converted or truncated.  Files
 are written atomically.
 
@@ -132,9 +132,19 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``; ``json`` alone would keep the last value of a repeated key."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r} in a JSON object")
+        data[key] = value
+    return data
+
+
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        return json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
 
 
 def _write_atomic(path, chunks) -> None:

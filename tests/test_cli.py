@@ -525,6 +525,41 @@ class TestRangeErrors:
         assert_refused(tmp_path, capsys, command + [text, "--out", str(out)], RANGE_ERRORS[text])
 
 
+class TestNumberListErrors:
+    # each used to name only the token that failed, as int() or float() words it
+    @pytest.mark.parametrize("option, text, message", [
+        ("--factors", "2,x", "expected two comma-separated integers, got '2,x'"),
+        ("--target", "0.5,abc", "expected comma-separated numbers, got '0.5,abc'"),
+        ("--kappa", "0:x:1", "expected START:STOP:STEP, got '0:x:1'"),
+    ])
+    def test_message_names_the_whole_text(self, tmp_path, capsys, option, text, message):
+        out = str(tmp_path / "out")
+        if option == "--kappa":
+            argv = SWEEP + [text, "--out", out]
+        else:
+            options = {"--factors": "2,2", "--target": "0.5,0.5", option: text}
+            argv = ["tailor", "--state", str(write_bell(tmp_path)), "--out", out]
+            argv += [word for pair in options.items() for word in pair]
+        assert_refused(tmp_path, capsys, argv, message)
+
+
+class TestDuplicateKeys:
+    # the json module keeps the last value of a repeated key, so each file used to exit 0
+    def test_repeated_size_in_a_state(self, tmp_path, capsys):
+        path = tmp_path / "psi.json"
+        path.write_text('{"dim": 2, "dim": 4, "amplitudes": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]}')
+        argv = ["tailor", "--state", str(path), "--factors", "2,2", "--target", "1,0"]
+        argv += ["--out", str(tmp_path / "frame.json")]
+        assert_refused(tmp_path, capsys, argv, "duplicate key 'dim' in a JSON object")
+
+    def test_repeated_frame(self, tmp_path, capsys):
+        swap = np.stack([np.eye(4)[[1, 0, 3, 2]], np.zeros((4, 4))], axis=-1).tolist()
+        path = tmp_path / "frame.json"
+        path.write_text(f'{{"d": 4, "factors": [2, 2], "frame": "identity", "frame": {json.dumps(swap)}}}')
+        argv = ["zanardi", "--frame", str(path), "--out", str(tmp_path / "report.json")]
+        assert_refused(tmp_path, capsys, argv, "duplicate key 'frame' in a JSON object")
+
+
 class TestWarnings:
     def test_exit_1_stderr_is_one_json_line(self, tmp_path):
         # no warning filter: NumPy's overflow warnings would print before the error line

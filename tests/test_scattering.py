@@ -374,36 +374,33 @@ class TestEvolve:
                     assert error <= 1e-12, (n, g, t, error)
 
     @pytest.mark.parametrize("n", [8, 9, 12, 13])
-    def test_bonds_without_mirrors_match_expm_of_each_ring(self, n, monkeypatch):
-        # the mirror pairs are read from the bonds: random bonds have none, and one
-        # bond of build_hamiltonian's moved by an ulp breaks one pair; each ring must
-        # still evolve as its dense expm, and the broken pair be diagonalized twice
+    def test_mirror_negative_bonds_match_expm_of_each_ring(self, n):
+        # random bonds with bonds[n - k] = -bonds[k]: each ring must evolve as its
+        # dense expm, though sectors k > n / 2 are taken on the ring of n - k
         cfg = config(n=n, g=2.0)
         psi = tl.build_product_in_state(cfg)
         built = tl.build_hamiltonian(cfg)
-        broken = built.bonds.copy()
-        broken[n - 2] = np.nextafter(broken[n - 2], 0.0)
-        random = np.random.default_rng(n).normal(size=n)
+        bonds = np.random.default_rng(n).normal(size=n)
+        k = np.arange(1, (n + 1) // 2)
+        bonds[n - k] = -bonds[k]
         times = [0.0, 0.9, 3.7]
         for t in times:
             # the oracle itself, against the dense Kronecker sum
             want = expm(-1j * t * dense_hamiltonian(cfg)) @ psi.amplitudes
             assert np.abs(sector_evolution(built, psi.amplitudes, t) - want).max() <= 1e-12
-        paths = []
-        eigh = np.linalg.eigh
+        h = tl.LatticeHamiltonian(bonds, cfg.interaction)
+        for t, state in zip(times, tl.evolve(psi, h, times)):
+            error = np.abs(state.amplitudes - sector_evolution(h, psi.amplitudes, t)).max()
+            assert error <= 1e-12, (t, error)
 
-        def recording_eigh(a, *args, **kwargs):
-            paths.append(len(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        for bonds, diagonalized in [(built.bonds, n // 2 + 1), (random, n), (broken, n // 2 + 2)]:
-            h = tl.LatticeHamiltonian(bonds, cfg.interaction)
-            paths.clear()
-            for t, state in zip(times, tl.evolve(psi, h, times)):
-                error = np.abs(state.amplitudes - sector_evolution(h, psi.amplitudes, t)).max()
-                assert error <= 1e-12, (t, error)
-            assert sum(paths) == diagonalized
+    @pytest.mark.parametrize("n", [8, 9, 12, 13])
+    def test_rejects_bonds_that_are_not_mirror_negatives(self, n):
+        # random bonds, and build_hamiltonian's with one bond moved by an ulp
+        moved = tl.build_hamiltonian(config(n=n)).bonds.copy()
+        moved[n - 2] = np.nextafter(moved[n - 2], 0.0)
+        for bonds in (np.random.default_rng(n).normal(size=n), moved):
+            with pytest.raises(ValueError, match=r"mirror negatives, bonds\[n - k\] == -bonds\[k\]"):
+                tl.LatticeHamiltonian(bonds, 2.0)
 
     def test_no_times_give_no_states(self):
         cfg = config(n=8)
@@ -503,10 +500,10 @@ class TestHistory:
 
     def test_one_stacked_eigh_of_the_sectors(self, monkeypatch):
         # structure guard: at 48 sites only the halves the contact acts on are
-        # diagonalized, and of each mirror pair (k, 48 - k) only k < 24: 13 real
-        # paths of 25 sites (even k) and 12 of 24 (odd k), never a full 48 x 48
-        # block, the 2304 x 2304 Kronecker sum or a complex block; the 3 times are
-        # one chunk, and the Schmidt step one values-only SVD
+        # diagonalized, once per ring c = 0, ..., 24 that sectors c and -c share:
+        # 13 real paths of 25 sites (even c) and 12 of 24 (odd c), never a full
+        # 48 x 48 block, the 2304 x 2304 Kronecker sum or a complex block; the 3
+        # times are one chunk, and the Schmidt step one values-only SVD
         eighs, svds = [], []
         eigh, svd = np.linalg.eigh, np.linalg.svd
 
@@ -523,11 +520,30 @@ class TestHistory:
         tl.entanglement_history(config(n=48), [0.0, 1.0, 2.0])
         assert eighs == [((13, 25, 25), np.float64), ((12, 24, 24), np.float64)]
         assert svds == [((3, 48, 48), False)]
-        # for odd n both halves have (n + 1) / 2 sites: one eigh of the 25 paths
-        # k <= 24, whose mirrors cross the parity groups
+        # for odd n every kept half has (n + 1) / 2 sites: still one eigh per
+        # parity of the rings c = 0, ..., 24
         eighs.clear()
         tl.entanglement_history(config(n=49), [0.0])
-        assert eighs == [((25, 25, 25), np.float64)]
+        assert eighs == [((13, 25, 25), np.float64), ((12, 25, 25), np.float64)]
+
+    @pytest.mark.parametrize("n, shapes", [
+        (48, [(13, 25), (13, 23), (12, 24), (12, 24)]),
+        (49, [(13, 25), (13, 24), (12, 25), (12, 24)]),
+    ])
+    def test_one_phase_table_per_ring(self, n, shapes, monkeypatch):
+        # structure guard: the kept and the free phases are taken once per ring
+        # c = 0, ..., n // 2, one row each, and serve both its sectors c and -c;
+        # for odd n too, whose sectors c and n - c differ in parity
+        tables = []
+        phased = scattering._phased
+
+        def recording_phased(energies, times):
+            tables.append(np.shape(energies))
+            return phased(energies, times)
+
+        monkeypatch.setattr(scattering, "_phased", recording_phased)
+        tl.entanglement_history(config(n=n), [0.0, 1.0])
+        assert tables == shapes
 
     def test_rejects_unnormalized_evolution(self, monkeypatch):
         # the in-state is valid; the history checks the norm of each evolved slice

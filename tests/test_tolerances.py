@@ -176,7 +176,7 @@ ARRAY_HOLDERS = {
     "CovarianceMatrix": lambda: tl.random_covariance(2, 1),
     "GaussianState": lambda: tl.GaussianState(tl.random_covariance(1, 1), [0.0, 0.0]),
     "QuadraticHamiltonian": lambda: tl.QuadraticHamiltonian(1, np.eye(2)),
-    "LatticeHamiltonian": lambda: tl.LatticeHamiltonian(np.ones(8), 2.0),
+    "LatticeHamiltonian": lambda: tl.LatticeHamiltonian(np.zeros(8), 2.0),
 }
 
 
