@@ -8,8 +8,11 @@ literals are rejected rather than ignored, converted or truncated.  Files
 are written atomically.
 
 ``dump_json`` also takes float64 and complex128 NumPy arrays as values and
-streams them row by row, as the same text their nested lists would give;
-a non-finite entry is refused before anything is written.  The
+streams them row by row, as the same text ``json.dumps`` gives their nested
+lists; a non-finite entry is refused before anything is written.  A row's
+digits come from orjson, which writes the shortest round-trip digits as
+``float.__repr__`` does; the entries ``repr`` writes in exponent form,
+|x| < 1e-4 but not zero and |x| >= 1e16, go through ``repr`` itself.  The
 ``*_to_dict`` functions return plain lists.
 """
 
@@ -174,27 +177,49 @@ def _write_atomic(path, chunks) -> None:
 def _array_text(a: np.ndarray):
     """The text ``json.dumps`` gives ``a``'s nested lists, one innermost row at a time.
 
-    Every row goes through one ``%``-template built for the shape: ``%r``
-    is the ``float.__repr__`` that ``json`` calls, and a complex array is
-    read through its float64 view, which interleaves re and im.
+    A row's floats are spelled by one ``orjson.dumps`` call, whose shortest
+    round-trip digits are those of ``float.__repr__``, which ``json``
+    calls, for 1e-4 <= |x| < 1e16 and zero.  ``repr`` writes the rest in
+    exponent form (``1e-05``, ``1e+16``) and orjson does not (``0.00001``,
+    ``1e16``), so the entries in those ranges, found by one mask over the
+    array, go through ``repr``.  The row's numbers then fill a
+    ``%``-template built for the shape; a complex array is read through
+    its float64 view, which interleaves re and im.
     """
-    entry = "%r"
+    # imported here, so that importing the CLI does not load it
+    import orjson
+
+    if not a.size:
+        # no numbers to spell, and an empty row would split into one empty string
+        yield json.dumps(a.tolist())
+        return
+    entry = "%s"
     width = a.shape[-1]
+    a = np.ascontiguousarray(a)
     if a.dtype == np.complex128:
-        entry = "[%r, %r]"
-        a = np.ascontiguousarray(a).view(np.float64)
-    return _rows_text(a, "[" + ", ".join([entry] * width) + "]")
+        entry = "[%s, %s]"
+        a = a.view(np.float64)
+    exponent_form = (a >= 1e16) | (a <= -1e16) | ((a < 1e-4) & (a > -1e-4) & (a != 0))
+    template = "[" + ", ".join([entry] * width) + "]"
+
+    def row_text(row, row_exponent_form):
+        parts = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        for i in np.flatnonzero(row_exponent_form).tolist():
+            parts[i] = repr(float(row[i]))
+        return template % tuple(parts)
+
+    yield from _rows_text(a, exponent_form, row_text)
 
 
-def _rows_text(a: np.ndarray, template: str):
+def _rows_text(a: np.ndarray, exponent_form: np.ndarray, row_text):
     if a.ndim == 1:
-        yield template % tuple(a.tolist())
+        yield row_text(a, exponent_form)
         return
     yield "["
-    for i, part in enumerate(a):
+    for i, part in enumerate(zip(a, exponent_form)):
         if i:
             yield ", "
-        yield from _rows_text(part, template)
+        yield from _rows_text(*part, row_text)
     yield "]"
 
 

@@ -560,7 +560,7 @@ class TestHistory:
 
     def test_peak_memory_at_the_site_cap(self):
         # half-size eigenvectors and chunks of times: a 61-time history at the
-        # 256-site cap peaks near 58 MB
+        # 256-site cap peaks near 40 MB
         assert scattering.MAX_SITES == 256
         assert history_peak(256) <= 70e6
 

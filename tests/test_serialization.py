@@ -266,6 +266,45 @@ class TestStreamedArrays:
         ser.dump_json(path, {"a": array})
         assert path.read_text() == json.dumps({"a": lists}) + "\n"
 
+    # orjson spells each row and float.__repr__ the entries it writes in exponent
+    # form; these cases pin the two to json.dumps at the seams between them
+    @staticmethod
+    def assert_json_module_text(path, array):
+        lists = as_pairs(array).tolist() if array.dtype == complex else array.tolist()
+        ser.dump_json(path, {"a": array})
+        assert path.read_text() == json.dumps({"a": lists}) + "\n"
+
+    def test_neighbours_of_powers_of_ten(self, tmp_path):
+        # 10**-5 .. 10**-4 and 10**16 are where repr switches to exponent form
+        tens = 10.0 ** np.arange(-6, 18)
+        tens = np.concatenate([tens, -tens])
+        values = np.stack([np.nextafter(tens, 0), tens, np.nextafter(tens, 2 * tens)], axis=-1)
+        self.assert_json_module_text(tmp_path / "out.json", values)
+
+    def test_powers_of_two_subnormals_and_signed_zeros(self, tmp_path):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        subnormals = np.array([5e-324, 1e-323, 2.2250738585072009e-308, 1.5e-310])
+        values = np.concatenate([powers, -powers, subnormals, -subnormals, [0.0, -0.0]])
+        self.assert_json_module_text(tmp_path / "out.json", values.reshape(-1, 2))
+
+    def test_random_bit_patterns(self, tmp_path):
+        # about 1 in 2048 patterns is a NaN or an infinity, which dump_json refuses
+        values = np.random.default_rng(32).integers(0, 2**64, 100_000, dtype=np.uint64).view(float)
+        values = values[np.isfinite(values)][:99_000].reshape(99, 1000)
+        self.assert_json_module_text(tmp_path / "out.json", values)
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0,), (0, 3), (3, 0, 2), (2, 2, 0)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_width_rows(self, tmp_path, shape, dtype):
+        self.assert_json_module_text(tmp_path / "out.json", np.zeros(shape, dtype))
+
+    def test_fortran_ordered_and_strided_arrays(self, tmp_path):
+        rng = np.random.default_rng(5)
+        square = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        square[0, :3] = [1e-7, -1e17 + 3e-5j, 5e-324j]
+        for array in (np.asfortranarray(square), square[::2, 1::3], square.T, square.real.T[::-2]):
+            self.assert_json_module_text(tmp_path / "out.json", array)
+
     def test_frame_file_equals_the_list_document(self, tmp_path):
         frame = tl.TpsFrame(tl.Factorization(12, (3, 4)), tl.random_unitary(12, 8))
         path = tmp_path / "frame.json"
