@@ -86,7 +86,7 @@ def frozen_array(what: str, value, shape=None, dtype=float, error=ValueError) ->
     out = np.array(value, dtype=dtype)
     shape = shape if shape is None else tuple(require_integer(f"{what} sizes", n) for n in shape)
     if shape is not None and out.shape != shape:
-        raise ValueError(f"expected {what} of shape {shape}, got {out.shape}")
+        raise error(f"expected {what} of shape {shape}, got {out.shape}")
     require_finite(what, out, error)
     out.setflags(write=False)
     return out

@@ -2,9 +2,12 @@
 
 Subcommands: ``tailor``, ``zanardi``, ``gaussian`` (``williamson``,
 ``entangle``), ``twobody`` (``sweep``) and ``scatter``.  Exit codes: 0 on
-success, 2 on usage errors, 1 on computation or I/O errors, which are
-reported as one machine-readable JSON line on stderr (with the warnings
-raised on the way, if any).  Outputs are
+success, 2 when argparse rejects the command line, and 1 on every other
+failure: computation and I/O errors, and the checks a command makes of its
+own arguments (``zanardi`` without exactly one of ``--frame`` and
+``--random-frames``, ``--factors 2,x``).  These are reported as one
+machine-readable JSON line on stderr (with the warnings raised on the way,
+if any).  Outputs are
 deterministic: the same inputs (and ``--seed``, where randomness is
 involved) give byte-identical files.
 """

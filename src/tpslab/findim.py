@@ -232,18 +232,11 @@ def _in_product_basis(state, frame: TpsFrame, kind: type) -> np.ndarray:
 
 def _fix_phases(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # First component of each left vector above PHASE_FLOOR is rotated to the
-    # positive real axis; the compensating phase goes on the right vector.
-    left = left.copy()
-    right = right.copy()
-    for i in range(left.shape[1]):
-        col = left[:, i]
-        nonzero = np.flatnonzero(np.abs(col) > PHASE_FLOOR)
-        if nonzero.size == 0:
-            continue
-        phase = col[nonzero[0]] / abs(col[nonzero[0]])
-        left[:, i] = col / phase
-        right[:, i] = right[:, i] * phase
-    return left, right
+    # positive real axis; the compensating phase goes on the right vector.  A
+    # column of the SVD's U is a unit vector, so one component is >= 1/sqrt(k1).
+    first = left[np.argmax(np.abs(left) > PHASE_FLOOR, axis=0), np.arange(left.shape[1])]
+    phase = first / np.abs(first)
+    return left / phase, right * phase
 
 
 def schmidt_decompose(state: PureState, frame: TpsFrame) -> SchmidtData:

@@ -8,17 +8,22 @@ literals are rejected rather than ignored, converted or truncated.  Files
 are written atomically.
 
 ``dump_json`` also takes float64 and complex128 NumPy arrays as values and
-streams them row by row, as the same text ``json.dumps`` gives their nested
-lists; a non-finite entry is refused before anything is written.  A row's
-digits come from orjson, which writes the shortest round-trip digits as
-``float.__repr__`` does; the entries ``repr`` writes in exponent form,
-|x| < 1e-4 but not zero and |x| >= 1e16, go through ``repr`` itself.  The
-``*_to_dict`` functions return plain lists.
+writes the same text ``json.dumps`` gives their nested lists, without
+building those lists: ``json.dumps`` lays out the document with each
+innermost row of an array standing in as a marker, and the rows' texts are
+streamed in at the markers.  A non-finite entry is refused before anything
+is written.  A row's digits come from orjson, which writes the shortest
+round-trip digits as ``float.__repr__`` does; the entries ``repr`` writes
+in exponent form, |x| < 1e-4 but not zero and |x| >= 1e16, go through
+``repr`` itself.  Loading reads each ``[re, im]`` pair as one complex
+number through the float64 view, so signed zeros survive a load and save.
+The ``*_to_dict`` functions return plain lists.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from itertools import chain
 
@@ -82,7 +87,7 @@ def _complex_to_pairs(a: np.ndarray) -> list:
 
 def _pairs_to_complex(what: str, pairs, shape: tuple) -> np.ndarray:
     arr = frozen_array(f"{what} of [re, im] pairs", _json_numbers(what, pairs), (*shape, 2))
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(complex)[..., 0]
 
 
 def pure_state_to_dict(state: PureState) -> dict:
@@ -174,8 +179,8 @@ def _write_atomic(path, chunks) -> None:
         raise
 
 
-def _array_text(a: np.ndarray):
-    """The text ``json.dumps`` gives ``a``'s nested lists, one innermost row at a time.
+def _array_rows(a: np.ndarray):
+    """The texts ``json.dumps`` gives ``a``'s innermost rows, one at a time in C order.
 
     A row's floats are spelled by one ``orjson.dumps`` call, whose shortest
     round-trip digits are those of ``float.__repr__``, which ``json``
@@ -189,38 +194,23 @@ def _array_text(a: np.ndarray):
     # imported here, so that importing the CLI does not load it
     import orjson
 
-    if not a.size:
-        # no numbers to spell, and an empty row would split into one empty string
-        yield json.dumps(a.tolist())
-        return
     entry = "%s"
     width = a.shape[-1]
     a = np.ascontiguousarray(a)
     if a.dtype == np.complex128:
         entry = "[%s, %s]"
         a = a.view(np.float64)
+    # the rows in C order; a -1 size would be ambiguous for zero-width rows
+    a = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
     exponent_form = (a >= 1e16) | (a <= -1e16) | ((a < 1e-4) & (a > -1e-4) & (a != 0))
     template = "[" + ", ".join([entry] * width) + "]"
-
-    def row_text(row, row_exponent_form):
-        parts = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    for row, row_exponent_form in zip(a, exponent_form):
+        text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        # a zero-width row has no numbers, though its empty text splits into one
+        parts = text.split(",") if text else []
         for i in np.flatnonzero(row_exponent_form).tolist():
             parts[i] = repr(float(row[i]))
-        return template % tuple(parts)
-
-    yield from _rows_text(a, exponent_form, row_text)
-
-
-def _rows_text(a: np.ndarray, exponent_form: np.ndarray, row_text):
-    if a.ndim == 1:
-        yield row_text(a, exponent_form)
-        return
-    yield "["
-    for i, part in enumerate(zip(a, exponent_form)):
-        if i:
-            yield ", "
-        yield from _rows_text(*part, row_text)
-    yield "]"
+        yield template % tuple(parts)
 
 
 def dump_json(path, data: dict) -> None:
@@ -228,11 +218,12 @@ def dump_json(path, data: dict) -> None:
 
     Values may be float64 or complex128 NumPy arrays of one or more
     dimensions, complex entries standing for ``[re, im]`` pairs.  Each is
-    streamed to the file row by row, as the same text its nested lists
-    would give, without building those lists or the whole document.
-    Everything else is rendered by ``json.dumps``.  Non-finite floats, in
-    arrays or not, raise ``ValueError`` before anything is written, since
-    ``load_json`` refuses the ``NaN``/``Infinity`` literals.
+    written as the same text its nested lists would give, without building
+    those lists or the whole document: ``json.dumps`` lays out every
+    bracket and separator around one marker per innermost row, and the
+    rows' texts are streamed to the file in their place.  Non-finite
+    floats, in arrays or not, raise ``ValueError`` before anything is
+    written, since ``load_json`` refuses the ``NaN``/``Infinity`` literals.
     """
     arrays = []
     marker = os.urandom(16).hex()
@@ -247,16 +238,17 @@ def dump_json(path, data: dict) -> None:
         if not np.isfinite(value).all():
             raise ValueError("Out of range float values are not JSON compliant")
         arrays.append(value)
-        return marker
+        return np.full(value.shape[:-1], marker, dtype=object).tolist()
 
-    # arrays stand in as a random marker string, so json renders every key, separator and
-    # scalar around them; the text is then cut at the markers and the rows go in between
+    # each innermost row of an array stands in as a random marker string, so json
+    # renders every key, bracket, separator and scalar; the text is then cut at the
+    # markers and the rows' texts, in the order json met them, go in between
     pieces = json.dumps(data, allow_nan=False, default=hold).split(f'"{marker}"')
 
     def chunks():
         yield pieces[0]
-        for a, piece in zip(arrays, pieces[1:]):
-            yield from _array_text(a)
+        for row, piece in zip(chain.from_iterable(map(_array_rows, arrays)), pieces[1:]):
+            yield row
             yield piece
         yield "\n"
 

@@ -323,6 +323,19 @@ class TestGaussianCommand:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "InvalidCovarianceError"
 
+    def test_wrong_shape_covariance_gives_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "three.json"
+        ser.dump_json(path, {"n_modes": 2, "sigma": np.eye(3)})
+        code = run(["gaussian", "entangle", "--in", str(path), "--partition", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip())
+        assert payload == {
+            "error": "InvalidCovarianceError",
+            "message": "expected covariance matrix of shape (4, 4), got (3, 3)",
+        }
+
     def test_transform_file_is_the_json_module_text(self, tmp_path, capsys):
         cov = tl.random_covariance(5, 2)
         path = tmp_path / "cov.json"

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tpslab as tl
+from tpslab import findim
 from tpslab.findim import spectrum
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -294,6 +295,45 @@ class TestSchmidt:
             col = first.left_vectors[:, i]
             lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+
+def fix_phases_loop(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-by-column oracle for the Schmidt phase convention."""
+    left, right = left.copy(), right.copy()
+    for i in range(left.shape[1]):
+        col = left[:, i]
+        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
+        phase = col[nonzero[0]] / abs(col[nonzero[0]])
+        left[:, i] = col / phase
+        right[:, i] = right[:, i] * phase
+    return left, right
+
+
+def maximally_entangled(k: int, seed: int) -> np.ndarray:
+    """sum_i |i>|i> / sqrt(k) under a random local unitary: k equal Schmidt coefficients."""
+    local = np.kron(tl.random_unitary(k, seed), tl.random_unitary(k, seed + 1))
+    return local @ (np.eye(k).ravel() / np.sqrt(k))
+
+
+@pytest.mark.parametrize(
+    "amplitudes, k1",
+    [
+        *(
+            (tl.random_pure(k1 * k2, seed).amplitudes, k1)
+            for k1, k2, seed in [(2, 2, 1), (3, 5, 2), (6, 4, 3), (8, 8, 4)]
+        ),
+        # a product state: U's first column starts with exact zeros; two coefficients are 0
+        (np.kron([0, 0, 1j], [0.6, 0.8j]), 3),
+        (maximally_entangled(4, 5), 4),
+        (np.eye(3).ravel() / np.sqrt(3), 3),
+    ],
+    ids=["2x2", "3x5", "6x4", "8x8", "product", "degenerate", "degenerate_identity"],
+)
+def test_fix_phases_matches_the_column_loop(amplitudes, k1):
+    u, _, vh = np.linalg.svd(np.reshape(amplitudes, (k1, -1)), full_matrices=False)
+    got = findim._fix_phases(u, vh.T)
+    for g, want in zip(got, fix_phases_loop(u, vh.T)):
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-15)
 
 
 class TestPartialTrace:

@@ -175,6 +175,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             tl.SymplecticMatrix(1, np.array([[1.0, bad], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("sigma", [np.eye(3), np.eye(4)[:, :2], np.eye(2)])
+    def test_covariance_rejects_a_wrong_shape(self, sigma):
+        message = r"^expected covariance matrix of shape \(4, 4\), got "
+        with pytest.raises(InvalidCovarianceError, match=message):
+            tl.CovarianceMatrix(2, sigma)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_covariance_rejects_non_finite(self, bad):
         with pytest.raises(InvalidCovarianceError, match="finite"):

@@ -220,6 +220,25 @@ class TestFiles:
             if existing:
                 assert path.read_text() == "old contents\n"
 
+    @pytest.mark.parametrize("kind", ["state", "frame"])
+    def test_signed_zeros_survive_load_and_save(self, tmp_path, kind):
+        if kind == "state":
+            amplitudes = [[-0.0, -0.0], [1.0, -0.0], [0.0, -0.0], [-0.0, 0.0]]
+            document = {"dim": 4, "amplitudes": amplitudes}
+            from_dict, to_dict = ser.pure_state_from_dict, ser.pure_state_to_dict
+        else:
+            # -I, its other parts zeros of random sign
+            signs = np.sign(np.random.default_rng(33).standard_normal((4, 4, 2)))
+            pairs = np.where(np.eye(4, dtype=bool)[..., None], [-1.0, -0.0], 0.0 * signs)
+            document = {"d": 4, "factors": [2, 2], "frame": pairs.tolist()}
+            from_dict, to_dict = ser.frame_from_dict, ser._frame_document
+        text = json.dumps(document) + "\n"
+        assert "[-0.0, -0.0]" in text and "[0.0, -0.0]" in text
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text)
+        ser.dump_json(path, to_dict(from_dict(ser.load_json(path))))
+        assert path.read_text() == text
+
 
 # floats whose shortest repr takes each of float.__repr__'s forms: a signed zero,
 # the least subnormal, the switches to exponent notation at 1e-5 and 1e16, a
