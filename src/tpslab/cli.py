@@ -181,6 +181,8 @@ def _cmd_gaussian_williamson(args) -> int:
 
 def _cmd_gaussian_entangle(args) -> int:
     state = gaussian_state_from_dict(load_json(args.infile))
+    if state.n_modes < 2:
+        raise ValueError(f"a mode cut needs at least two modes, but the state has {state.n_modes}")
     if not 0 < args.partition < state.n_modes:
         raise ValueError(
             f"--partition must be between 1 and {state.n_modes - 1}, got {args.partition}"

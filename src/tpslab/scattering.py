@@ -346,6 +346,8 @@ def collision_time(config: LatticeConfig) -> float:
 
     Group velocity of a packet is ``2 J sin k``; the heuristic feeds
     default time grids and makes no claim beyond order of magnitude.
+    Packets that barely approach, or whose closing speed overflows, have
+    no collision time and raise ``ValueError``.
     """
     n = config.n_sites
     delta = abs(config.packet_a.center - config.packet_b.center) % n
@@ -353,6 +355,9 @@ def collision_time(config: LatticeConfig) -> float:
     v_a = 2.0 * config.hopping * np.sin(config.packet_a.momentum)
     v_b = 2.0 * config.hopping * np.sin(config.packet_b.momentum)
     closing = abs(v_a - v_b)
+    if not np.isfinite(closing):
+        # separation / inf would be 0, the time of packets that start at one site
+        raise ValueError(f"the closing speed of the packets is {float(closing)}; no collision time")
     if closing < CLOSING_SPEED_FLOOR:
         raise ValueError("packets do not approach each other; no collision time")
     return float(separation / closing)

@@ -18,10 +18,17 @@ in exponent form, |x| < 1e-4 but not zero and |x| >= 1e16, go through
 ``repr`` itself.  Loading reads each ``[re, im]`` pair as one complex
 number through the float64 view, so signed zeros survive a load and save.
 The ``*_to_dict`` functions return plain lists.
+
+``load_json`` parses plain objects, as the state, frame and Gaussian files
+are, with orjson, whose floats are those of ``json``; any other text, and
+each one orjson refuses, goes through ``json``.  Files read to the same
+values and are refused with the same errors as when ``json`` read them
+all, except that an integer beyond 64 bits reads as a float.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -150,9 +157,60 @@ def _unique_keys(pairs: list) -> dict:
     return data
 
 
+# every byte but the seven that shape a JSON text: quote, backslash, colon, brackets, braces
+_UNSTRUCTURAL = bytes(sorted(set(range(256)) - set(b'"\\:[]{}')))
+# the step in nesting depth of each structural byte outside strings, as an int8
+_NESTING_STEPS = bytes.maketrans(b":[{]}", b"\x00\x01\x01\xff\xff")
+# orjson reads a text only if it nests no deeper than this: orjson may recurse on
+# the native stack without bound, where json raises RecursionError at its own limit
+_ORJSON_MAX_DEPTH = 64
+
+
+def _key_count(raw: bytes):
+    """The number of keys the JSON text ``raw`` spells, or None if orjson is not to read it.
+
+    orjson reads only a text with no backslash, in which each quote opens
+    or closes a string, and that nests at most ``_ORJSON_MAX_DEPTH`` deep.
+    Each colon outside the strings of such a text ends one key of one of
+    its objects, so an object parsed from it repeats no key, and holds no
+    object with keys, exactly when its length is this count.
+    """
+    skeleton = raw.translate(None, _UNSTRUCTURAL)
+    if b"\\" in skeleton:
+        return None
+    outside = b"".join(skeleton.split(b'"')[::2])
+    steps = np.frombuffer(outside.translate(_NESTING_STEPS), np.int8)
+    if np.cumsum(steps, dtype=np.int64).max(initial=0) > _ORJSON_MAX_DEPTH:
+        return None
+    return outside.count(b":")
+
+
 def load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+    """The JSON document in the UTF-8 file ``path``, parsed strictly.
+
+    A text ``_key_count`` passes is parsed by orjson, whose floats are those
+    of ``json``, and kept if it is an object that repeats no key and holds
+    no object with keys.  Every other text, each one orjson refuses
+    included, is parsed by ``json`` from the text ``open`` would give, so it
+    gives the value or raises the error it always did.  The one difference:
+    orjson reads an integer beyond 64 bits as a float, where ``json`` reads
+    an int.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    n_keys = _key_count(raw)
+    if n_keys is not None:
+        # imported here, so that importing the CLI does not load it
+        import orjson
+
+        try:
+            data = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            data = None
+        if isinstance(data, dict) and len(data) == n_keys:
+            return data
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    return json.load(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
 
 
 def _write_atomic(path, chunks) -> None:

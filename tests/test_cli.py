@@ -286,6 +286,15 @@ class TestGaussianCommand:
         argv = ["gaussian", "entangle", "--in", str(path), "--partition", partition]
         assert_refused(tmp_path, capsys, argv, message)
 
+    @pytest.mark.parametrize("partition", ["0", "1"])
+    def test_entangle_one_mode_has_no_cut(self, tmp_path, capsys, partition):
+        # the range check alone read "between 1 and 0"
+        path = tmp_path / "vacuum.json"
+        ser.dump_json(path, {"n_modes": 1, "sigma": np.eye(2).tolist()})
+        message = "a mode cut needs at least two modes, but the state has 1"
+        argv = ["gaussian", "entangle", "--in", str(path), "--partition", partition]
+        assert_refused(tmp_path, capsys, argv, message)
+
     def test_entangle_mixed_state_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "thermal.json"
         ser.dump_json(
@@ -496,6 +505,13 @@ class TestScatterCommand:
         assert_refused(tmp_path, capsys, argv, message)
         assert run(argv + ["--times", "0:2:1"]) == 0
         assert len((tmp_path / "h.csv").read_text().splitlines()) == 4
+
+    def test_default_grid_refused_for_an_overflowing_closing_speed(self, tmp_path, capsys):
+        # 2 J sin k overflows, and separation / inf = 0 read as packets at one site
+        argv = ["scatter", "--sites", "8", "--hop", "1e308", "--g", "1", "--ka", "1", "--kb", "-1"]
+        argv += ["--out", str(tmp_path / "h.csv")]
+        message = "the closing speed of the packets is inf; no collision time"
+        assert_refused(tmp_path, capsys, argv, message)
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         code = run(["scatter", "--sites", "12", "--bogus", "1"])

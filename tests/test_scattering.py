@@ -647,6 +647,12 @@ class TestCollisionTime:
         with pytest.raises(ValueError, match="approach"):
             tl.collision_time(cfg)
 
+    def test_overflowing_closing_speed_is_refused(self):
+        # 2 J sin k overflows to inf, and separation / inf would read as a time of 0
+        cfg = tl.LatticeConfig(8, 1e308, 1.0, tl.WavePacket(2.0, 2.0, 1.0), tl.WavePacket(6.0, 2.0, -1.0))
+        with pytest.raises(ValueError, match="closing speed of the packets is inf"):
+            tl.collision_time(cfg)
+
 
 def benchmark_collision(n: int, width: float = 2.0) -> tl.LatticeConfig:
     """The benchmark's ``scatter`` collision (momenta 1.5708 and -1.5708, g = 2) at n sites."""

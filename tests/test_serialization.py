@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import tpslab as tl
 from tpslab import serialization as ser
+from tpslab.cli import run
 
 
 class TestPureState:
@@ -354,6 +357,188 @@ class TestStreamedArrays:
             tracemalloc.stop()
         assert peak < 2_000_000
         assert path.stat().st_size > 3_000_000
+
+
+def stdlib_load(path):
+    """The reader ``load_json`` replaced: ``json`` with the strict hooks, on the text ``open`` gives."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=ser._reject_constant, object_pairs_hook=ser._unique_keys)
+
+
+def assert_same_values(got, want):
+    """Equal documents, each float equal through its int64 view and each int still an int."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(got, dict):
+        assert list(got) == list(want)
+        for key in got:
+            assert_same_values(got[key], want[key])
+    elif isinstance(got, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_values(g, w)
+    elif isinstance(got, float):
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (got, want)
+    else:
+        assert got == want
+
+
+def assert_same_outcome(path):
+    """``load_json`` gives what the standard-library reader gives: the same value or error."""
+    try:
+        want = stdlib_load(path)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            ser.load_json(path)
+        assert str(info.value) == str(exc)
+    else:
+        assert_same_values(ser.load_json(path), want)
+
+
+# the spacing json.dumps puts around separators, and one with whitespace before each colon
+SEPARATORS = st.sampled_from([(", ", ": "), (",", ":"), (" ,\n", " :\t")])
+json_numbers = st.one_of(finite_floats, st.integers(-(2**63), 2**64 - 1))
+
+
+def number_arrays(*shape):
+    return arrays(object, shape, elements=json_numbers).map(lambda a: a.tolist())
+
+
+state_documents = st.integers(0, 4).flatmap(
+    lambda n: st.fixed_dictionaries({"dim": st.just(n), "amplitudes": number_arrays(n, 2)})
+)
+frame_documents = st.integers(1, 3).flatmap(
+    lambda k: st.fixed_dictionaries({
+        "d": st.just(k * k),
+        "factors": st.just([k, k]),
+        "frame": st.one_of(st.just("identity"), number_arrays(k * k, k * k, 2)),
+    })
+)
+gaussian_documents = st.integers(1, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {"n_modes": st.just(n), "sigma": number_arrays(2 * n, 2 * n)},
+        optional={"mean": number_arrays(2 * n)},
+    )
+)
+
+
+class TestLoadMatchesTheStandardLibrary:
+    """``load_json`` reads through orjson what the ``json`` reader read, to the bit or the error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        document=st.one_of(state_documents, frame_documents, gaussian_documents),
+        separators=SEPARATORS,
+    )
+    def test_documents_of_each_format(self, tmp_path_factory, document, separators):
+        path = tmp_path_factory.mktemp("load") / "in.json"
+        path.write_text(json.dumps(document, separators=separators))
+        assert_same_values(ser.load_json(path), stdlib_load(path))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_edge_floats_from_a_file(self, tmp_path, dtype):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        values = np.concatenate([EDGE_FLOATS, powers, [x * 10.0**-k for x in (1, 3) for k in range(4, 7)]])
+        values = np.concatenate([values, -values])
+        path = tmp_path / "edges.json"
+        ser.dump_json(path, {"a": values if dtype is float else values.view(complex)})
+        assert_same_values(ser.load_json(path), stdlib_load(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # escapes, nested objects, 1e400 and nesting past orjson's reach go to json
+            b'{"k\\u00e9y": "a\\"b", "d": 1}',
+            b'{"a": {"b": [1, 2]}, "c": [{"d": 0.5}]}',
+            b'{"sigma": [[1e400, -1e400], [1e-400, 0]]}',
+            b'{"a": ' + b"[" * 100 + b"]" * 100 + b"}",
+            b'[1, 2.5, {"a": null}]',
+            # CR and CRLF line ends, which open() turns into LF
+            b'{\r\n"dim": 1,\r"amplitudes": [[1.0, 0.0]]\r\n}\r\n',
+        ],
+        ids=["escapes", "nested-objects", "overflow", "deep-array", "top-level-array", "cr-lf"],
+    )
+    def test_documents_orjson_does_not_read_alone(self, tmp_path, text):
+        path = tmp_path / "in.json"
+        path.write_bytes(text)
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b'{"dim": 2, "dim": 4, "amplitudes": []}', "duplicate key 'dim' in a JSON object"),
+            (b'{"a": {"b": 1, "b": 2}}', "duplicate key 'b' in a JSON object"),
+            (b'{"dim": 2, "d\\u0069m": 4}', "duplicate key 'dim' in a JSON object"),
+            (b'{"dim" : 2, "dim"\n\t: 4}', "duplicate key 'dim' in a JSON object"),
+            (b'{"{": 1, "{": 2}', "duplicate key '{' in a JSON object"),
+            (b'{"x": [[NaN]]}', "non-finite number NaN is not allowed"),
+            (b'{"x": [Infinity]}', "non-finite number Infinity is not allowed"),
+            (b'{"x": -Infinity}', "non-finite number -Infinity is not allowed"),
+            (b'\xef\xbb\xbf{"dim": 1}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            (b'{"dim": "\xff"}', "invalid start byte"),
+            (b'{"dim": 1} {"dim": 2}', "Extra data: line 1 column 12 (char 11)"),
+            (b"", "Expecting value: line 1 column 1 (char 0)"),
+            # positions count a CRLF as the one LF open() gives
+            (b'{\r\n"a": 1,\r\n"b": }', "Expecting value: line 3 column 6 (char 15)"),
+            (b"[" * 2000 + b"]" * 2000, "maximum recursion depth exceeded"),
+            (b'{"sigma": ' + b"[" * 2000 + b"]" * 2000 + b"}", "maximum recursion depth exceeded"),
+        ],
+        ids=[
+            "top-level", "nested", "escaped-spelling", "space-before-colon", "brace-key",
+            "nan", "infinity", "minus-infinity", "bom", "invalid-utf8", "trailing-data", "empty",
+            "crlf-position", "deep-array", "deep-array-in-object",
+        ],
+    )
+    def test_refusals_are_unchanged(self, tmp_path, text, message):
+        path = tmp_path / "in.json"
+        path.write_bytes(text)
+        with pytest.raises(Exception, match=re.escape(message)):
+            stdlib_load(path)
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"a": "{", "a": 1}',
+            b'{"a": "x: y", "b": 1, "b": 2}',
+            b'{"a": "{\\"b\\": 1}", "a": 1}',
+            # an odd count of escaped quotes would shift which text is outside strings
+            b'{"a": "\\"", "a": 1}',
+            b'{"s": "[[[[", "s": 1}',
+        ],
+    )
+    def test_braces_and_colons_in_strings_hide_no_repeated_key(self, tmp_path, text):
+        path = tmp_path / "in.json"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match="^duplicate key '[abs]' in a JSON object$"):
+            ser.load_json(path)
+
+    def test_a_million_nested_arrays_are_refused_without_a_crash(self, tmp_path):
+        # orjson recurses on the native stack and can crash on such a file, so
+        # load_json hands it to json, which raises RecursionError
+        path = tmp_path / "deep.json"
+        path.write_bytes(b'{"sigma": ' + b"[" * 1_000_000 + b"]" * 1_000_000 + b"}")
+        script = "import sys; from tpslab import serialization as ser; ser.load_json(sys.argv[1])"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1].startswith("RecursionError: maximum recursion depth exceeded")
+
+    def test_size_beyond_64_bits_is_still_refused(self, tmp_path, capsys):
+        # the one documented difference: orjson reads such an integer as a float,
+        # so the refusal names the float where it named the int
+        path = tmp_path / "psi.json"
+        path.write_text('{"dim": %d, "amplitudes": [[1.0, 0.0]]}' % 2**64)
+        assert type(stdlib_load(path)["dim"]) is int
+        assert ser.load_json(path)["dim"] == float(2**64)
+        argv = ["tailor", "--state", str(path), "--factors", "1,1", "--target", "1"]
+        assert run(argv + ["--out", str(tmp_path / "frame.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": "dim must be a JSON integer, got 1.8446744073709552e+19"
+        }
+        assert [p.name for p in tmp_path.iterdir()] == ["psi.json"]
 
 
 def _fail_replace(src, dst):
