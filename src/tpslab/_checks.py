@@ -1,7 +1,8 @@
 """The tolerance table and the input checks shared by every validated type.
 
-Each tolerance is defined once, here.  A module that applies one imports it under the same name
-and passes it to the checks (only ``DESCENDING_TOL`` is read here): patching that name reaches them.
+Each tolerance, size limit and memory budget is defined once, here.  A module that applies one
+imports it under the same name and passes it to the checks (only ``DESCENDING_TOL`` and
+``CHUNK_BYTES`` are read here): patching that name reaches them.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ PACKET_NORM_FLOOR = 1e-12  # a packet with less norm on the lattice has fallen o
 CLOSING_SPEED_FLOOR = 1e-12  # packets closing slower than this never collide
 RANGE_STEP_SLACK = 1e-9  # START:STOP:STEP keeps STOP when the step count misses it by roundoff
 MAX_RANGE_POINTS = 100_000  # START:STOP:STEP points; a sweep holds about 0.8 kB per point, 80 MB here
+MIN_SITES = 8  # fewest lattice sites, and Hamiltonian bonds, that scattering accepts
+# a time and memory bound: a 61-time scatter run at 256 sites takes about 1.4 s and
+# peaks at 80 MB RSS (one BLAS thread, shared 2-vCPU Xeon; 40 MB of it under tracemalloc)
+MAX_SITES = 256
+# a stack is walked in pieces of at most this many bytes (or one member, if larger):
+# scatter's (chunk, n, n) amplitudes, 61 times at 48 sites in one piece, and the stacks
+# require_hermitian checks, so its two temporaries stay small beside a large stack
+CHUNK_BYTES = 1 << 22
 
 
 def require_finite(what: str, values, error=ValueError) -> None:
@@ -92,16 +101,10 @@ def frozen_array(what: str, value, shape=None, dtype=float, error=ValueError) ->
     return out
 
 
-# require_hermitian walks a stack in pieces of at most this many bytes, so its two
-# temporaries stay small beside a large stack; small stacks, such as the (4001, 4, 4)
-# covariances of a 4001-point sweep, are one piece
-HERMITIAN_CHUNK_BYTES = 1 << 23
-
-
 def require_hermitian(what: str, mat: np.ndarray, tol: float, error=ValueError) -> None:
     """Raise unless each matrix of the stack ``mat`` is Hermitian (symmetric if real) within tol."""
     stack = mat.reshape(-1, *mat.shape[-2:])
-    step = max(1, HERMITIAN_CHUNK_BYTES // stack[0].nbytes)
+    step = max(1, CHUNK_BYTES // stack[0].nbytes)
     for start in range(0, len(stack), step):
         part = stack[start : start + step]
         if np.abs(part - np.swapaxes(part, -1, -2).conj()).max() > tol:

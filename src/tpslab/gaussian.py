@@ -27,7 +27,6 @@ __all__ = [
     "CovarianceMatrix",
     "GaussianState",
     "symplectic_form",
-    "symplectic_eigenvalues",
     "williamson",
     "is_pure",
     "thermal_entropy",
@@ -154,8 +153,10 @@ class CovarianceMatrix:
 
     Validity means symmetric within ``SYMMETRY_TOL``, positive definite and
     all symplectic eigenvalues >= 1 - ``NU_CONSTRUCTOR_TOL`` (roundoff); the
-    constructor rejects anything else.  ``nu`` keeps the spectrum it
-    checked: n values, descending, read-only.
+    constructor rejects anything else.  ``nu`` keeps the symplectic
+    spectrum it checked, the n positive eigenvalues of ``i Omega sigma``
+    read from the Hermitian ``i L^T Omega L`` (sigma = L L^T): descending
+    and read-only (``nu.copy()`` is writable).
     """
 
     n_modes: int
@@ -186,15 +187,6 @@ class GaussianState:
     @property
     def n_modes(self) -> int:
         return self.cov.n_modes
-
-
-def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
-    """Symplectic spectrum: the n positive eigenvalues of i*Omega*sigma, descending.
-
-    Read from the Hermitian ``i L^T Omega L`` (sigma = L L^T) when ``cov``
-    was built; returned as a fresh, writable copy of ``cov.nu``.
-    """
-    return cov.nu.copy()
 
 
 def williamson(cov: CovarianceMatrix) -> tuple[SymplecticMatrix, np.ndarray]:

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import CLOSING_SPEED_FLOOR, PACKET_NORM_FLOOR, frozen_array, require_finite
-from ._checks import require_integer
+from ._checks import CHUNK_BYTES, CLOSING_SPEED_FLOOR, MAX_SITES, MIN_SITES, PACKET_NORM_FLOOR
+from ._checks import frozen_array, require_finite, require_integer
 from .findim import PureState, _entropy_nats, _schmidt_probabilities, _unit_norm
 
 __all__ = [
@@ -61,13 +61,6 @@ __all__ = [
     "collision_time",
 ]
 
-MIN_SITES = 8
-# a time and memory bound: a 61-time scatter run at 256 sites takes about 1.4 s and
-# peaks at 80 MB RSS (one BLAS thread, shared 2-vCPU Xeon; 40 MB of it under tracemalloc)
-MAX_SITES = 256
-# the times are propagated in chunks whose (chunk, n, n) complex amplitudes take at
-# most this many bytes: 61 times at 48 sites are one chunk
-CHUNK_BYTES = 1 << 22
 SQRT_HALF = np.sqrt(0.5)
 
 
@@ -352,9 +345,11 @@ def collision_time(config: LatticeConfig) -> float:
     n = config.n_sites
     delta = abs(config.packet_a.center - config.packet_b.center) % n
     separation = min(delta, n - delta)
-    v_a = 2.0 * config.hopping * np.sin(config.packet_a.momentum)
-    v_b = 2.0 * config.hopping * np.sin(config.packet_b.momentum)
-    closing = abs(v_a - v_b)
+    # an overflowing speed gives an inf or nan closing speed, refused below without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_a = 2.0 * config.hopping * np.sin(config.packet_a.momentum)
+        v_b = 2.0 * config.hopping * np.sin(config.packet_b.momentum)
+        closing = abs(v_a - v_b)
     if not np.isfinite(closing):
         # separation / inf would be 0, the time of packets that start at one site
         raise ValueError(f"the closing speed of the packets is {float(closing)}; no collision time")

@@ -248,7 +248,8 @@ def coupling_sweep(
     ValueError
         Whatever the first failing coupling raises on its own, as a loop
         over the couplings would: its ``TwoBodyParams`` check, an unbound
-        system, or an ``InvalidCovarianceError``.  An empty or
+        system, or an ``InvalidCovarianceError``.  It is found by halving
+        the sweep, about one more pass, then run alone.  An empty or
         multi-dimensional ``kappas`` is rejected.
     """
     kappas = np.array(kappas, dtype=float)
@@ -257,8 +258,17 @@ def coupling_sweep(
     try:
         return _stacked_sweep(m1, m2, omega_trap, kappas)
     except ValueError:
-        for i in range(kappas.size):  # name the first failing coupling
-            _stacked_sweep(m1, m2, omega_trap, kappas[i : i + 1])
+        # a stack fails exactly when one of its couplings fails alone, so halving
+        # [lo, hi) keeps the first failing one in it; that one alone names the error
+        lo, hi = 0, kappas.size
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _stacked_sweep(m1, m2, omega_trap, kappas[lo:mid])
+                lo = mid
+            except ValueError:
+                hi = mid
+        _stacked_sweep(m1, m2, omega_trap, kappas[lo:hi])
         raise
 
 

@@ -12,7 +12,6 @@ from scipy.linalg import expm
 
 import tpslab as tl
 from tpslab import twobody
-from tpslab.gaussian import symplectic_eigenvalues, thermal_entropy
 
 from test_findim import partial_trace_loops, schmidt_rank_loops
 

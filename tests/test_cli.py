@@ -513,6 +513,20 @@ class TestScatterCommand:
         message = "the closing speed of the packets is inf; no collision time"
         assert_refused(tmp_path, capsys, argv, message)
 
+    @pytest.mark.parametrize(
+        "hop, ka, kb, speed",
+        [("1e308", "1", "1", "nan"), ("1e308", "0", "1", "nan"), ("8.9e307", "1.5", "-1.5", "inf")],
+    )
+    def test_non_finite_closing_speed_is_refused_without_warnings(self, tmp_path, capsys, hop, ka, kb, speed):
+        # inf - inf, inf * 0 and an overflowing difference, each of which NumPy scalars warn about;
+        # no warning may join the error line
+        argv = ["scatter", "--sites", "8", "--hop", hop, "--g", "1", "--ka", ka, "--kb", kb]
+        argv += ["--out", str(tmp_path / "h.csv")]
+        message = f"the closing speed of the packets is {speed}; no collision time"
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert_refused(tmp_path, capsys, argv, message)
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         code = run(["scatter", "--sites", "12", "--bogus", "1"])
         assert code == 2

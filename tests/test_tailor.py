@@ -691,6 +691,16 @@ class TestFrameWitness:
         assert report.commutator_route == "measured" and len(dense_calls) == 1
         assert report.independence and report.completeness
 
+    def test_sides_of_equal_frames_take_it(self, dense_calls):
+        # two TpsFrame objects made from one matrix: equal factorizations and equal arrays
+        fac, u = tl.Factorization(12, (3, 4)), tl.random_unitary(12, 7)
+        gens_a = tl.subalgebra_generators(tl.TpsFrame(fac, u), "A")
+        gens_b = tl.subalgebra_generators(tl.TpsFrame(fac, u), "B")
+        assert gens_a.frame is not gens_b.frame
+        report = tl.check_zanardi(gens_a, gens_b)
+        assert report.commutator_route == "frame" and report.completeness
+        assert dense_calls == []
+
     def test_sides_of_two_frames_skip_it(self):
         fac = tl.Factorization(12, (3, 4))
         gens_a = tl.subalgebra_generators(tl.TpsFrame(fac, tl.random_unitary(12, 1)), "A")

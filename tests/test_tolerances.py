@@ -42,6 +42,9 @@ OLD_TOLERANCES = [
     ("tailor", "RANK_TOL", 1e-8),
     ("tailor", "CERTIFICATE_MARGIN", 1e-2),
     ("twobody", "UNBOUND_FREQUENCY_RATIO", 1e-7),
+    ("scattering", "MIN_SITES", 8),
+    ("scattering", "MAX_SITES", 256),
+    ("scattering", "CHUNK_BYTES", 1 << 22),
 ]
 
 
@@ -68,6 +71,20 @@ class TestToleranceTable:
     def test_scan_sees_the_table(self):
         # guards the test above against a scan that finds nothing anywhere
         assert len(small_float_literals(PACKAGE / "_checks.py")) >= 13
+
+    def test_table_names_are_assigned_only_in_the_table(self):
+        table = {name for name in vars(_checks) if name.isupper()}
+        assigned = {
+            path.name: sorted(table & {
+                node.id
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            })
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "_checks.py"
+        }
+        assert {"MIN_SITES", "MAX_SITES", "CHUNK_BYTES"} <= table
+        assert {name: names for name, names in assigned.items() if names} == {}
 
     @pytest.mark.parametrize("module, name, value", OLD_TOLERANCES)
     def test_old_names_import_from_their_modules(self, module, name, value):
@@ -280,14 +297,14 @@ class TestChunkedHermitianCheck:
         rng = np.random.default_rng(bad)
         m = rng.standard_normal((7, 5, 5)) + 1j * rng.standard_normal((7, 5, 5))
         stack = m + m.conj().swapaxes(1, 2)
-        monkeypatch.setattr(_checks, "HERMITIAN_CHUNK_BYTES", 2 * stack[0].nbytes)
+        monkeypatch.setattr(_checks, "CHUNK_BYTES", 2 * stack[0].nbytes)
         _checks.require_hermitian("stack", stack, 1e-12)
         stack[bad, 1, 3] += 1e-9
         with pytest.raises(ValueError, match="stack is not Hermitian"):
             _checks.require_hermitian("stack", stack, 1e-12)
 
     def test_matrix_larger_than_a_piece_is_checked_whole(self, monkeypatch):
-        monkeypatch.setattr(_checks, "HERMITIAN_CHUNK_BYTES", 8)
+        monkeypatch.setattr(_checks, "CHUNK_BYTES", 8)
         sym = np.eye(6)
         _checks.require_hermitian("matrix", sym, 1e-12)
         sym[5, 0] = 1.0

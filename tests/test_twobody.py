@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 import tpslab as tl
 from tpslab import cli, gaussian, twobody
-from tpslab.gaussian import symplectic_eigenvalues, thermal_entropy
+from tpslab.gaussian import thermal_entropy
 
 EQUAL = tl.TwoBodyParams(1.0, 1.0, 1.0, 1.0)
 
@@ -141,7 +141,7 @@ class TestGroundState:
         rng = np.random.default_rng(4)
         for _ in range(10):
             gs = tl.ground_state_covariance(random_params(rng))
-            nu = symplectic_eigenvalues(gs.cov)
+            nu = gs.cov.nu
             np.testing.assert_allclose(nu, np.ones(2), atol=1e-8)
 
     def test_product_across_com_rel_split(self):
@@ -192,7 +192,7 @@ class TestInterparticleEntanglement:
             params = random_params(rng)
             gs = tl.ground_state_covariance(params)
             reduced = tl.CovarianceMatrix(1, gs.cov.sigma[:2, :2])
-            via_spectrum = sum(thermal_entropy(nu) for nu in symplectic_eigenvalues(reduced))
+            via_spectrum = sum(thermal_entropy(nu) for nu in reduced.nu)
             _, nu_w = tl.williamson(reduced)
             via_williamson = sum(thermal_entropy(nu) for nu in nu_w)
             assert abs(via_spectrum - via_williamson) < 1e-9
@@ -255,12 +255,12 @@ class TestEvolution:
             after = np.prod(1.0 / twobody.evolve_gaussian(state, ham, t).cov.nu)
             assert abs(after - before) < 1e-8
 
-    def test_symplectic_eigenvalues_preserved(self):
+    def test_symplectic_spectrum_preserved(self):
         state = tl.GaussianState(tl.random_covariance(2, 9), np.zeros(4))
         ham = tl.scaled_hamiltonian(EQUAL)
-        before = symplectic_eigenvalues(state.cov)
+        before = state.cov.nu
         out = twobody.evolve_gaussian(state, ham, 2.3)
-        np.testing.assert_allclose(symplectic_eigenvalues(out.cov), before, atol=1e-8)
+        np.testing.assert_allclose(out.cov.nu, before, atol=1e-8)
 
     def test_internal_external_entropy_is_dynamically_invariant(self):
         gs = tl.ground_state_covariance(EQUAL)
@@ -524,6 +524,40 @@ def test_coupling_sweep_raises_for_the_first_failing_kappa(kappas, message):
     # 8.5e-8 at kappa = 1, below UNBOUND_FREQUENCY_RATIO
     with pytest.raises(ValueError, match=message):
         tl.coupling_sweep(1.0, 1.0, 1.2e-7, kappas)
+
+
+def first_failure_by_loop(kappas):
+    """The error of the first coupling that fails alone, found by a loop over the couplings."""
+    for i in range(len(kappas)):
+        try:
+            twobody._stacked_sweep(1.0, 1.0, 1.2e-7, kappas[i : i + 1])
+        except ValueError as err:
+            return type(err), str(err)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 1000])
+@pytest.mark.parametrize("seed", range(3))
+def test_coupling_sweep_search_finds_the_loops_failure(monkeypatch, size, seed):
+    # bound couplings (w / W >= 1.2e-7 up to kappa = 0.5) with one to three failing ones
+    # among them: negative, non-finite, or unbound with a message that names the coupling
+    rng = np.random.default_rng(seed)
+    kappas = rng.uniform(0.0, 0.5, size)
+    bad = rng.choice(size, size=min(size, rng.integers(1, 4)), replace=False)
+    kappas[bad] = rng.choice([-1.0, np.nan, np.inf, 1.0, 5.0, 40.0], size=len(bad))
+    expected = first_failure_by_loop(kappas)
+    calls = []
+    stacked = twobody._stacked_sweep
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return stacked(*args)
+
+    monkeypatch.setattr(twobody, "_stacked_sweep", counted)
+    with pytest.raises(ValueError) as swept:
+        tl.coupling_sweep(1.0, 1.0, 1.2e-7, kappas)
+    assert (type(swept.value), str(swept.value)) == expected
+    assert len(calls) <= int(np.ceil(np.log2(size))) + 2
+    assert calls[0] == size and calls[-1] == 1
 
 
 @pytest.mark.parametrize("tolerance", ["NU_CONSTRUCTOR_TOL", "PURITY_NU_TOL"])
