@@ -54,7 +54,7 @@ def _parse_int_pair(text: str) -> tuple[int, int]:
 
 def _parse_float_list(text: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p != ""]
+        return [float(p) for p in text.split(",")]
     except ValueError:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
 
@@ -99,6 +99,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     _write_atomic(path, lines())
 
 
+def _print_entropy(entropy: float, bits: bool) -> None:
+    """The ``entropy_nats=`` line, and with ``--bits`` the ``entropy_bits=`` line."""
+    print(f"entropy_nats={_fmt(entropy)}")
+    if bits:
+        print(f"entropy_bits={_fmt(entropy / math.log(2.0))}")
+
+
 def _cmd_tailor(args) -> int:
     psi = pure_state_from_dict(load_json(args.state))
     k1, k2 = _parse_int_pair(args.factors)
@@ -107,9 +114,7 @@ def _cmd_tailor(args) -> int:
     frame = tailor_frame(psi, factorization, target)
     entropy = entanglement_entropy(psi, frame)
     dump_json(args.out, _frame_document(frame))
-    print(f"entropy_nats={_fmt(entropy)}")
-    if args.bits:
-        print(f"entropy_bits={_fmt(entropy / math.log(2.0))}")
+    _print_entropy(entropy, args.bits)
     return 0
 
 
@@ -187,10 +192,7 @@ def _cmd_gaussian_entangle(args) -> int:
         raise ValueError(
             f"--partition must be between 1 and {state.n_modes - 1}, got {args.partition}"
         )
-    entropy = gaussian_entropy_across(state, range(args.partition))
-    print(f"entropy_nats={_fmt(entropy)}")
-    if args.bits:
-        print(f"entropy_bits={_fmt(entropy / math.log(2.0))}")
+    _print_entropy(gaussian_entropy_across(state, range(args.partition)), args.bits)
     return 0
 
 

@@ -230,17 +230,39 @@ def is_pure(cov: CovarianceMatrix) -> bool:
     return _all_pure(cov.nu)
 
 
-def thermal_entropy(nu: float) -> float:
-    """Von Neumann entropy (nats) of a single thermal mode with eigenvalue nu.
+def thermal_entropy(nu):
+    """Von Neumann entropy (nats) of a thermal mode with eigenvalue nu, elementwise.
 
     ``f(nu) = ((nu+1)/2) ln((nu+1)/2) - ((nu-1)/2) ln((nu-1)/2)``, with
-    f(1) = 0; values of nu below 1 are treated as roundoff.
+    f(1) = 0; values of nu below 1 are treated as roundoff.  A scalar gives
+    a float, an array an array of the same shape.
     """
-    if nu <= 1.0:
-        return 0.0
-    plus = 0.5 * (nu + 1.0)
-    minus = 0.5 * (nu - 1.0)
-    return float(plus * np.log(plus) - minus * np.log(minus))
+    nu = np.asarray(nu, dtype=float)
+    # nu <= 1 enters the formula as 2, so no log sees a nonpositive argument
+    above = np.where(nu <= 1.0, 2.0, nu)
+    plus, minus = 0.5 * (above + 1.0), 0.5 * (above - 1.0)
+    entropy = np.where(nu <= 1.0, 0.0, plus * np.log(plus) - minus * np.log(minus))
+    return entropy if entropy.ndim else float(entropy)
+
+
+def _cut_entropies(sigma: np.ndarray, nu: np.ndarray, side_a) -> np.ndarray:
+    """Per-mode entropies (..., m) across a mode cut of each pure state in a stack.
+
+    ``sigma`` is a stack (..., 2n, 2n) of checked covariances and ``nu``
+    (..., n) their spectra, which must be pure; the marginal on the m modes
+    of ``side_a`` is checked by ``_validated_spectra`` and its spectrum goes
+    through ``thermal_entropy``.  The one rule behind ``gaussian_entropy_across``
+    and ``coupling_sweep``.
+    """
+    n = sigma.shape[-1] // 2
+    indices = sorted({require_integer("mode indices", i) for i in side_a})
+    if not 0 < len(indices) < n:
+        raise ValueError("bipartition must be a proper nonempty subset of the modes")
+    _require_pure(nu)
+    if indices[0] < 0 or indices[-1] >= n:
+        raise ValueError(f"mode indices {indices} out of range for {n} modes")
+    rows = np.array([2 * i + off for i in indices for off in (0, 1)])
+    return thermal_entropy(_validated_spectra(sigma[..., rows[:, None], rows]))
 
 
 def gaussian_entropy_across(state: GaussianState, side_a) -> float:
@@ -260,17 +282,9 @@ def gaussian_entropy_across(state: GaussianState, side_a) -> float:
     -------
     float
         Sum of ``thermal_entropy`` over the symplectic spectrum of the
-        reduced covariance.
+        reduced covariance, mode by mode in descending order.
     """
-    indices = sorted({require_integer("mode indices", i) for i in side_a})
-    if not 0 < len(indices) < state.n_modes:
-        raise ValueError("bipartition must be a proper nonempty subset of the modes")
-    _require_pure(state.cov.nu)
-    if indices[0] < 0 or indices[-1] >= state.n_modes:
-        raise ValueError(f"mode indices {indices} out of range for {state.n_modes} modes")
-    rows = np.array([2 * i + off for i in indices for off in (0, 1)])
-    marginal = _validated_spectra(state.cov.sigma[np.ix_(rows, rows)])
-    return float(sum(thermal_entropy(nu) for nu in marginal))
+    return sum(_cut_entropies(state.cov.sigma, state.cov.nu, side_a).tolist())
 
 
 def log_negativity_two_mode(state: GaussianState) -> float:

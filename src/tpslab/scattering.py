@@ -100,14 +100,25 @@ class LatticeConfig:
         object.__setattr__(self, "n_sites", n)
 
 
+@np.errstate(all="ignore")  # a NaN envelope is refused below; others are exact limits
 def single_particle_packet(n_sites: int, packet: WavePacket) -> np.ndarray:
-    """Discrete Gaussian wavepacket, normalized after truncation to the lattice."""
+    """Discrete Gaussian wavepacket, normalized after truncation to the lattice.
+
+    Over- and underflow in the envelope give its exact limits: 0 away from
+    the center of a very narrow packet, 1 across a very wide one.  A width
+    whose square underflows gives 0/0 at a center on a site; that NaN
+    envelope, like one with no norm on the lattice, raises ``ValueError``.
+    """
     sites = np.arange(n_sites)
-    envelope = np.exp(-((sites - packet.center) ** 2) / (4.0 * packet.width**2))
+    width = np.float64(packet.width)  # NumPy squares to inf where Python raises OverflowError
+    envelope = np.exp(-((sites - packet.center) ** 2) / (4.0 * width**2))
     amps = envelope * np.exp(1j * packet.momentum * sites)
     norm = np.linalg.norm(amps)
-    if norm < PACKET_NORM_FLOOR:
-        raise ValueError("packet has zero norm on the lattice; move its center onto the chain")
+    if not norm >= PACKET_NORM_FLOOR:  # NaN fails too
+        raise ValueError(
+            f"packet at center {packet.center!r} with width {packet.width!r} has zero norm "
+            f"on the {n_sites}-site lattice"
+        )
     return amps / norm
 
 

@@ -26,11 +26,10 @@ from .gaussian import (
     GaussianState,
     SymplecticMatrix,
     _congruence,
-    _require_pure,
+    _cut_entropies,
     _validated_spectra,
     apply_symplectic,
     gaussian_entropy_across,
-    thermal_entropy,
 )
 
 __all__ = [
@@ -170,16 +169,21 @@ def scaled_hamiltonian(params: TwoBodyParams) -> QuadraticHamiltonian:
     return transform_quadratic_hamiltonian(build_hamiltonian_matrix(params), scaling)
 
 
+@np.errstate(all="ignore")  # each overflow is refused below, before any of it is used
 def _ground_state_sigmas(params: TwoBodyParams, kappas: np.ndarray) -> np.ndarray:
     """Closed-form ground-state covariances (N, 4, 4), one per coupling in ``kappas``.
 
     ``params`` supplies the masses and the trap; its own ``kappa`` is not
-    read.  Each row is checked for a zero or relatively vanishing mode
-    frequency, and the first such row raises ``ValueError``.
+    read.  Each row is checked for an overflowing mode frequency, for a
+    zero or relatively vanishing one and for an overflowing covariance, and
+    the first such row raises ``ValueError``.  NumPy warns of none of them.
     """
     mu = params.reduced_mass
-    omega = params.omega_trap
+    omega = np.float64(params.omega_trap)  # NumPy squares to inf where Python raises OverflowError
     freqs = np.stack([np.full(kappas.shape, omega), np.sqrt(omega**2 + kappas / mu)], axis=1)
+    overflow = ~np.isfinite(freqs).all(axis=1)
+    if overflow.any():
+        raise ValueError(f"normal-mode frequencies {freqs[np.argmax(overflow)]} overflow")
     highest = freqs.max(axis=1)
     unbound = (highest == 0.0) | (freqs.min(axis=1) < UNBOUND_FREQUENCY_RATIO * highest)
     if unbound.any():
@@ -189,7 +193,14 @@ def _ground_state_sigmas(params: TwoBodyParams, kappas: np.ndarray) -> np.ndarra
         )
     mass_freq = np.array([params.total_mass, mu]) * freqs
     vacua = np.stack([1.0 / mass_freq, mass_freq], axis=2).reshape(-1, 1, 4)
-    return _congruence(symplectic_inverse(_scaled_to_com_rel(params)), vacua * np.eye(4))
+    sigma = _congruence(symplectic_inverse(_scaled_to_com_rel(params)), vacua * np.eye(4))
+    overflow = ~np.isfinite(sigma).all(axis=(1, 2))
+    if overflow.any():
+        raise ValueError(
+            f"ground-state covariance overflows for masses {params.m1!r}, {params.m2!r} "
+            f"and normal-mode frequencies {freqs[np.argmax(overflow)]}"
+        )
+    return sigma
 
 
 def ground_state_covariance(params: TwoBodyParams) -> GaussianState:
@@ -202,7 +213,8 @@ def ground_state_covariance(params: TwoBodyParams) -> GaussianState:
     B^T Omega``, a signed permutation of B^T: nothing is inverted.  The
     result is pure; with coupling it is entangled across the particles and
     a product across center of mass and relative motion.  A zero or
-    relatively vanishing mode frequency (no trap) raises ``ValueError``.
+    relatively vanishing mode frequency (no trap), an overflowing one or an
+    overflowing covariance raises ``ValueError``.
     """
     sigma = _ground_state_sigmas(params, np.array([params.kappa], dtype=float))[0]
     return GaussianState(CovarianceMatrix(2, sigma), np.zeros(4))
@@ -210,9 +222,7 @@ def ground_state_covariance(params: TwoBodyParams) -> GaussianState:
 
 def _first_mode_entropies(sigma: np.ndarray) -> np.ndarray:
     """Mode-0 entropies of a stack (N, 4, 4), checked as ``gaussian_entropy_across`` checks one."""
-    _require_pure(_validated_spectra(sigma))
-    marginal = _validated_spectra(sigma[:, :2, :2])
-    return np.array([thermal_entropy(nu) for nu in marginal[:, 0]])
+    return _cut_entropies(sigma, _validated_spectra(sigma), (0,))[:, 0]
 
 
 def _stacked_sweep(m1, m2, omega_trap, kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,11 +244,11 @@ def coupling_sweep(
     Returns ``(interparticle, internal_external)``, one float array each,
     entry i for ``TwoBodyParams(m1, m2, omega_trap, kappas[i])``: the
     entropy across the particle split and across the center-of-mass/
-    relative split.  All ground states are built as one (N, 4, 4) stack;
-    the stack, its mode-0 marginals, its image in center-of-mass/relative
-    coordinates and their marginals are each validated and diagonalized
-    in one call, with the checks ``CovarianceMatrix`` and
-    ``gaussian_entropy_across`` make on a single state.  Every entry
+    relative split.  All ground states are built as one (N, 4, 4) stack.
+    The stack is validated and diagonalized in one call, then cut by the
+    function ``gaussian_entropy_across`` cuts one state with, which checks
+    purity and its mode-0 marginals as one stack; its image in
+    center-of-mass/relative coordinates goes the same way.  Every entry
     equals the per-state route (``ground_state_covariance``, then
     ``gaussian_entropy_across`` and ``internal_external_entropy``) bit for
     bit.  Memory grows linearly with the number of couplings.
@@ -247,8 +257,9 @@ def coupling_sweep(
     ------
     ValueError
         Whatever the first failing coupling raises on its own, as a loop
-        over the couplings would: its ``TwoBodyParams`` check, an unbound
-        system, or an ``InvalidCovarianceError``.  It is found by halving
+        over the couplings would: its ``TwoBodyParams`` check, an
+        overflowing frequency or covariance, an unbound system, or an
+        ``InvalidCovarianceError``.  It is found by halving
         the sweep, about one more pass, then run alone.  An empty or
         multi-dimensional ``kappas`` is rejected.
     """

@@ -527,6 +527,25 @@ class TestScatterCommand:
             warnings.simplefilter("always")
             assert_refused(tmp_path, capsys, argv, message)
 
+    def test_underflowing_width_is_refused_without_warnings(self, tmp_path, capsys):
+        # the width's square underflows to 0, so the envelope at the center is 0/0
+        argv = ["scatter", "--sites", "8", "--hop", "1", "--g", "1", "--ka", "1", "--kb", "-1"]
+        argv += ["--wa", "1e-170", "--out", str(tmp_path / "h.csv")]
+        message = "packet at center 2.0 with width 1e-170 has zero norm on the 8-site lattice"
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert_refused(tmp_path, capsys, argv, message)
+
+    def test_narrow_width_runs_without_warnings(self, tmp_path, capsys):
+        argv = ["scatter", "--sites", "8", "--hop", "1", "--g", "1", "--ka", "1", "--kb", "-1"]
+        argv += ["--wa", "1e-160", "--times", "0:1:1", "--out", str(tmp_path / "h.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        assert len((tmp_path / "h.csv").read_text().splitlines()) == 3
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         code = run(["scatter", "--sites", "12", "--bogus", "1"])
         assert code == 2
@@ -573,6 +592,10 @@ class TestNumberListErrors:
     @pytest.mark.parametrize("option, text, message", [
         ("--factors", "2,x", "expected two comma-separated integers, got '2,x'"),
         ("--target", "0.5,abc", "expected comma-separated numbers, got '0.5,abc'"),
+        # an empty field is refused, as --factors 2,2, is, and not dropped
+        ("--target", "1,,0", "expected comma-separated numbers, got '1,,0'"),
+        ("--target", ",1,0", "expected comma-separated numbers, got ',1,0'"),
+        ("--target", "1,0,", "expected comma-separated numbers, got '1,0,'"),
         ("--kappa", "0:x:1", "expected START:STOP:STEP, got '0:x:1'"),
     ])
     def test_message_names_the_whole_text(self, tmp_path, capsys, option, text, message):
@@ -584,6 +607,29 @@ class TestNumberListErrors:
             argv = ["tailor", "--state", str(write_bell(tmp_path)), "--out", out]
             argv += [word for pair in options.items() for word in pair]
         assert_refused(tmp_path, capsys, argv, message)
+
+
+class TestOverflowingSweeps:
+    # w^2, kappa / mu and the reduced mass overflow; each used to fail with an error naming none
+    # of them (OverflowError, "include a zero mode", "must be finite") or with NumPy's warnings
+    @pytest.mark.parametrize("options, message", [
+        ("--m1 1 --m2 1 --omega 1e200 --kappa 1", "normal-mode frequencies"),
+        ("--m1 1 --m2 1 --omega 1 --kappa 1e308", "normal-mode frequencies"),
+        ("--m1 1e300 --m2 1e300 --omega 1 --kappa 1", "ground-state covariance overflows"),
+    ])
+    def test_one_line_without_warnings_and_no_csv(self, tmp_path, capsys, options, message):
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert run(["twobody", "sweep", *options.split(), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        payload = json.loads(line)
+        assert list(payload) == ["error", "message"]
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(message) and "overflow" in payload["message"]
+        assert not out.exists()
 
 
 class TestDuplicateKeys:

@@ -437,6 +437,43 @@ class TestEntropyAcross:
             tl.gaussian_entropy_across(vacuum(2), [0, 1])
 
 
+def scalar_thermal_entropy(nu: float) -> float:
+    """Oracle: one mode's entropy by the scalar branch and formula, a Python float."""
+    if nu <= 1.0:
+        return 0.0
+    plus = 0.5 * (nu + 1.0)
+    minus = 0.5 * (nu - 1.0)
+    return float(plus * np.log(plus) - minus * np.log(minus))
+
+
+# nu = 1, below 1, the doubles next to 1, ordinary values, the largest magnitudes, NaN and inf
+THERMAL_EDGES = [1.0, 0.5, 0.0, -2.0, 1.0 + 1e-16, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+                 1.5, np.cosh(2.0), 1e300, 1.7e308, np.nan, np.inf, -np.inf]
+
+
+class TestThermalEntropyArrays:
+    @pytest.mark.parametrize("shape", [(14,), (2, 7), (7, 1, 2)])
+    def test_elementwise_equals_the_scalar_rule_bit_for_bit(self, shape):
+        values = np.array(THERMAL_EDGES).reshape(shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # the formula's inf - inf, either way
+            got = tl.thermal_entropy(values)
+            want = np.array([scalar_thermal_entropy(nu) for nu in values.ravel().tolist()])
+        assert got.shape == shape
+        assert got.tobytes() == want.reshape(shape).tobytes()
+
+    def test_long_array_equals_the_scalar_rule_bit_for_bit(self):
+        # long enough for NumPy's vectorized log loops, up to where the formula would overflow
+        values = 10.0 ** np.random.default_rng(8).uniform(-1.0, 305.0, 4001)
+        want = np.array([scalar_thermal_entropy(nu) for nu in values.tolist()])
+        assert tl.thermal_entropy(values).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nu", [1.0, 0.5, 2.0, 3, np.float64(2.0), np.array(2.0), np.nan])
+    def test_a_scalar_gives_a_float(self, nu):
+        got = tl.thermal_entropy(nu)
+        assert type(got) is float
+        assert np.array(got).tobytes() == np.array(scalar_thermal_entropy(float(nu))).tobytes()
+
+
 class TestLogNegativity:
     def test_vacuum_zero(self):
         assert tl.log_negativity_two_mode(vacuum(2)) == 0.0

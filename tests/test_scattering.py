@@ -1,6 +1,7 @@
 """Tests for the lattice scattering module."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,42 @@ class TestInState:
         with pytest.raises(ValueError, match="zero norm"):
             scattering.single_particle_packet(16, tl.WavePacket(1e6, 0.5, 0.0))
 
+
+    @pytest.mark.parametrize(
+        "center, width",
+        # 0/0 at a center on a site; no norm left by an off-site center or a far one
+        [(2.0, 1e-170), (2.0, 1e-320), (2.5, 1e-170), (2.5, 0.01), (1e6, 0.5), (1e200, 2.0)],
+    )
+    def test_refusal_names_center_and_width_without_warnings(self, center, width):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero norm") as refused:
+                scattering.single_particle_packet(8, tl.WavePacket(center, width, 0.0))
+        assert f"center {center!r} with width {width!r}" in str(refused.value)
+
+    @pytest.mark.parametrize("width", [1e-160, 1e-100, 0.01])
+    def test_narrow_limit_is_one_site_without_warnings(self, width):
+        # away from the center the ratio overflows to inf or exp underflows: the envelope is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            packet = scattering.single_particle_packet(8, tl.WavePacket(3.0, width, 0.5))
+        assert np.flatnonzero(packet).tolist() == [3]
+        assert abs(abs(packet[3]) - 1.0) < 1e-15
+
+    def test_wide_limit_is_flat_without_warnings(self):
+        # the width's square overflows, so every site reads exp(0) = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            packet = scattering.single_particle_packet(8, tl.WavePacket(3.0, 1e200, 0.5))
+        np.testing.assert_allclose(np.abs(packet), np.full(8, np.sqrt(1.0 / 8.0)), rtol=1e-15)
+
+    @pytest.mark.parametrize("center, width", [(2.0, 1e-150), (3.3, 0.2), (5.0, 1.5), (-3.0, 2.0), (4.0, 1e6)])
+    def test_accepted_packets_are_the_envelope_formula_bit_for_bit(self, center, width):
+        sites = np.arange(12)
+        amps = np.exp(-((sites - center) ** 2) / (4.0 * width**2)) * np.exp(0.7j * sites)
+        expected = amps / np.linalg.norm(amps)
+        packet = scattering.single_particle_packet(12, tl.WavePacket(center, width, 0.7))
+        assert packet.tobytes() == expected.tobytes()
 
 class TestHamiltonian:
     def test_single_particle_spectrum(self):

@@ -1,5 +1,7 @@
 """Tests for the coupled two-body oscillator module."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,22 @@ class TestGroundState:
         omega = ratio * twobody.UNBOUND_FREQUENCY_RATIO * 2.0
         with pytest.raises(ValueError, match="unbound"):
             tl.ground_state_covariance(tl.TwoBodyParams(1.0, 1.0, omega, 2.0))
+
+
+    @pytest.mark.parametrize(
+        "m1, m2, omega, kappa, message",
+        [
+            # w^2 overflows; kappa / mu overflows; the reduced mass m1 m2 / M overflows
+            (1.0, 1.0, 1e200, 1.0, r"^normal-mode frequencies \[.*inf\] overflow$"),
+            (1.0, 1.0, 1.0, 1e308, r"^normal-mode frequencies \[.*inf\] overflow$"),
+            (1e300, 1e300, 1.0, 1.0, r"^ground-state covariance overflows for masses 1e\+300, 1e\+300 "),
+        ],
+    )
+    def test_overflow_is_refused_before_numpy_warns(self, m1, m2, omega, kappa, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                tl.ground_state_covariance(tl.TwoBodyParams(m1, m2, omega, kappa))
 
 
 class TestInterparticleEntanglement:
@@ -524,6 +542,22 @@ def test_coupling_sweep_raises_for_the_first_failing_kappa(kappas, message):
     # 8.5e-8 at kappa = 1, below UNBOUND_FREQUENCY_RATIO
     with pytest.raises(ValueError, match=message):
         tl.coupling_sweep(1.0, 1.0, 1.2e-7, kappas)
+
+
+@pytest.mark.parametrize(
+    "kappas, message",
+    [
+        # -1 fails the whole-stack pass first; the loop stops at 1e308, whose W overflows
+        ([0.5, 1e308, -1.0], "overflow"),
+        # W is 1.4e153 at 1e306, finite but unbound, before 1e308 overflows
+        ([0.5, 1e306, 1e308], "unbound"),
+    ],
+)
+def test_coupling_sweep_names_the_first_overflowing_kappa(kappas, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            tl.coupling_sweep(1.0, 1.0, 1.0, kappas)
 
 
 def first_failure_by_loop(kappas):
